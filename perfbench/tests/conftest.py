@@ -1,0 +1,12 @@
+"""Put the program sources and the benchmark modules on the import path.
+
+Run from the repository root with: python3 -m pytest perfbench/tests
+"""
+
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parents[1]
+for path in (BENCH_DIR.parent / "src", BENCH_DIR):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
