@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import stage1, stage2
-from .filter_base import FilterEstimate, FilterGains, initial_estimate
+from .filter_base import FilterEstimate, FilterGains, initial_estimate, recover_state
 from .geom import (
     AlgebraElement,
     cross3,
@@ -23,7 +23,7 @@ from .geom import (
     group_inverse,
     log_so3,
 )
-from .models import MeasurementBundle, TruthWorld, relative_state
+from .models import MeasurementBundle
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ def step(
     s1 = stage1.predict(cs.s1, bundle.gyro, gains1, dt) if dt > 0 else cs.s1
     if bundle.star is not None:
         s1 = stage1.update(s1, bundle.star, gains1, star_period)
-    bias_hat = stage1.recover_state(s1.X).vec
+    bias_hat = recover_state(s1.X).vec
     rate = bundle.gyro - bias_hat if subtract_bias else bundle.gyro
     s2 = stage2.predict(cs.s2, rate, gains2, dt) if dt > 0 else cs.s2
     if bundle.features is not None:
@@ -98,22 +98,6 @@ def local_error_of(e: GroupElement) -> ErrorVector:
 
 def local_error(state_true: StageState, x_hat: GroupElement) -> ErrorVector:
     return local_error_of(group_error(state_true, x_hat))
-
-
-def group_error1(cs: CascadeState, world: TruthWorld) -> GroupElement:
-    return group_error(StageState(world.att_chaser, world.gyro_bias), cs.s1.X)
-
-
-def group_error2(cs: CascadeState, world: TruthWorld) -> GroupElement:
-    return group_error(relative_state(world), cs.s2.X)
-
-
-def local_error1(cs: CascadeState, world: TruthWorld) -> ErrorVector:
-    return local_error(StageState(world.att_chaser, world.gyro_bias), cs.s1.X)
-
-
-def local_error2(cs: CascadeState, world: TruthWorld) -> ErrorVector:
-    return local_error(relative_state(world), cs.s2.X)
 
 
 def gamma_term(

@@ -8,6 +8,7 @@ field has a default, so an empty file is a valid configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -142,49 +143,30 @@ class ScenarioConfig:
         return round(self.gyro_rate_hz / self.feature_rate_hz)
 
 
-_INT_FIELDS = {"seed", "update_iterations"}
-_FLOAT_FIELDS = {
-    "duration_s",
-    "gyro_rate_hz",
-    "star_rate_hz",
-    "feature_rate_hz",
-    "state_gain",
-    "output_gain",
-    "sigma0",
-    "gyro_noise_std",
-    "direction_noise_std",
-}
-_PAIR_FIELDS = {"omega_target_range_dps", "chaser_rate_range_dps", "gyro_bias_range_dps"}
-_VEC3_FIELDS = {"ref_dir_1", "ref_dir_2"}
-_OPTIONAL_FLOAT_FIELDS = {"attitude_init_max_deg"}
-_STR_FIELDS = {"input_mode"}
+_FIELD_TYPES = get_type_hints(ScenarioConfig)
+_COUNT_WORDS = {2: "two numbers", 3: "three numbers"}
 
 
 def _parse_value(key: str, raw: str, line_no: int):
     def fail(expected: str):
         raise ConfigError(f"line {line_no}: field '{key}' expects {expected}, got '{raw}'")
 
+    hint = _FIELD_TYPES[key]
+    if hint is str:
+        return raw
+    if hint == float | None and raw.lower() in ("none", ""):
+        return None
     parts = raw.split()
+    if get_origin(hint) is tuple and len(parts) != len(get_args(hint)):
+        fail(_COUNT_WORDS[len(get_args(hint))])
     try:
-        if key in _INT_FIELDS:
+        if hint is int:
             return int(raw)
-        if key in _FLOAT_FIELDS:
-            return float(raw)
-        if key in _OPTIONAL_FLOAT_FIELDS:
-            return None if raw.lower() in ("none", "") else float(raw)
-        if key in _PAIR_FIELDS:
-            if len(parts) != 2:
-                fail("two numbers")
-            return (float(parts[0]), float(parts[1]))
-        if key in _VEC3_FIELDS:
-            if len(parts) != 3:
-                fail("three numbers")
-            return (float(parts[0]), float(parts[1]), float(parts[2]))
-        if key in _STR_FIELDS:
-            return raw
+        if get_origin(hint) is tuple:
+            return tuple(float(p) for p in parts)
+        return float(raw)
     except ValueError:
         fail("a number")
-    raise ConfigError(f"line {line_no}: unknown field '{key}'")
 
 
 def read_config(path) -> ScenarioConfig:

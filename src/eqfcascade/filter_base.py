@@ -1,8 +1,10 @@
-"""Pieces shared by both filter stages: estimate/gain containers, the
-Riccati steps and the group-level correction integrator.
+"""The EqF kernel shared by both filter stages: estimate/gain containers,
+the state action and origin, the Riccati steps, and one predict and one
+update that take a stage's lift, A matrix and output map as arguments.
 
 Both stages keep a group element (attitude estimate plus a transported
-3-vector) and a 6x6 Riccati matrix. Prediction integrates the lifted
+3-vector) and a 6x6 Riccati matrix, and both act on their SO(3) x R^3
+state manifold in the same way. Prediction integrates the lifted
 dynamics with the exponential map on the rotation part and explicit Euler
 on the vector and Riccati parts. Corrections are integrated over the
 measurement interval in `update_iterations` equal sub-steps, re-linearizing
@@ -15,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import GroupElement, cross3, exp_so3, identity_element
+from .geom import AlgebraElement, GroupElement, StageState, cross3, exp_so3, identity_element, renormalize_rotation, wedge
+
+ORIGIN = StageState(np.eye(3), np.zeros(3))
 
 
 class NumericalFailure(Exception):
@@ -125,3 +129,60 @@ def apply_correction(x: GroupElement, delta: np.ndarray, tau: float) -> GroupEle
     rot = exp_so3(delta[:3] * tau) @ x.rot
     vec = x.vec + tau * (cross3(delta[:3], x.vec) + delta[3:])
     return GroupElement(rot, vec)
+
+
+def state_action(g: GroupElement, xi: StageState) -> StageState:
+    """Right action of the group on a stage's state manifold:
+    (R, x) -> (R A, A^T (x - a)) for g = (A, a)."""
+    return StageState(xi.rot @ g.rot, g.rot.T @ (xi.vec - g.vec))
+
+
+def recover_state(x: GroupElement) -> StageState:
+    """Manifold estimate: the group state acting on the origin."""
+    return state_action(x, ORIGIN)
+
+
+def c_matrix(y, y_hat, rot_hat: np.ndarray) -> np.ndarray:
+    """Linearized output matrix for k measured directions, 3k x 6; only
+    the attitude block is non-zero."""
+    c = np.zeros((3 * len(y), 6))
+    for i in range(len(y)):
+        c[3 * i : 3 * i + 3, 0:3] = 0.5 * wedge(y[i] + y_hat[i]) @ rot_hat.T
+    return c
+
+
+def predict(est: FilterEstimate, lam: AlgebraElement, a: np.ndarray, gains: FilterGains, dt: float) -> FilterEstimate:
+    """Propagate the group state along the lift lam and the Riccati state
+    with the error-flow matrix a, both by Euler."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    rot = renormalize_rotation(est.X.rot @ exp_so3(dt * lam.rot))
+    vec = est.X.vec + dt * (est.X.rot @ lam.vec)
+    sigma = riccati_predict(est.Sigma, a, gains.M, dt)
+    return FilterEstimate(GroupElement(rot, vec), sigma)
+
+
+def update(est: FilterEstimate, y, output_map, gains: FilterGains, dt_update: float, where: str) -> FilterEstimate:
+    """Apply one measurement of directions y, iterated over the update interval.
+
+    The correction is integrated in update_iterations equal sub-steps tau
+    with the measurement held fixed; the output map (state -> predicted
+    directions), the output matrix and the Riccati contraction are
+    recomputed at every sub-step. `where` names the stage in the error
+    raised when the Riccati state loses positive-definiteness.
+    """
+    if dt_update <= 0:
+        raise ValueError("dt_update must be positive")
+    tau = dt_update / gains.update_iterations
+    x, sigma = est.X, est.Sigma
+    y_stack = np.concatenate(y)
+    n_inv = np.linalg.inv(gains.N)
+    for _ in range(gains.update_iterations):
+        y_hat = output_map(recover_state(x))
+        c = c_matrix(y, y_hat, x.rot)
+        resid = y_stack - np.concatenate(y_hat)
+        gain = sigma @ (c.T @ (n_inv @ resid))
+        x = apply_correction(x, tangent_to_algebra(gain), tau)
+        sigma = riccati_correct(sigma, c, gains.N, tau)
+    require_spd(sigma, where)
+    return FilterEstimate(GroupElement(renormalize_rotation(x.rot), x.vec), sigma)

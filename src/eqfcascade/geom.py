@@ -187,30 +187,21 @@ def rotation_angle(r1: np.ndarray, r2: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Element of the symmetry group: a rotation and a 3-vector."""
+    """A rotation and a 3-vector.
 
-    rot: np.ndarray
-    vec: np.ndarray
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """Lie-algebra element in coordinates: so(3) part and vector part."""
-
-    rot: np.ndarray
-    vec: np.ndarray
-
-
-@dataclass(frozen=True)
-class StageState:
-    """Point on a stage's state manifold: an attitude and a 3-vector.
-
-    The vector slot is the gyro bias for stage 1 and the target angular
-    velocity (chaser frame) for stage 2, both in rad/s.
+    The same pair serves as an element of the symmetry group, as a
+    Lie-algebra element in coordinates (so(3) part and vector part), and as
+    a point on a stage's state manifold. On the manifold the vector slot is
+    the gyro bias for stage 1 and the target angular velocity (chaser
+    frame) for stage 2, both in rad/s.
     """
 
     rot: np.ndarray
     vec: np.ndarray
+
+
+AlgebraElement = GroupElement
+StageState = GroupElement
 
 
 def identity_element() -> GroupElement:

@@ -15,9 +15,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import cascade, metrics, stage1, stage2
+from . import cascade, metrics
 from .config import ScenarioConfig
-from .filter_base import NumericalFailure
+from .filter_base import NumericalFailure, recover_state
 from .geom import StageState, exp_so3, random_rotation, random_unit_vector
 from .metrics import RAD2DEG, BatchSummary, RunMetrics, euler_errors, time_to_threshold
 from .models import MeasurementBundle, TruthWorld, measure_features, measure_gyro, measure_star_tracker, propagate_truth, relative_state
@@ -67,8 +67,8 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _record_row(t: float, cs: cascade.CascadeState, world: TruthWorld) -> np.ndarray:
-    st1 = stage1.recover_state(cs.s1.X)
-    st2 = stage2.recover_state(cs.s2.X)
+    st1 = recover_state(cs.s1.X)
+    st2 = recover_state(cs.s2.X)
     rel = relative_state(world)
     e1 = cascade.group_error(StageState(world.att_chaser, world.gyro_bias), cs.s1.X)
     e2 = cascade.group_error(rel, cs.s2.X)

@@ -16,24 +16,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .filter_base import (
-    FilterEstimate,
-    FilterGains,
-    apply_correction,
-    require_spd,
-    riccati_correct,
-    riccati_predict,
-    tangent_to_algebra,
-)
-from .geom import AlgebraElement, GroupElement, StageState, cross3, exp_so3, renormalize_rotation, wedge
-
-ORIGIN = StageState(np.eye(3), np.zeros(3))
+from . import filter_base
+# the shared state action and output matrix are part of this stage's model
+from .filter_base import FilterEstimate, FilterGains, c_matrix, recover_state, state_action  # noqa: F401
+from .geom import AlgebraElement, GroupElement, StageState, cross3, wedge
 
 StarTriple = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def state_action(g: GroupElement, xi: StageState) -> StageState:
-    return StageState(xi.rot @ g.rot, g.rot.T @ (xi.vec - g.vec))
 
 
 def input_action(g: GroupElement, gyro: np.ndarray) -> np.ndarray:
@@ -47,11 +35,6 @@ def output_action(g: GroupElement, y: StarTriple) -> StarTriple:
 def lift(xi: StageState, gyro: np.ndarray) -> AlgebraElement:
     """Algebra element whose group flow projects to the state flow."""
     return AlgebraElement(gyro - xi.vec, -cross3(gyro, xi.vec))
-
-
-def recover_state(x: GroupElement) -> StageState:
-    """Manifold estimate: the group state acting on the origin."""
-    return state_action(x, ORIGIN)
 
 
 def output_map(xi: StageState) -> StarTriple:
@@ -68,45 +51,11 @@ def a_matrix(x: GroupElement, gyro: np.ndarray) -> np.ndarray:
     return a
 
 
-def c_matrix(y: StarTriple, y_hat: StarTriple, rot_hat: np.ndarray) -> np.ndarray:
-    """Linearized output matrix, 9x6; only the attitude block is non-zero."""
-    c = np.zeros((9, 6))
-    for i in range(3):
-        c[3 * i : 3 * i + 3, 0:3] = 0.5 * wedge(y[i] + y_hat[i]) @ rot_hat.T
-    return c
-
-
 def predict(est: FilterEstimate, gyro: np.ndarray, gains: FilterGains, dt: float) -> FilterEstimate:
     """Propagate the group state along the lift and the Riccati state by Euler."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    lam = lift(recover_state(est.X), gyro)
-    a = a_matrix(est.X, gyro)
-    rot = renormalize_rotation(est.X.rot @ exp_so3(dt * lam.rot))
-    vec = est.X.vec + dt * (est.X.rot @ lam.vec)
-    sigma = riccati_predict(est.Sigma, a, gains.M, dt)
-    return FilterEstimate(GroupElement(rot, vec), sigma)
+    return filter_base.predict(est, lift(recover_state(est.X), gyro), a_matrix(est.X, gyro), gains, dt)
 
 
 def update(est: FilterEstimate, y: StarTriple, gains: FilterGains, dt_update: float) -> FilterEstimate:
-    """Apply one star-tracker measurement, iterated over the update interval.
-
-    The correction is integrated in update_iterations equal sub-steps tau
-    with the measurement held fixed; the output map, the output matrix and
-    the Riccati contraction are recomputed at every sub-step.
-    """
-    if dt_update <= 0:
-        raise ValueError("dt_update must be positive")
-    tau = dt_update / gains.update_iterations
-    x, sigma = est.X, est.Sigma
-    y_stack = np.concatenate(y)
-    n_inv = np.linalg.inv(gains.N)
-    for _ in range(gains.update_iterations):
-        y_hat = output_map(recover_state(x))
-        c = c_matrix(y, y_hat, x.rot)
-        resid = y_stack - np.concatenate(y_hat)
-        gain = sigma @ (c.T @ (n_inv @ resid))
-        x = apply_correction(x, tangent_to_algebra(gain), tau)
-        sigma = riccati_correct(sigma, c, gains.N, tau)
-    require_spd(sigma, "stage-1 update")
-    return FilterEstimate(GroupElement(renormalize_rotation(x.rot), x.vec), sigma)
+    """Apply one star-tracker measurement, iterated over the update interval."""
+    return filter_base.update(est, y, output_map, gains, dt_update, "stage-1 update")

@@ -25,18 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filter_base import (
-    FilterEstimate,
-    FilterGains,
-    apply_correction,
-    require_spd,
-    riccati_correct,
-    riccati_predict,
-    tangent_to_algebra,
-)
-from .geom import AlgebraElement, GroupElement, StageState, cross3, exp_so3, renormalize_rotation, wedge
-
-ORIGIN = StageState(np.eye(3), np.zeros(3))
+from . import filter_base
+# the shared state action and output matrix are part of this stage's model
+from .filter_base import FilterEstimate, FilterGains, c_matrix, recover_state, state_action  # noqa: F401
+from .geom import AlgebraElement, GroupElement, StageState, cross3, wedge
 
 FeaturePair = tuple[np.ndarray, np.ndarray]
 
@@ -48,10 +40,6 @@ class ExtendedInput:
     u: np.ndarray
     v: np.ndarray = field(default_factory=lambda: np.zeros(3))
     w: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-
-def state_action(g: GroupElement, xi: StageState) -> StageState:
-    return StageState(xi.rot @ g.rot, g.rot.T @ (xi.vec - g.vec))
 
 
 def input_action(g: GroupElement, inp: ExtendedInput) -> ExtendedInput:
@@ -70,10 +58,6 @@ def lift(xi: StageState, inp: ExtendedInput) -> AlgebraElement:
     )
 
 
-def recover_state(x: GroupElement) -> StageState:
-    return state_action(x, ORIGIN)
-
-
 def output_map(xi: StageState, ref_dirs: FeaturePair) -> FeaturePair:
     """Feature model: the target-fixed reference directions in body coordinates."""
     return tuple(xi.rot.T @ d for d in ref_dirs)
@@ -86,23 +70,9 @@ def a_matrix(x: GroupElement) -> np.ndarray:
     return a
 
 
-def c_matrix(y: FeaturePair, y_hat: FeaturePair, rot_hat: np.ndarray) -> np.ndarray:
-    c = np.zeros((6, 6))
-    for i in range(2):
-        c[3 * i : 3 * i + 3, 0:3] = 0.5 * wedge(y[i] + y_hat[i]) @ rot_hat.T
-    return c
-
-
 def predict(est: FilterEstimate, rate: np.ndarray, gains: FilterGains, dt: float) -> FilterEstimate:
     """Propagate with the physical input only (virtual inputs zero)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    lam = lift(recover_state(est.X), ExtendedInput(rate))
-    a = a_matrix(est.X)
-    rot = renormalize_rotation(est.X.rot @ exp_so3(dt * lam.rot))
-    vec = est.X.vec + dt * (est.X.rot @ lam.vec)
-    sigma = riccati_predict(est.Sigma, a, gains.M, dt)
-    return FilterEstimate(GroupElement(rot, vec), sigma)
+    return filter_base.predict(est, lift(recover_state(est.X), ExtendedInput(rate)), a_matrix(est.X), gains, dt)
 
 
 def update(
@@ -113,18 +83,4 @@ def update(
     dt_update: float,
 ) -> FilterEstimate:
     """Apply one feature measurement, iterated over the update interval."""
-    if dt_update <= 0:
-        raise ValueError("dt_update must be positive")
-    tau = dt_update / gains.update_iterations
-    x, sigma = est.X, est.Sigma
-    y_stack = np.concatenate(y)
-    n_inv = np.linalg.inv(gains.N)
-    for _ in range(gains.update_iterations):
-        y_hat = output_map(recover_state(x), ref_dirs)
-        c = c_matrix(y, y_hat, x.rot)
-        resid = y_stack - np.concatenate(y_hat)
-        gain = sigma @ (c.T @ (n_inv @ resid))
-        x = apply_correction(x, tangent_to_algebra(gain), tau)
-        sigma = riccati_correct(sigma, c, gains.N, tau)
-    require_spd(sigma, "stage-2 update")
-    return FilterEstimate(GroupElement(renormalize_rotation(x.rot), x.vec), sigma)
+    return filter_base.update(est, y, lambda xi: output_map(xi, ref_dirs), gains, dt_update, "stage-2 update")

@@ -13,7 +13,7 @@ from eqfcascade.geom import (
     rotation_angle,
     wedge,
 )
-from eqfcascade.models import MeasurementBundle, TruthWorld, measure_features, measure_gyro, measure_star_tracker, propagate_truth
+from eqfcascade.models import MeasurementBundle, TruthWorld, measure_features, measure_gyro, measure_star_tracker, propagate_truth, relative_state
 
 REF_DIRS = (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
 D2R = np.pi / 180.0
@@ -37,8 +37,8 @@ def make_world(rng, att_err_deg=30.0, bias_dps=1.25, omega_dps=2.0, u_dps=2.0):
 
 
 def error_norms(cs, world):
-    e1 = cascade.local_error1(cs, world)
-    e2 = cascade.local_error2(cs, world)
+    e1 = cascade.local_error(StageState(world.att_chaser, world.gyro_bias), cs.s1.X)
+    e2 = cascade.local_error(relative_state(world), cs.s2.X)
     return np.array([e1.norm_rot(), e1.norm_vec(), e2.norm_rot(), e2.norm_vec()])
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -35,6 +36,62 @@ class TestConfigFile:
         path = tmp_path / "scenario.cfg"
         write_config(cfg, path)
         assert read_config(path) == cfg
+
+    def test_every_field_parses_from_hand_written_text(self, tmp_path):
+        path = tmp_path / "full.cfg"
+        path.write_text(
+            "seed = 11\n"
+            "duration_s = 7.5\n"
+            "gyro_rate_hz = 200\n"
+            "star_rate_hz = 2\n"
+            "feature_rate_hz = 20\n"
+            "update_iterations = 4\n"
+            "state_gain = 0.5\n"
+            "output_gain = 0.2\n"
+            "sigma0 = 2\n"
+            "gyro_noise_std = 0.02\n"
+            "direction_noise_std = 0.03\n"
+            "omega_target_range_dps = 1 2\n"
+            "chaser_rate_range_dps = 0.25   1.5\n"
+            "gyro_bias_range_dps = 0 1\n"
+            "attitude_init_max_deg = 30\n"
+            "input_mode = biased_passthrough\n"
+            "ref_dir_1 = 0 0 1\n"
+            "ref_dir_2 = 1 1 0  # not unit length\n"
+        )
+        cfg = read_config(path)
+        assert cfg == ScenarioConfig(
+            seed=11,
+            duration_s=7.5,
+            gyro_rate_hz=200.0,
+            star_rate_hz=2.0,
+            feature_rate_hz=20.0,
+            update_iterations=4,
+            state_gain=0.5,
+            output_gain=0.2,
+            sigma0=2.0,
+            gyro_noise_std=0.02,
+            direction_noise_std=0.03,
+            omega_target_range_dps=(1.0, 2.0),
+            chaser_rate_range_dps=(0.25, 1.5),
+            gyro_bias_range_dps=(0.0, 1.0),
+            attitude_init_max_deg=30.0,
+            input_mode="biased_passthrough",
+            ref_dir_1=(0.0, 0.0, 1.0),
+            ref_dir_2=(1.0, 1.0, 0.0),
+        )
+        default = ScenarioConfig()
+        assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(ScenarioConfig))
+        assert type(cfg.seed) is int and type(cfg.update_iterations) is int
+
+        path.write_text("attitude_init_max_deg = none\n")
+        assert read_config(path).attitude_init_max_deg is None
+        path.write_text("seed = 1\nref_dir_1 = 1 0\n")
+        with pytest.raises(ConfigError, match="line 2: field 'ref_dir_1' expects three numbers"):
+            read_config(path)
+        path.write_text("gyro_bias_range_dps = 1\n")
+        with pytest.raises(ConfigError, match="line 1: field 'gyro_bias_range_dps' expects two numbers"):
+            read_config(path)
 
     def test_missing_fields_use_defaults(self, tmp_path):
         path = tmp_path / "partial.cfg"

@@ -5,7 +5,7 @@ import pytest
 
 from eqfcascade import stage1
 from eqfcascade.cascade import local_error
-from eqfcascade.filter_base import FilterEstimate, FilterGains, initial_estimate
+from eqfcascade.filter_base import ORIGIN, FilterEstimate, FilterGains, initial_estimate
 from eqfcascade.geom import (
     GroupElement,
     StageState,
@@ -128,7 +128,7 @@ class TestLiftAndRecovery:
     def test_recover_equals_action_on_origin(self):
         rng = np.random.default_rng(5)
         x = random_group_element(rng)
-        via_action = stage1.state_action(x, stage1.ORIGIN)
+        via_action = stage1.state_action(x, ORIGIN)
         via_recover = stage1.recover_state(x)
         np.testing.assert_array_equal(via_recover.rot, via_action.rot)
         np.testing.assert_array_equal(via_recover.vec, via_action.vec)

@@ -5,7 +5,7 @@ import pytest
 
 from eqfcascade import stage2
 from eqfcascade.cascade import local_error
-from eqfcascade.filter_base import FilterEstimate, FilterGains, initial_estimate
+from eqfcascade.filter_base import ORIGIN, FilterEstimate, FilterGains, initial_estimate
 from eqfcascade.geom import (
     GroupElement,
     StageState,
@@ -146,7 +146,7 @@ class TestLift:
         )
         rng = np.random.default_rng(5)
         x = random_group_element(rng)
-        via_action = stage2.state_action(x, stage2.ORIGIN)
+        via_action = stage2.state_action(x, ORIGIN)
         via_recover = stage2.recover_state(x)
         np.testing.assert_array_equal(via_recover.rot, via_action.rot)
         np.testing.assert_array_equal(via_recover.vec, via_action.vec)
