@@ -1,9 +1,10 @@
-"""Wiring of the two filter stages plus truth-referenced diagnostics.
+"""Wiring of the two filter stages plus the truth-referenced error maps.
 
 Per tick, stage 1 is processed completely first (prediction, then the
 iterated star-tracker update when one is due); its freshest bias estimate
 is subtracted from the gyro stream before stage 2 consumes it. Truth is
-only ever read by the diagnostic helpers, never by the estimation path.
+only ever read by the error maps, never by the estimation path; they take
+one state or a whole run's stacked states, as the harness diagnostics do.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class CascadeState:
 @dataclass(frozen=True)
 class ErrorVector:
     """State error in local coordinates at the origin: rotation part in
-    radians, vector part in rad/s."""
+    radians, vector part in rad/s (3-vectors, or (n, 3) stacks of them)."""
 
     rot: np.ndarray
     vec: np.ndarray
@@ -48,7 +49,7 @@ class ErrorVector:
         return float(np.linalg.norm(self.vec))
 
     def stacked(self) -> np.ndarray:
-        return np.concatenate([self.rot, self.vec])
+        return np.concatenate([self.rot, self.vec], axis=-1)
 
 
 def initial_state(gains1: FilterGains, gains2: FilterGains) -> CascadeState:
@@ -82,7 +83,7 @@ def step(
 
 def _group_element_of(state: StageState) -> GroupElement:
     # the unique group element mapping the origin to the given manifold point
-    return GroupElement(state.rot, -(state.rot @ state.vec))
+    return GroupElement(state.rot, -np.matvec(state.rot, state.vec))
 
 
 def group_error(state_true: StageState, x_hat: GroupElement) -> GroupElement:
@@ -93,7 +94,7 @@ def group_error(state_true: StageState, x_hat: GroupElement) -> GroupElement:
 def local_error_of(e: GroupElement) -> ErrorVector:
     """Local coordinates of a group error: rotation log of the manifold
     error and its vector part."""
-    return ErrorVector(log_so3(e.rot), -(e.rot.T @ e.vec))
+    return ErrorVector(log_so3(e.rot), -np.matvec(e.rot.mT, e.vec))
 
 
 def local_error(state_true: StageState, x_hat: GroupElement) -> ErrorVector:
@@ -112,11 +113,16 @@ def gamma_term(
     return AlgebraElement(carried, cross3(vec2_hat, carried))
 
 
-def lyapunov_value(eps: ErrorVector, sigma: np.ndarray) -> float:
-    """Quadratic error measure weighted by the inverse Riccati state."""
+def lyapunov_value(eps: ErrorVector, sigma: np.ndarray) -> float | np.ndarray:
+    """Quadratic error measure weighted by the inverse Riccati state; one
+    value per row for stacked errors and Riccati states.
+
+    Raises np.linalg.LinAlgError (a ValueError) when a Riccati state is
+    singular.
+    """
     e = eps.stacked()
     try:
-        v = float(e @ np.linalg.solve(sigma, e))
+        x = np.linalg.solve(sigma, e[..., None])[..., 0]
     except np.linalg.LinAlgError as exc:
-        raise ValueError("Riccati state is singular") from exc
-    return v
+        raise np.linalg.LinAlgError("Riccati state is singular") from exc
+    return np.vecdot(e, x)

@@ -134,7 +134,7 @@ def apply_correction(x: GroupElement, delta: np.ndarray, tau: float) -> GroupEle
 def state_action(g: GroupElement, xi: StageState) -> StageState:
     """Right action of the group on a stage's state manifold:
     (R, x) -> (R A, A^T (x - a)) for g = (A, a)."""
-    return StageState(xi.rot @ g.rot, g.rot.T @ (xi.vec - g.vec))
+    return StageState(xi.rot @ g.rot, np.matvec(g.rot.mT, xi.vec - g.vec))
 
 
 def recover_state(x: GroupElement) -> StageState:

@@ -61,13 +61,17 @@ def vee(m: np.ndarray) -> np.ndarray:
 
 
 def exp_so3(x: np.ndarray) -> np.ndarray:
-    """Rotation matrix exp(wedge(x)) by the Rodrigues formula."""
+    """Rotation matrix exp(wedge(x)) by the Rodrigues formula; all NaN when
+    x is not finite, so a diverged filter state stays a value and not an
+    error."""
     x = np.asarray(x, dtype=float)
     angle = math.sqrt(float(x @ x))
     k = wedge(x)
     if angle < SMALL_ANGLE:
         a = 1.0 - angle * angle / 6.0
         b = 0.5 - angle * angle / 24.0
+    elif angle == math.inf:
+        a = b = math.nan
     else:
         a = math.sin(angle) / angle
         b = (1.0 - math.cos(angle)) / (angle * angle)
@@ -75,7 +79,8 @@ def exp_so3(x: np.ndarray) -> np.ndarray:
 
 
 def log_so3(r: np.ndarray) -> np.ndarray:
-    """Rotation vector with norm <= pi such that exp_so3 inverts it.
+    """Rotation vector with norm <= pi such that exp_so3 inverts it; for a
+    stack (n, 3, 3) of rotations, the (n, 3) rows of their rotation vectors.
 
     Near angle pi the skew part of r carries almost no signal, so the axis
     is recovered from the symmetric part instead; the axis sign follows the
@@ -83,51 +88,70 @@ def log_so3(r: np.ndarray) -> np.ndarray:
     making the largest-magnitude component positive.
     """
     r = np.asarray(r, dtype=float)
-    trace = r[0, 0] + r[1, 1] + r[2, 2]
-    cos_angle = min(1.0, max(-1.0, 0.5 * (trace - 1.0)))
-    skew_vec = 0.5 * np.array(
-        [r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]]
+    rs = r.reshape(-1, 3, 3)
+    trace = rs[:, 0, 0] + rs[:, 1, 1] + rs[:, 2, 2]
+    cos_angle = clip_unit(0.5 * (trace - 1.0))
+    skew_vec = 0.5 * np.stack(
+        [rs[:, 2, 1] - rs[:, 1, 2], rs[:, 0, 2] - rs[:, 2, 0], rs[:, 1, 0] - rs[:, 0, 1]], axis=-1
     )  # == sin(angle) * axis
-    sin_angle = math.sqrt(float(skew_vec @ skew_vec))
+    sin_angle = np.sqrt(np.vecdot(skew_vec, skew_vec))
     # atan2 stays well conditioned where acos(trace) loses digits near pi
-    angle = math.atan2(sin_angle, cos_angle)
-    if angle < SMALL_ANGLE:
-        return skew_vec * (1.0 + angle * angle / 6.0)
-    if angle > math.pi - PI_BRANCH:
-        return _log_pi_branch(r, cos_angle, skew_vec)
-    return skew_vec * (angle / sin_angle)
+    angle = map_math(math.atan2, sin_angle, cos_angle)
+    small = angle < SMALL_ANGLE
+    near_pi = angle > math.pi - PI_BRANCH
+    rest = ~(small | near_pi)
+    out = np.empty_like(skew_vec)
+    out[small] = skew_vec[small] * (1.0 + angle[small] * angle[small] / 6.0)[:, None]
+    out[rest] = skew_vec[rest] * (angle[rest] / sin_angle[rest])[:, None]
+    if np.any(near_pi):
+        out[near_pi] = _log_pi_branch(rs[near_pi], cos_angle[near_pi], skew_vec[near_pi])
+    return out.reshape(r.shape[:-1])
 
 
-def _log_pi_branch(r: np.ndarray, cos_angle: float, skew_vec: np.ndarray) -> np.ndarray:
+def _log_pi_branch(r: np.ndarray, cos_angle: np.ndarray, skew_vec: np.ndarray) -> np.ndarray:
     # (r + r^T)/2 = cos(t) I + (1 - cos t) n n^T with 1 - cos t ~ 2 here
-    nnt = (0.5 * (r + r.T) - cos_angle * np.eye(3)) / (1.0 - cos_angle)
-    k = int(np.argmax(np.diag(nnt)))
-    axis = nnt[:, k] / math.sqrt(nnt[k, k])
-    axis = axis / np.linalg.norm(axis)
-    s = float(np.linalg.norm(skew_vec))
-    angle = math.pi - math.asin(min(1.0, s))
-    if s > 1e-12:
-        if float(axis @ skew_vec) < 0.0:
-            axis = -axis
-    else:
-        j = int(np.argmax(np.abs(axis)))
-        if axis[j] < 0.0:
-            axis = -axis
-    return angle * axis
+    nnt = (0.5 * (r + r.mT) - cos_angle[:, None, None] * _EYE3) / (1.0 - cos_angle)[:, None, None]
+    rows = np.arange(len(r))
+    k = np.argmax(np.diagonal(nnt, axis1=1, axis2=2), axis=1)
+    axis = nnt[rows, :, k] / np.sqrt(nnt[rows, k, k])[:, None]
+    axis = axis / np.sqrt(np.vecdot(axis, axis))[:, None]
+    s = np.sqrt(np.vecdot(skew_vec, skew_vec))
+    angle = math.pi - map_math(math.asin, np.where(s < 1.0, s, 1.0))
+    j = np.argmax(np.abs(axis), axis=1)
+    flip = np.where(s > 1e-12, np.vecdot(axis, skew_vec) < 0.0, axis[rows, j] < 0.0)
+    return angle[:, None] * np.where(flip[:, None], -axis, axis)
+
+
+def clip_unit(x: np.ndarray) -> np.ndarray:
+    """min(1, max(-1, x)) element by element, NaN mapping to -1 as with
+    Python's min and max."""
+    x = np.where(x > -1.0, x, -1.0)
+    return np.where(x < 1.0, x, 1.0)
+
+
+def map_math(fn, *args: np.ndarray) -> np.ndarray:
+    """A `math` function applied element by element to equal-shaped arrays.
+
+    numpy's vectorized trigonometry can differ from `math` in the last bit,
+    so results that must match scalar code exactly are computed this way.
+    """
+    values = map(fn, *(np.ravel(a).tolist() for a in args))
+    return np.fromiter(values, dtype=float, count=np.size(args[0])).reshape(np.shape(args[0]))
 
 
 def is_rotation(r: np.ndarray, tol: float = ORTHO_TOL) -> bool:
+    """True when r is a rotation, or a stack (n, 3, 3) of rotations."""
     r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3) or not np.all(np.isfinite(r)):
+    if r.ndim not in (2, 3) or r.shape[-2:] != (3, 3) or not np.all(np.isfinite(r)):
         return False
-    if np.max(np.abs(r.T @ r - _EYE3)) > tol:
+    if np.max(np.abs(r.mT @ r - _EYE3)) > tol:
         return False
-    det = float(
-        r[0, 0] * (r[1, 1] * r[2, 2] - r[1, 2] * r[2, 1])
-        - r[0, 1] * (r[1, 0] * r[2, 2] - r[1, 2] * r[2, 0])
-        + r[0, 2] * (r[1, 0] * r[2, 1] - r[1, 1] * r[2, 0])
+    det = (
+        r[..., 0, 0] * (r[..., 1, 1] * r[..., 2, 2] - r[..., 1, 2] * r[..., 2, 1])
+        - r[..., 0, 1] * (r[..., 1, 0] * r[..., 2, 2] - r[..., 1, 2] * r[..., 2, 0])
+        + r[..., 0, 2] * (r[..., 1, 0] * r[..., 2, 1] - r[..., 1, 1] * r[..., 2, 0])
     )
-    return abs(det - 1.0) <= tol
+    return bool(np.all(np.abs(det - 1.0) <= tol))
 
 
 def require_rotation(r: np.ndarray, tol: float = ORTHO_TOL) -> None:
@@ -180,9 +204,11 @@ def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
             return v / n
 
 
-def rotation_angle(r1: np.ndarray, r2: np.ndarray) -> float:
-    """Geodesic distance between two rotations, in [0, pi] radians."""
-    return float(np.linalg.norm(log_so3(np.asarray(r1).T @ np.asarray(r2))))
+def rotation_angle(r1: np.ndarray, r2: np.ndarray) -> float | np.ndarray:
+    """Geodesic distance between two rotations, in [0, pi] radians; row by
+    row for stacks."""
+    v = log_so3(np.asarray(r1).mT @ np.asarray(r2))
+    return np.sqrt(np.vecdot(v, v))
 
 
 @dataclass(frozen=True)
@@ -193,7 +219,9 @@ class GroupElement:
     Lie-algebra element in coordinates (so(3) part and vector part), and as
     a point on a stage's state manifold. On the manifold the vector slot is
     the gyro bias for stage 1 and the target angular velocity (chaser
-    frame) for stage 2, both in rad/s.
+    frame) for stage 2, both in rad/s. rot and vec may also be stacks,
+    (n, 3, 3) and (n, 3), of one pair per tick; the group operations, the
+    state action and the error maps then work row by row.
     """
 
     rot: np.ndarray
@@ -209,9 +237,9 @@ def identity_element() -> GroupElement:
 
 
 def group_compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
-    return GroupElement(g1.rot @ g2.rot, g1.rot @ g2.vec + g1.vec)
+    return GroupElement(g1.rot @ g2.rot, np.matvec(g1.rot, g2.vec) + g1.vec)
 
 
 def group_inverse(g: GroupElement) -> GroupElement:
-    rt = g.rot.T
-    return GroupElement(rt, -(rt @ g.vec))
+    rt = g.rot.mT
+    return GroupElement(rt, -np.matvec(rt, g.vec))

@@ -6,6 +6,10 @@ seeded by (master seed, i), and run_single uses index 0, so a one-run
 batch reproduces the single run bit for bit. Scenario quantities are drawn
 in a fixed order before any measurement noise, so batches with different
 rates or input modes see identical worlds on the same seeds.
+
+run_single keeps only the filter in its tick loop: the truth comes from
+whole-run attitude stacks, and the diagnostic series is computed from the
+stored filter states once the loop has ended.
 """
 
 from __future__ import annotations
@@ -18,9 +22,17 @@ import numpy as np
 from . import cascade, metrics
 from .config import ScenarioConfig
 from .filter_base import NumericalFailure, recover_state
-from .geom import StageState, exp_so3, random_rotation, random_unit_vector
+from .geom import GroupElement, StageState, exp_so3, random_rotation, random_unit_vector
 from .metrics import RAD2DEG, BatchSummary, RunMetrics, euler_errors, time_to_threshold
-from .models import MeasurementBundle, TruthWorld, measure_features, measure_gyro, measure_star_tracker, propagate_truth, relative_state
+from .models import (
+    MeasurementBundle,
+    TruthWorld,
+    feature_directions,
+    measure_gyro,
+    relative_state,
+    star_directions,
+    truth_trajectory,
+)
 
 DEG2RAD = math.pi / 180.0
 
@@ -62,42 +74,63 @@ def sample_world(cfg: ScenarioConfig, rng: np.random.Generator) -> TruthWorld:
 _EYE3 = np.eye(3)
 
 
-def _norm(v: np.ndarray) -> float:
-    return math.sqrt(float(v @ v))
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row."""
+    return np.sqrt(np.vecdot(v, v))
 
 
-def _record_row(t: float, cs: cascade.CascadeState, world: TruthWorld) -> np.ndarray:
-    st1 = recover_state(cs.s1.X)
-    st2 = recover_state(cs.s2.X)
-    rel = relative_state(world)
-    e1 = cascade.group_error(StageState(world.att_chaser, world.gyro_bias), cs.s1.X)
-    e2 = cascade.group_error(rel, cs.s2.X)
+def _lyapunov_rows(eps: cascade.ErrorVector, sigma: np.ndarray) -> np.ndarray:
+    """V per row; NaN from the first row whose Riccati state is singular on."""
+    try:
+        return cascade.lyapunov_value(eps, sigma)
+    except np.linalg.LinAlgError:
+        # the batched solve names no row, so find the first singular one
+        v = np.full(len(sigma), np.nan)
+        for i in range(len(sigma)):
+            try:
+                v[i] = cascade.lyapunov_value(cascade.ErrorVector(eps.rot[i], eps.vec[i]), sigma[i])
+            except np.linalg.LinAlgError:
+                break
+        return v
+
+
+def _stage_columns(truth: StageState, x: GroupElement, sigma: np.ndarray):
+    """One stage's series columns, row by row over the ticks: the errors
+    (geodesic angle, per-axis Euler angles in deg, vector state in deg/s),
+    V, and the norms of the group error's two parts."""
+    st = recover_state(x)
+    e = cascade.group_error(truth, x)
     # the local rotation error norm equals the estimate-vs-truth geodesic angle
-    eps1 = cascade.local_error_of(e1)
-    eps2 = cascade.local_error_of(e2)
-    ec = euler_errors(world.att_chaser, st1.rot)
-    er = euler_errors(rel.rot, st2.rot)
-    return np.array(
-        [
-            t,
-            _norm(eps1.rot) * RAD2DEG,
-            abs(ec[0]),
-            abs(ec[1]),
-            abs(ec[2]),
-            _norm(st1.vec - world.gyro_bias) * RAD2DEG,
-            _norm(eps2.rot) * RAD2DEG,
-            abs(er[0]),
-            abs(er[1]),
-            abs(er[2]),
-            _norm(st2.vec - rel.vec) * RAD2DEG,
-            cascade.lyapunov_value(eps1, cs.s1.Sigma),
-            cascade.lyapunov_value(eps2, cs.s2.Sigma),
-            float(np.linalg.norm(e1.rot - _EYE3)),
-            _norm(e1.vec),
-            float(np.linalg.norm(e2.rot - _EYE3)),
-            _norm(e2.vec),
-        ]
+    eps = cascade.local_error_of(e)
+    errors = (
+        _norm(eps.rot) * RAD2DEG,
+        *np.abs(euler_errors(truth.rot, st.rot)).T,
+        _norm(st.vec - truth.vec) * RAD2DEG,
     )
+    norms = (_norm((e.rot - _EYE3).reshape(-1, 9)), _norm(e.vec))
+    return errors, _lyapunov_rows(eps, sigma), norms
+
+
+def _series(dt: float, truths: tuple[StageState, StageState], rot: np.ndarray, vec: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """All SERIES_COLUMNS, cut before the first tick whose row is not
+    finite or whose Riccati state is singular.
+
+    truths holds each stage's true state per tick; rot, vec and sigma stack
+    each stage's group state and Riccati state over the ticks, shapes
+    (2, n, 3, 3), (2, n, 3) and (2, n, 6, 6).
+    """
+    (err1, v1, norms1), (err2, v2, norms2) = (
+        _stage_columns(truth, GroupElement(rot[i], vec[i]), sigma[i]) for i, truth in enumerate(truths)
+    )
+    t = dt * np.arange(rot.shape[1])
+    series = np.column_stack([t, *err1, *err2, v1, v2, *norms1, *norms2])
+    bad = ~np.all(np.isfinite(series), axis=1)
+    return series[: int(np.argmax(bad))] if bad.any() else series
+
+
+def _store(cs: cascade.CascadeState, k: int, rot: np.ndarray, vec: np.ndarray, sigma: np.ndarray) -> None:
+    for i, est in enumerate((cs.s1, cs.s2)):
+        rot[i, k], vec[i, k], sigma[i, k] = est.X.rot, est.X.vec, est.Sigma
 
 
 def _window_metrics(run_index: int, series: np.ndarray, world: TruthWorld) -> RunMetrics:
@@ -138,8 +171,12 @@ def _window_metrics(run_index: int, series: np.ndarray, world: TruthWorld) -> Ru
 
 
 def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = False) -> RunMetrics:
-    """Simulate one scenario and summarize it; numerical failures are
-    recorded as a diverged run, never raised."""
+    """Simulate one scenario and summarize it.
+
+    A numerical failure, in a filter step or as a diagnostic row that is
+    not finite or meets a singular Riccati state, ends the series there and
+    marks the run diverged; any other error is raised.
+    """
     rng = run_rng(cfg.seed, run_index)
     world = sample_world(cfg, rng)
     sensors = cfg.sensors()
@@ -154,23 +191,26 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
     star_every = cfg.star_every()
     feature_every = cfg.feature_every()
 
+    truth = truth_trajectory(world, dt, n_steps)
+    rel = relative_state(truth)
+    # ticks after a numerical failure stay NaN, which ends the series there
+    rot = np.full((2, n_steps + 1, 3, 3), np.nan)
+    vec = np.full((2, n_steps + 1, 3), np.nan)
+    sigma = np.full((2, n_steps + 1, 6, 6), np.nan)
     cs = cascade.initial_state(gains1, gains2)
-    series = np.empty((n_steps + 1, len(metrics.SERIES_COLUMNS)))
-    series[0] = _record_row(0.0, cs, world)
-    diverged = False
-    n_rows = 1
-    # overflow inside a diverging filter is an expected, handled outcome
-    with np.errstate(over="ignore", invalid="ignore"):
+    _store(cs, 0, rot, vec, sigma)
+    # overflow inside a diverging filter, and the non-finite diagnostics it
+    # leads to, are expected, handled outcomes
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, n_steps + 1):
             gyro = measure_gyro(world, sensors.gyro_noise_std, rng)
-            world = propagate_truth(world, dt)
             star = (
-                measure_star_tracker(world, sensors.direction_noise_std, rng)
+                star_directions(truth.att_chaser[k], sensors.direction_noise_std, rng)
                 if k % star_every == 0
                 else None
             )
             features = (
-                measure_features(world, sensors.direction_noise_std, rng)
+                feature_directions(rel.rot[k], truth.ref_dirs, sensors.direction_noise_std, rng)
                 if k % feature_every == 0
                 else None
             )
@@ -179,21 +219,12 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
                 cs = cascade.step(
                     cs, bundle, gains1, gains2, ref_dirs, star_period, feature_period, subtract
                 )
-                row = _record_row(k * dt, cs, world)
-            except (NumericalFailure, np.linalg.LinAlgError, ValueError):
-                # a ValueError here can only come from non-finite estimates
-                # hitting the trig/solve guards; timestamps are monotone by
-                # construction
-                diverged = True
+            except (NumericalFailure, np.linalg.LinAlgError):
                 break
-            if not np.all(np.isfinite(row)):
-                diverged = True
-                break
-            series[k] = row
-            n_rows = k + 1
+            _store(cs, k, rot, vec, sigma)
+        series = _series(dt, (StageState(truth.att_chaser, truth.gyro_bias), rel), rot, vec, sigma)
 
-    series = series[:n_rows]
-    if diverged:
+    if len(series) <= n_steps:
         return metrics.failed_metrics(run_index, series if keep_series else None)
     out = _window_metrics(run_index, series, world)
     if keep_series:

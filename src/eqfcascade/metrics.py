@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import rotation_angle
+from .geom import clip_unit, map_math, rotation_angle
 
 RAD2DEG = 180.0 / math.pi
 WINDOW = (10.0, 15.0)
@@ -44,11 +44,13 @@ SERIES_COLUMNS = (
 
 
 def euler_zyx(rot: np.ndarray) -> np.ndarray:
-    """(roll, pitch, yaw) radians of rot = Rz(yaw) Ry(pitch) Rx(roll)."""
-    pitch = -math.asin(min(1.0, max(-1.0, rot[2, 0])))
-    roll = math.atan2(rot[2, 1], rot[2, 2])
-    yaw = math.atan2(rot[1, 0], rot[0, 0])
-    return np.array([roll, pitch, yaw])
+    """(roll, pitch, yaw) radians of rot = Rz(yaw) Ry(pitch) Rx(roll); one
+    row per rotation for a stack (n, 3, 3)."""
+    rot = np.asarray(rot, dtype=float)
+    pitch = -map_math(math.asin, clip_unit(rot[..., 2, 0]))
+    roll = map_math(math.atan2, rot[..., 2, 1], rot[..., 2, 2])
+    yaw = map_math(math.atan2, rot[..., 1, 0], rot[..., 0, 0])
+    return np.stack([roll, pitch, yaw], axis=-1)
 
 
 def wrap_deg(x: np.ndarray) -> np.ndarray:
@@ -57,17 +59,22 @@ def wrap_deg(x: np.ndarray) -> np.ndarray:
 
 
 def euler_errors(rot_true: np.ndarray, rot_hat: np.ndarray) -> np.ndarray:
-    """Per-axis (roll, pitch, yaw) attitude errors in degrees.
+    """Per-axis (roll, pitch, yaw) attitude errors in degrees; one row per
+    rotation pair for stacks.
 
     Within GIMBAL_TOL of +/-90 deg pitch the per-axis decomposition is
     ambiguous; the total rotation angle is then reported on all three axes.
     """
+    rot_true = np.asarray(rot_true, dtype=float)
+    rot_hat = np.asarray(rot_hat, dtype=float)
     e_true = euler_zyx(rot_true)
     e_hat = euler_zyx(rot_hat)
-    if min(abs(abs(e_true[1]) - math.pi / 2), abs(abs(e_hat[1]) - math.pi / 2)) < GIMBAL_TOL:
-        total = rotation_angle(rot_true, rot_hat) * RAD2DEG
-        return np.array([total, total, total])
-    return wrap_deg((e_true - e_hat) * RAD2DEG)
+    pitch_to_90 = np.minimum(np.abs(np.abs(e_true[..., 1]) - math.pi / 2), np.abs(np.abs(e_hat[..., 1]) - math.pi / 2))
+    gimbal = pitch_to_90 < GIMBAL_TOL
+    out = wrap_deg((e_true - e_hat) * RAD2DEG)
+    if np.any(gimbal):
+        out[gimbal] = (rotation_angle(rot_true[gimbal], rot_hat[gimbal]) * RAD2DEG)[..., None]
+    return out
 
 
 def time_to_threshold(t: np.ndarray, err: np.ndarray, threshold: float) -> float:

@@ -9,7 +9,7 @@ integration error never contaminates filter-accuracy numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +22,8 @@ COLLINEAR_TOL = 1e-3
 class TruthWorld:
     """Simulation ground truth.
 
-    att_target, att_chaser: body-to-inertial attitude matrices.
+    att_target, att_chaser: body-to-inertial attitude matrices, or
+        (n, 3, 3) stacks of them over a run's ticks (truth_trajectory).
     omega_target: target angular velocity, target frame, rad/s (constant).
     omega_chaser: chaser angular velocity, chaser frame, rad/s.
     gyro_bias: additive gyro bias, rad/s (constant).
@@ -95,10 +96,37 @@ def propagate_truth(world: TruthWorld, dt: float) -> TruthWorld:
     )
 
 
+def truth_trajectory(world: TruthWorld, dt: float, n_steps: int) -> TruthWorld:
+    """The world at t = k dt for k = 0..n_steps, as one TruthWorld whose
+    attitudes are (n_steps + 1, 3, 3) stacks.
+
+    Row k equals k iterations of propagate_truth bit for bit: each attitude
+    is right-multiplied by the same exp_so3(omega dt) every tick, computed
+    once here. Every row is checked with require_rotation's tolerance.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+
+    def flow(att: np.ndarray, omega: np.ndarray) -> np.ndarray:
+        step = exp_so3(omega * dt)
+        out = np.empty((n_steps + 1, 3, 3))
+        out[0] = att
+        for k in range(n_steps):
+            np.matmul(out[k], step, out=out[k + 1])
+        return out
+
+    return replace(
+        world,
+        att_target=flow(world.att_target, world.omega_target),
+        att_chaser=flow(world.att_chaser, world.omega_chaser),
+    )
+
+
 def relative_state(world: TruthWorld) -> StageState:
-    """Chaser-to-target relative attitude and the target rate in the chaser frame."""
-    rel = world.att_target.T @ world.att_chaser
-    return StageState(rel, rel.T @ world.omega_target)
+    """Chaser-to-target relative attitude and the target rate in the chaser
+    frame; stacked when the world's attitudes are."""
+    rel = world.att_target.mT @ world.att_chaser
+    return StageState(rel, np.matvec(rel.mT, world.omega_target))
 
 
 def measure_gyro(world: TruthWorld, noise_std: float, rng: np.random.Generator) -> np.ndarray:
@@ -116,17 +144,32 @@ def perturb_direction(v: np.ndarray, sigma: float, rng: np.random.Generator) -> 
     return exp_so3(angle * axis) @ v
 
 
+def star_directions(
+    att_chaser: np.ndarray, noise_std: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inertial basis directions seen in the chaser frame of attitude
+    att_chaser, each independently perturbed."""
+    rt = att_chaser.T
+    return tuple(perturb_direction(rt[:, i], noise_std, rng) for i in range(3))
+
+
+def feature_directions(
+    rel: np.ndarray, ref_dirs: tuple[np.ndarray, np.ndarray], noise_std: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Target reference directions seen in the chaser frame at relative
+    attitude rel, each perturbed."""
+    return tuple(perturb_direction(rel.T @ d, noise_std, rng) for d in ref_dirs)
+
+
 def measure_star_tracker(
     world: TruthWorld, noise_std: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inertial basis directions seen in the chaser frame, each independently perturbed."""
-    rt = world.att_chaser.T
-    return tuple(perturb_direction(rt[:, i], noise_std, rng) for i in range(3))
+    """Star-tracker directions for the world's chaser attitude."""
+    return star_directions(world.att_chaser, noise_std, rng)
 
 
 def measure_features(
     world: TruthWorld, noise_std: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Target reference directions seen in the chaser frame, each perturbed."""
-    rel = relative_state(world).rot
-    return tuple(perturb_direction(rel.T @ d, noise_std, rng) for d in world.ref_dirs)
+    """Feature directions for the world's relative attitude."""
+    return feature_directions(relative_state(world).rot, world.ref_dirs, noise_std, rng)

@@ -1,7 +1,9 @@
 import math
 
 import numpy as np
+import pytest
 
+from eqfcascade import cascade
 from eqfcascade.config import ScenarioConfig
 from eqfcascade.harness import run_batch, run_rng, run_single, sample_world
 from eqfcascade.metrics import SERIES_COLUMNS
@@ -124,3 +126,24 @@ class TestRunSingle:
         win = m.series[(t >= 10.0) & (t <= 15.0)]
         np.testing.assert_allclose(m.mean_chaser_deg, win[:, 2:5].mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(m.bias_mean_dps, win[:, 5].mean(), atol=1e-12)
+
+    def test_divergence_ticks_at_seed_2026(self):
+        # runs 0-2 end where a stage-1 update loses positive-definiteness;
+        # run 3 ends earlier, at the tick whose stage-1 Riccati state the
+        # diagnostics find singular
+        cfg = ScenarioConfig(seed=2026, update_iterations=1)
+        for i, rows in enumerate((400, 200, 500, 439)):
+            m = run_single(cfg, i, keep_series=True)
+            assert m.diverged and m.series.shape == (rows, len(SERIES_COLUMNS))
+            assert np.all(np.isfinite(m.series))
+            assert run_single(cfg, i).diverged
+
+    def test_value_error_inside_step_is_raised_not_diverged(self, monkeypatch):
+        # only numerical failure counts as divergence; a programming error
+        # must surface
+        def broken_step(*args, **kwargs):
+            raise ValueError("not a numerical failure")
+
+        monkeypatch.setattr(cascade, "step", broken_step)
+        with pytest.raises(ValueError, match="not a numerical failure"):
+            run_single(ScenarioConfig(seed=0, duration_s=1.0))
