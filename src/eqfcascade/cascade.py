@@ -37,7 +37,8 @@ class CascadeState:
 @dataclass(frozen=True)
 class ErrorVector:
     """State error in local coordinates at the origin: rotation part in
-    radians, vector part in rad/s (3-vectors, or (n, 3) stacks of them)."""
+    radians, vector part in rad/s. The fields and `stacked()` also hold
+    (n, 3) stacks; `norm_rot` and `norm_vec` are for one 3-vector each."""
 
     rot: np.ndarray
     vec: np.ndarray

@@ -90,7 +90,7 @@ def log_so3(r: np.ndarray) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     rs = r.reshape(-1, 3, 3)
     trace = rs[:, 0, 0] + rs[:, 1, 1] + rs[:, 2, 2]
-    cos_angle = clip_unit(0.5 * (trace - 1.0))
+    cos_angle = np.clip(0.5 * (trace - 1.0), -1.0, 1.0)
     skew_vec = 0.5 * np.stack(
         [rs[:, 2, 1] - rs[:, 1, 2], rs[:, 0, 2] - rs[:, 2, 0], rs[:, 1, 0] - rs[:, 0, 1]], axis=-1
     )  # == sin(angle) * axis
@@ -120,13 +120,6 @@ def _log_pi_branch(r: np.ndarray, cos_angle: np.ndarray, skew_vec: np.ndarray) -
     j = np.argmax(np.abs(axis), axis=1)
     flip = np.where(s > 1e-12, np.vecdot(axis, skew_vec) < 0.0, axis[rows, j] < 0.0)
     return angle[:, None] * np.where(flip[:, None], -axis, axis)
-
-
-def clip_unit(x: np.ndarray) -> np.ndarray:
-    """min(1, max(-1, x)) element by element, NaN mapping to -1 as with
-    Python's min and max."""
-    x = np.where(x > -1.0, x, -1.0)
-    return np.where(x < 1.0, x, 1.0)
 
 
 def map_math(fn, *args: np.ndarray) -> np.ndarray:

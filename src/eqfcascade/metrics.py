@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import clip_unit, map_math, rotation_angle
+from .geom import map_math, rotation_angle
 
 RAD2DEG = 180.0 / math.pi
 WINDOW = (10.0, 15.0)
@@ -47,7 +47,7 @@ def euler_zyx(rot: np.ndarray) -> np.ndarray:
     """(roll, pitch, yaw) radians of rot = Rz(yaw) Ry(pitch) Rx(roll); one
     row per rotation for a stack (n, 3, 3)."""
     rot = np.asarray(rot, dtype=float)
-    pitch = -map_math(math.asin, clip_unit(rot[..., 2, 0]))
+    pitch = -map_math(math.asin, np.clip(rot[..., 2, 0], -1.0, 1.0))
     roll = map_math(math.atan2, rot[..., 2, 1], rot[..., 2, 2])
     yaw = map_math(math.atan2, rot[..., 1, 0], rot[..., 0, 0])
     return np.stack([roll, pitch, yaw], axis=-1)

@@ -14,6 +14,7 @@ from eqfcascade.models import (
     perturb_direction,
     propagate_truth,
     relative_state,
+    truth_trajectory,
 )
 from oracles import rk4_matrix_ode, rotate_about_random_axis
 
@@ -114,6 +115,26 @@ class TestPropagation:
     def test_rejects_non_positive_dt(self):
         with pytest.raises(ValueError):
             propagate_truth(make_world(), 0.0)
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    @pytest.mark.parametrize("dt, n_steps", [(1.0, 15), (0.1, 40), (0.01, 150)])
+    def test_trajectory_rows_equal_iterated_propagation(self, seed, dt, n_steps):
+        # the harness reads the truth from these stacks in place of stepping
+        # propagate_truth every tick, so the rows must match it bit for bit
+        w = random_world(seed)
+        traj = truth_trajectory(w, dt, n_steps)
+        assert traj.att_target.shape == traj.att_chaser.shape == (n_steps + 1, 3, 3)
+        rel = relative_state(traj)
+        step = w
+        for k in range(n_steps + 1):
+            np.testing.assert_array_equal(traj.att_target[k], step.att_target)
+            np.testing.assert_array_equal(traj.att_chaser[k], step.att_chaser)
+            rel_k = relative_state(step)
+            np.testing.assert_array_equal(rel.rot[k], rel_k.rot)
+            np.testing.assert_array_equal(rel.vec[k], rel_k.vec)
+            step = propagate_truth(step, dt)
+        np.testing.assert_array_equal(traj.omega_target, w.omega_target)
+        np.testing.assert_array_equal(traj.gyro_bias, w.gyro_bias)
 
 
 class TestRelativeState:
