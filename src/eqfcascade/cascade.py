@@ -38,16 +38,10 @@ class CascadeState:
 class ErrorVector:
     """State error in local coordinates at the origin: rotation part in
     radians, vector part in rad/s. The fields and `stacked()` also hold
-    (n, 3) stacks; `norm_rot` and `norm_vec` are for one 3-vector each."""
+    (n, 3) stacks."""
 
     rot: np.ndarray
     vec: np.ndarray
-
-    def norm_rot(self) -> float:
-        return float(np.linalg.norm(self.rot))
-
-    def norm_vec(self) -> float:
-        return float(np.linalg.norm(self.vec))
 
     def stacked(self) -> np.ndarray:
         return np.concatenate([self.rot, self.vec], axis=-1)

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands:
-    run      one simulation, print its metrics, optionally write CSVs
+    run      one simulation as a batch of one, printing its metrics
     batch    Monte Carlo batch with a per-run + aggregate summary CSV
     compare  low-rate unbiased vs biased input vs 100 Hz variants on the
              same seeds, emitting a combined comparison table
@@ -17,9 +17,9 @@ import math
 import sys
 from pathlib import Path
 
-from .config import ScenarioConfig, apply_overrides, read_config, write_config
-from .harness import run_batch, run_single
-from .metrics import BatchSummary, RunMetrics, metric_names, write_batch_csv, write_run_csv, write_series_csv
+from .config import INPUT_MODES, ScenarioConfig, apply_overrides, read_config, write_config
+from .harness import run_batch
+from .metrics import BatchSummary, RunMetrics, metric_names, write_batch_csv, write_series_csv
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
@@ -30,13 +30,11 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--star-rate", type=float, dest="star_rate_hz", help="Hz")
     p.add_argument("--feature-rate", type=float, dest="feature_rate_hz", help="Hz")
     p.add_argument("--iterations", type=int, dest="update_iterations", help="correction sub-steps per measurement")
-    p.add_argument("--mode", dest="input_mode", choices=["unbiased_cascade", "biased_passthrough"], help="stage-2 input wiring")
+    p.add_argument("--mode", dest="input_mode", choices=INPUT_MODES, help="stage-2 input wiring")
     p.add_argument("--gyro-noise", type=float, dest="gyro_noise_std", help="rad/s")
     p.add_argument("--direction-noise", type=float, dest="direction_noise_std", help="rad")
     p.add_argument("--attitude-init-max", type=float, dest="attitude_init_max_deg", help="bound initial attitudes, deg (default: uniform)")
     p.add_argument("--out-dir", type=Path, default=Path("results"), help="output directory")
-    p.add_argument("--workers", type=int, default=1, help="parallel worker processes for batches")
-    p.add_argument("--emit-series", action="store_true", help="write per-tick time-series CSVs")
 
 
 def _load_config(args) -> ScenarioConfig:
@@ -86,35 +84,29 @@ def _print_aggregate(tag: str, s: BatchSummary) -> None:
     )
 
 
-def _emit_series(out_dir: Path, summary: BatchSummary) -> None:
+def _write_outputs(out_dir: Path, csv_name: str, cfg: ScenarioConfig, summary: BatchSummary) -> None:
+    """The summary CSV, each kept series and the scenario that was run."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_batch_csv(out_dir / csv_name, summary)
     for m in summary.runs:
         if m.series is not None:
             write_series_csv(out_dir / f"run_{m.run_index:04d}_series.csv", m.series)
+    write_config(cfg, out_dir / "scenario_used.cfg")
 
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
-    out_dir: Path = args.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    m = run_single(cfg, keep_series=args.emit_series)
-    _print_metrics(m)
-    write_run_csv(out_dir / "run_metrics.csv", m)
-    if args.emit_series and m.series is not None:
-        write_series_csv(out_dir / f"run_{m.run_index:04d}_series.csv", m.series)
-    write_config(cfg, out_dir / "scenario_used.cfg")
+    summary = run_batch(cfg, 1, keep_series=args.emit_series)
+    _print_metrics(summary.runs[0])
+    _write_outputs(args.out_dir, "run_metrics.csv", cfg, summary)
     return 0
 
 
 def cmd_batch(args) -> int:
     cfg = _load_config(args)
-    out_dir: Path = args.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
     summary = run_batch(cfg, args.runs, keep_series=args.emit_series, workers=args.workers)
     _print_aggregate("batch", summary)
-    write_batch_csv(out_dir / "batch_summary.csv", summary)
-    if args.emit_series:
-        _emit_series(out_dir, summary)
-    write_config(cfg, out_dir / "scenario_used.cfg")
+    _write_outputs(args.out_dir, "batch_summary.csv", cfg, summary)
     return 0
 
 
@@ -179,6 +171,11 @@ def main(argv=None) -> int:
     _add_scenario_flags(p_cmp)
     p_cmp.add_argument("--runs", type=int, default=100, help="runs per variant")
     p_cmp.set_defaults(func=cmd_compare)
+
+    for p in (p_batch, p_cmp):
+        p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    for p in (p_run, p_batch):
+        p.add_argument("--emit-series", action="store_true", help="write per-tick time-series CSVs")
 
     args = parser.parse_args(argv)
     return args.func(args)

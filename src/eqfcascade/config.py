@@ -7,15 +7,21 @@ field has a default, so an empty file is a valid configuration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .filter_base import FilterGains
-from .models import SensorConfig
+from .models import COLLINEAR_TOL, SensorConfig
 
 INPUT_MODES = ("unbiased_cascade", "biased_passthrough")
+_POSITIVE = (
+    "duration_s", "gyro_rate_hz", "star_rate_hz", "feature_rate_hz",
+    "update_iterations", "state_gain", "output_gain", "sigma0",
+)
+_NON_NEGATIVE = ("seed", "gyro_noise_std", "direction_noise_std", "attitude_init_max_deg")
 
 
 class ConfigError(ValueError):
@@ -57,28 +63,27 @@ class ScenarioConfig:
     ref_dir_2: tuple[float, float, float] = (0.0, 1.0, 0.0)
 
     def __post_init__(self):
-        if self.duration_s <= 0:
-            raise ConfigError("duration_s must be positive")
-        if self.update_iterations < 1:
-            raise ConfigError("update_iterations must be >= 1")
-        if self.gyro_noise_std < 0 or self.direction_noise_std < 0:
-            raise ConfigError("noise levels must be non-negative")
-        if self.input_mode not in INPUT_MODES:
-            raise ConfigError(f"input_mode must be one of {INPUT_MODES}")
-        for name in ("gyro_rate_hz", "star_rate_hz", "feature_rate_hz"):
+        for name, hint in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if hint not in (int, str) and value is not None and not np.all(np.isfinite(value)):
+                raise ConfigError(f"{name} must be finite")
+        for name in _POSITIVE:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        for name in _NON_NEGATIVE:
+            if (getattr(self, name) or 0) < 0:
+                raise ConfigError(f"{name} must be non-negative")
+        if self.input_mode not in INPUT_MODES:
+            raise ConfigError(f"input_mode must be one of {INPUT_MODES}")
         for name in ("star_rate_hz", "feature_rate_hz"):
             ratio = self.gyro_rate_hz / getattr(self, name)
-            if abs(ratio - round(ratio)) > 1e-9:
+            if not math.isfinite(ratio) or round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
                 raise ConfigError(f"{name} must divide gyro_rate_hz evenly")
         for name in ("omega_target_range_dps", "chaser_rate_range_dps", "gyro_bias_range_dps"):
             lo, hi = getattr(self, name)
             if lo < 0 or hi < lo:
                 raise ConfigError(f"{name} must satisfy 0 <= lo <= hi")
-        d1 = np.asarray(self.ref_dir_1, dtype=float)
-        d2 = np.asarray(self.ref_dir_2, dtype=float)
-        if np.linalg.norm(np.cross(d1, d2)) <= 1e-3:
+        if np.linalg.norm(np.cross(self.ref_dir_1, self.ref_dir_2)) <= COLLINEAR_TOL:
             raise ConfigError("reference directions are (nearly) collinear")
 
     def sensors(self) -> SensorConfig:
@@ -184,12 +189,7 @@ def read_config(path) -> ScenarioConfig:
             if key not in known:
                 raise ConfigError(f"line {line_no}: unknown field '{key}'")
             values[key] = _parse_value(key, raw, line_no)
-    try:
-        return ScenarioConfig(**values)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return ScenarioConfig(**values)
 
 
 def _format_value(value) -> str:

@@ -232,11 +232,6 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
     return out
 
 
-def _batch_worker(payload: tuple[ScenarioConfig, int, bool]) -> RunMetrics:
-    cfg, run_index, keep_series = payload
-    return run_single(cfg, run_index=run_index, keep_series=keep_series)
-
-
 def run_batch(
     cfg: ScenarioConfig, n_runs: int, keep_series: bool = False, workers: int = 1
 ) -> BatchSummary:
@@ -248,12 +243,12 @@ def run_batch(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    payloads = [(cfg, i, keep_series) for i in range(n_runs)]
+    args = ([cfg] * n_runs, range(n_runs), [keep_series] * n_runs)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_batch_worker, payloads, chunksize=max(1, n_runs // (4 * workers))))
+            runs = list(pool.map(run_single, *args, chunksize=max(1, n_runs // (4 * workers))))
     else:
-        runs = [_batch_worker(p) for p in payloads]
+        runs = list(map(run_single, *args))
     return metrics.summarize(runs)

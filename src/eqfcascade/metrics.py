@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -93,20 +94,22 @@ def time_to_threshold(t: np.ndarray, err: np.ndarray, threshold: float) -> float
 
 @dataclass(frozen=True)
 class RunMetrics:
-    """Summary statistics of one simulation run (angles deg, rates deg/s)."""
+    """Summary statistics of one simulation run (angles deg, rates deg/s).
+    The array (roll, pitch, yaw) and float fields are the CSV metric
+    columns, in field order."""
 
     run_index: int
     diverged: bool
-    t1deg_chaser: np.ndarray  # per axis: roll, pitch, yaw
+    t1deg_chaser: np.ndarray
     mean_chaser_deg: np.ndarray
     min_chaser_deg: np.ndarray
+    t1deg_rel: np.ndarray
+    mean_rel_deg: np.ndarray
+    min_rel_deg: np.ndarray
     bias_mean_dps: float
     bias_mean_rel_pct: float
     bias_min_dps: float
     bias_min_rel_pct: float
-    t1deg_rel: np.ndarray
-    mean_rel_deg: np.ndarray
-    min_rel_deg: np.ndarray
     omega_mean_dps: float
     omega_mean_rel_pct: float
     omega_min_dps: float
@@ -114,64 +117,26 @@ class RunMetrics:
     series: np.ndarray | None = None
 
 
-_SCALAR_COLUMNS = (
-    "bias_mean_dps",
-    "bias_mean_rel_pct",
-    "bias_min_dps",
-    "bias_min_rel_pct",
-    "omega_mean_dps",
-    "omega_mean_rel_pct",
-    "omega_min_dps",
-    "omega_min_rel_pct",
-)
-_AXIS_COLUMNS = (
-    "t1deg_chaser",
-    "mean_chaser_deg",
-    "min_chaser_deg",
-    "t1deg_rel",
-    "mean_rel_deg",
-    "min_rel_deg",
-)
+_METRIC_FIELDS = {
+    name: hint for name, hint in get_type_hints(RunMetrics).items() if hint is np.ndarray or hint is float
+}
 _AXIS_SUFFIXES = ("roll", "pitch", "yaw")
 
 
 def metric_names() -> list[str]:
     names = []
-    for base in _AXIS_COLUMNS:
-        names.extend(f"{base}_{s}" for s in _AXIS_SUFFIXES)
-    names.extend(_SCALAR_COLUMNS)
+    for name, hint in _METRIC_FIELDS.items():
+        names.extend([f"{name}_{s}" for s in _AXIS_SUFFIXES] if hint is np.ndarray else [name])
     return names
 
 
 def _metric_values(m: RunMetrics) -> list[float]:
-    values = []
-    for base in _AXIS_COLUMNS:
-        values.extend(float(v) for v in getattr(m, base))
-    values.extend(float(getattr(m, name)) for name in _SCALAR_COLUMNS)
-    return values
+    return [float(v) for name in _METRIC_FIELDS for v in np.ravel(getattr(m, name))]
 
 
 def failed_metrics(run_index: int, series: np.ndarray | None = None) -> RunMetrics:
-    nan3 = np.full(3, np.nan)
-    return RunMetrics(
-        run_index=run_index,
-        diverged=True,
-        t1deg_chaser=nan3.copy(),
-        mean_chaser_deg=nan3.copy(),
-        min_chaser_deg=nan3.copy(),
-        bias_mean_dps=math.nan,
-        bias_mean_rel_pct=math.nan,
-        bias_min_dps=math.nan,
-        bias_min_rel_pct=math.nan,
-        t1deg_rel=nan3.copy(),
-        mean_rel_deg=nan3.copy(),
-        min_rel_deg=nan3.copy(),
-        omega_mean_dps=math.nan,
-        omega_mean_rel_pct=math.nan,
-        omega_min_dps=math.nan,
-        omega_min_rel_pct=math.nan,
-        series=series,
-    )
+    nan = {name: np.full(3, np.nan) if hint is np.ndarray else math.nan for name, hint in _METRIC_FIELDS.items()}
+    return RunMetrics(run_index=run_index, diverged=True, series=series, **nan)
 
 
 @dataclass(frozen=True)
@@ -223,7 +188,3 @@ def write_batch_csv(path, summary: BatchSummary) -> None:
         writer.writerow(
             ["aggregate", summary.n_failed, *[f"{summary.aggregate[n]:.9g}" for n in names]]
         )
-
-
-def write_run_csv(path, metrics: RunMetrics) -> None:
-    write_batch_csv(path, summarize([metrics]))

@@ -1,5 +1,7 @@
 import csv
 
+import pytest
+
 from eqfcascade.cli import main
 from eqfcascade.config import read_config
 
@@ -60,3 +62,18 @@ def test_compare_subcommand(tmp_path, capsys):
     assert [r[0] for r in rows[1:]] == ["unbiased", "biased", "fast_rate"]
     out = capsys.readouterr().out
     assert "bias feedthrough effect" in out
+
+
+def test_run_writes_the_one_run_batch_csv(tmp_path):
+    args = ["--seed", "6", "--duration", "2"]
+    assert main(["run", *args, "--out-dir", str(tmp_path / "run")]) == 0
+    assert main(["batch", "--runs", "1", *args, "--out-dir", str(tmp_path / "batch")]) == 0
+    run_csv = (tmp_path / "run" / "run_metrics.csv").read_bytes()
+    assert run_csv == (tmp_path / "batch" / "batch_summary.csv").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["run", "--workers", "2"], ["compare", "--emit-series"]])
+def test_flags_only_where_they_act(argv, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2

@@ -117,6 +117,28 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="divide"):
             ScenarioConfig(star_rate_hz=3.0)
 
+    @pytest.mark.parametrize(
+        "field, value, text",
+        [
+            ("gyro_noise_std", math.nan, "nan"),
+            ("gyro_rate_hz", math.inf, "inf"),
+            ("star_rate_hz", 1e-320, "1e-320"),
+            ("feature_rate_hz", 1e12, "1e12"),
+            ("seed", -1, "-1"),
+            ("output_gain", -1.0, "-1"),
+            ("sigma0", math.nan, "nan"),
+            ("attitude_init_max_deg", math.inf, "inf"),
+            ("ref_dir_1", (0.0, math.nan, 1.0), "0 nan 1"),
+        ],
+    )
+    def test_non_finite_and_out_of_range_values_rejected(self, tmp_path, field, value, text):
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig(**{field: value})
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{field} = {text}\n")
+        with pytest.raises(ConfigError, match=field):
+            read_config(path)
+
     def test_mode_validated(self):
         with pytest.raises(ConfigError, match="input_mode"):
             ScenarioConfig(input_mode="other")
@@ -240,7 +262,36 @@ class TestCsv:
         path = tmp_path / "batch.csv"
         write_batch_csv(path, summary)
         lines = path.read_text().strip().splitlines()
-        assert lines[0].split(",")[:2] == ["run", "diverged"]
+        assert lines[0].split(",") == [
+            "run",
+            "diverged",
+            "t1deg_chaser_roll",
+            "t1deg_chaser_pitch",
+            "t1deg_chaser_yaw",
+            "mean_chaser_deg_roll",
+            "mean_chaser_deg_pitch",
+            "mean_chaser_deg_yaw",
+            "min_chaser_deg_roll",
+            "min_chaser_deg_pitch",
+            "min_chaser_deg_yaw",
+            "t1deg_rel_roll",
+            "t1deg_rel_pitch",
+            "t1deg_rel_yaw",
+            "mean_rel_deg_roll",
+            "mean_rel_deg_pitch",
+            "mean_rel_deg_yaw",
+            "min_rel_deg_roll",
+            "min_rel_deg_pitch",
+            "min_rel_deg_yaw",
+            "bias_mean_dps",
+            "bias_mean_rel_pct",
+            "bias_min_dps",
+            "bias_min_rel_pct",
+            "omega_mean_dps",
+            "omega_mean_rel_pct",
+            "omega_min_dps",
+            "omega_min_rel_pct",
+        ]
         assert len(lines) == 1 + 3 + 1  # header + runs + aggregate
         assert lines[-1].startswith("aggregate,")
         assert len(lines[1].split(",")) == 2 + len(metric_names())

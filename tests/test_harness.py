@@ -6,7 +6,7 @@ import pytest
 from eqfcascade import cascade
 from eqfcascade.config import ScenarioConfig
 from eqfcascade.harness import run_batch, run_rng, run_single, sample_world
-from eqfcascade.metrics import SERIES_COLUMNS
+from eqfcascade.metrics import SERIES_COLUMNS, _metric_values, metric_names
 
 
 class TestScenarioSampling:
@@ -65,11 +65,16 @@ class TestDeterminism:
         np.testing.assert_array_equal(batch.runs[0].mean_chaser_deg, single.mean_chaser_deg)
 
     def test_parallel_equals_sequential(self):
+        # every metric and the kept series cross the process pool bit for bit
         cfg = ScenarioConfig(seed=13, duration_s=1.0)
-        seq = run_batch(cfg, 4, workers=1)
-        par = run_batch(cfg, 4, workers=2)
+        seq = run_batch(cfg, 4, keep_series=True, workers=1)
+        par = run_batch(cfg, 4, keep_series=True, workers=2)
+        assert [m.run_index for m in par.runs] == [0, 1, 2, 3]
         for a, b in zip(seq.runs, par.runs):
-            assert a.omega_mean_dps == b.omega_mean_dps
+            np.testing.assert_array_equal(_metric_values(a), _metric_values(b))
+            assert a.series is not None and a.series.tobytes() == b.series.tobytes()
+        assert list(par.aggregate) == metric_names()
+        np.testing.assert_array_equal(list(seq.aggregate.values()), list(par.aggregate.values()))
 
 
 class TestRunSingle:

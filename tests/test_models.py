@@ -57,10 +57,6 @@ class TestTruthWorld:
 
 
 class TestSensorConfig:
-    def test_rates_must_divide(self):
-        with pytest.raises(ValueError, match="divide"):
-            SensorConfig(star_rate=3.0)
-
     def test_defaults_valid(self):
         cfg = SensorConfig()
         assert cfg.gyro_rate == 100.0
