@@ -1,14 +1,16 @@
 """The EqF kernel shared by both filter stages: estimate/gain containers,
-the state action and origin, the Riccati steps, and one predict and one
-update that take a stage's lift, A matrix and output map as arguments.
+the state action and origin, the output model, the form of the A matrix,
+the Riccati steps, and one predict and one update that take a stage's
+lift, A matrix and known directions as arguments.
 
 Both stages keep a group element (attitude estimate plus a transported
 3-vector) and a 6x6 Riccati matrix, and both act on their SO(3) x R^3
-state manifold in the same way. Prediction integrates the lifted
-dynamics with the exponential map on the rotation part and explicit Euler
-on the vector and Riccati parts. Corrections are integrated over the
-measurement interval in `update_iterations` equal sub-steps, re-linearizing
-at every sub-step.
+state manifold in the same way. Both measure known directions d as
+y = R^T d: the inertial basis in stage 1, the target reference directions
+in stage 2. Prediction integrates the lifted dynamics with the exponential
+map on the rotation part and explicit Euler on the vector and Riccati
+parts. Corrections are integrated over the measurement interval in
+`update_iterations` equal sub-steps, re-linearizing at every sub-step.
 """
 
 from __future__ import annotations
@@ -142,6 +144,27 @@ def recover_state(x: GroupElement) -> StageState:
     return state_action(x, ORIGIN)
 
 
+def output_map(xi: StageState, dirs) -> tuple[np.ndarray, ...]:
+    """Known-direction output model: each direction d of dirs seen from
+    the state's attitude, R^T d."""
+    rt = xi.rot.T
+    return tuple(rt @ d for d in dirs)
+
+
+def output_action(g: GroupElement, y) -> tuple[np.ndarray, ...]:
+    """Right action of the group on the outputs: y_i -> A^T y_i."""
+    return tuple(g.rot.T @ yi for yi in y)
+
+
+def a_matrix(w: np.ndarray) -> np.ndarray:
+    """Linearized error-flow matrix at zero error, [[0, -I], [0, wedge(w)]];
+    each stage supplies its own rate vector w."""
+    a = np.zeros((6, 6))
+    a[0:3, 3:6] = -np.eye(3)
+    a[3:6, 3:6] = wedge(w)
+    return a
+
+
 def c_matrix(y, y_hat, rot_hat: np.ndarray) -> np.ndarray:
     """Linearized output matrix for k measured directions, 3k x 6; only
     the attitude block is non-zero."""
@@ -162,13 +185,13 @@ def predict(est: FilterEstimate, lam: AlgebraElement, a: np.ndarray, gains: Filt
     return FilterEstimate(GroupElement(rot, vec), sigma)
 
 
-def update(est: FilterEstimate, y, output_map, gains: FilterGains, dt_update: float, where: str) -> FilterEstimate:
-    """Apply one measurement of directions y, iterated over the update interval.
+def update(est: FilterEstimate, y, dirs, gains: FilterGains, dt_update: float, where: str) -> FilterEstimate:
+    """Apply one measurement y of the known directions dirs, iterated over
+    the update interval.
 
     The correction is integrated in update_iterations equal sub-steps tau
-    with the measurement held fixed; the output map (state -> predicted
-    directions), the output matrix and the Riccati contraction are
-    recomputed at every sub-step. `where` names the stage in the error
+    with the measurement held fixed; the predicted directions, the output
+    matrix and the Riccati contraction are recomputed at every sub-step. `where` names the stage in the error
     raised when the Riccati state loses positive-definiteness.
     """
     if dt_update <= 0:
@@ -178,7 +201,7 @@ def update(est: FilterEstimate, y, output_map, gains: FilterGains, dt_update: fl
     y_stack = np.concatenate(y)
     n_inv = np.linalg.inv(gains.N)
     for _ in range(gains.update_iterations):
-        y_hat = output_map(recover_state(x))
+        y_hat = output_map(recover_state(x), dirs)
         c = c_matrix(y, y_hat, x.rot)
         resid = y_stack - np.concatenate(y_hat)
         gain = sigma @ (c.T @ (n_inv @ resid))

@@ -24,15 +24,7 @@ from .config import ScenarioConfig
 from .filter_base import NumericalFailure, recover_state
 from .geom import GroupElement, StageState, exp_so3, random_rotation, random_unit_vector
 from .metrics import RAD2DEG, BatchSummary, RunMetrics, euler_errors, time_to_threshold
-from .models import (
-    MeasurementBundle,
-    TruthWorld,
-    feature_directions,
-    measure_gyro,
-    relative_state,
-    star_directions,
-    truth_trajectory,
-)
+from .models import STAR_DIRS, MeasurementBundle, TruthWorld, measure_gyro, observed_directions, relative_state, truth_trajectory
 
 DEG2RAD = math.pi / 180.0
 
@@ -182,7 +174,6 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
     sensors = cfg.sensors()
     gains1 = cfg.stage1_gains()
     gains2 = cfg.stage2_gains()
-    ref_dirs = cfg.ref_dirs()
     subtract = cfg.input_mode == "unbiased_cascade"
     star_period = 1.0 / sensors.star_rate
     feature_period = 1.0 / sensors.feature_rate
@@ -205,19 +196,19 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
         for k in range(1, n_steps + 1):
             gyro = measure_gyro(world, sensors.gyro_noise_std, rng)
             star = (
-                star_directions(truth.att_chaser[k], sensors.direction_noise_std, rng)
+                observed_directions(truth.att_chaser[k], STAR_DIRS, sensors.direction_noise_std, rng)
                 if k % star_every == 0
                 else None
             )
             features = (
-                feature_directions(rel.rot[k], truth.ref_dirs, sensors.direction_noise_std, rng)
+                observed_directions(rel.rot[k], world.ref_dirs, sensors.direction_noise_std, rng)
                 if k % feature_every == 0
                 else None
             )
             bundle = MeasurementBundle(k * dt, gyro, star, features)
             try:
                 cs = cascade.step(
-                    cs, bundle, gains1, gains2, ref_dirs, star_period, feature_period, subtract
+                    cs, bundle, gains1, gains2, world.ref_dirs, star_period, feature_period, subtract
                 )
             except (NumericalFailure, np.linalg.LinAlgError):
                 break

@@ -17,6 +17,11 @@ from .geom import StageState, cross3, exp_so3, random_unit_vector, require_rotat
 
 COLLINEAR_TOL = 1e-3
 
+_BASIS = np.eye(3)
+_BASIS.flags.writeable = False
+# the known directions of the star tracker: the inertial basis
+STAR_DIRS = tuple(_BASIS)
+
 
 @dataclass(frozen=True)
 class TruthWorld:
@@ -134,32 +139,23 @@ def perturb_direction(v: np.ndarray, sigma: float, rng: np.random.Generator) -> 
     return exp_so3(angle * axis) @ v
 
 
-def star_directions(
-    att_chaser: np.ndarray, noise_std: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inertial basis directions seen in the chaser frame of attitude
-    att_chaser, each independently perturbed."""
-    rt = att_chaser.T
-    return tuple(perturb_direction(rt[:, i], noise_std, rng) for i in range(3))
-
-
-def feature_directions(
-    rel: np.ndarray, ref_dirs: tuple[np.ndarray, np.ndarray], noise_std: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Target reference directions seen in the chaser frame at relative
-    attitude rel, each perturbed."""
-    return tuple(perturb_direction(rel.T @ d, noise_std, rng) for d in ref_dirs)
+def observed_directions(
+    rot: np.ndarray, dirs: tuple[np.ndarray, ...], noise_std: float, rng: np.random.Generator
+) -> tuple[np.ndarray, ...]:
+    """The known directions dirs seen in the body frame of attitude rot,
+    rot^T d, each independently perturbed."""
+    return tuple(perturb_direction(rot.T @ d, noise_std, rng) for d in dirs)
 
 
 def measure_star_tracker(
     world: TruthWorld, noise_std: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Star-tracker directions for the world's chaser attitude."""
-    return star_directions(world.att_chaser, noise_std, rng)
+    return observed_directions(world.att_chaser, STAR_DIRS, noise_std, rng)
 
 
 def measure_features(
     world: TruthWorld, noise_std: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Feature directions for the world's relative attitude."""
-    return feature_directions(relative_state(world).rot, world.ref_dirs, noise_std, rng)
+    return observed_directions(relative_state(world).rot, world.ref_dirs, noise_std, rng)

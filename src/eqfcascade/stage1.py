@@ -17,19 +17,16 @@ from __future__ import annotations
 import numpy as np
 
 from . import filter_base
-# the shared state action and output matrix are part of this stage's model
-from .filter_base import FilterEstimate, FilterGains, c_matrix, recover_state, state_action  # noqa: F401
-from .geom import AlgebraElement, GroupElement, StageState, cross3, wedge
+# the shared state action, output action and output matrix are part of this stage's model
+from .filter_base import FilterEstimate, FilterGains, c_matrix, output_action, recover_state, state_action  # noqa: F401
+from .geom import AlgebraElement, GroupElement, StageState, cross3
+from .models import STAR_DIRS
 
 StarTriple = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def input_action(g: GroupElement, gyro: np.ndarray) -> np.ndarray:
     return g.rot.T @ (gyro - g.vec)
-
-
-def output_action(g: GroupElement, y: StarTriple) -> StarTriple:
-    return tuple(g.rot.T @ yi for yi in y)
 
 
 def lift(xi: StageState, gyro: np.ndarray) -> AlgebraElement:
@@ -39,16 +36,12 @@ def lift(xi: StageState, gyro: np.ndarray) -> AlgebraElement:
 
 def output_map(xi: StageState) -> StarTriple:
     """Star-tracker model: the inertial basis directions in body coordinates."""
-    rt = xi.rot.T
-    return (rt[:, 0], rt[:, 1], rt[:, 2])
+    return filter_base.output_map(xi, STAR_DIRS)
 
 
 def a_matrix(x: GroupElement, gyro: np.ndarray) -> np.ndarray:
-    """Linearized error-flow matrix at zero error."""
-    a = np.zeros((6, 6))
-    a[0:3, 3:6] = -np.eye(3)
-    a[3:6, 3:6] = wedge(x.rot @ gyro + x.vec)
-    return a
+    """Linearized error-flow matrix at zero error, with w = X.rot gyro + X.vec."""
+    return filter_base.a_matrix(x.rot @ gyro + x.vec)
 
 
 def predict(est: FilterEstimate, gyro: np.ndarray, gains: FilterGains, dt: float) -> FilterEstimate:
@@ -58,4 +51,4 @@ def predict(est: FilterEstimate, gyro: np.ndarray, gains: FilterGains, dt: float
 
 def update(est: FilterEstimate, y: StarTriple, gains: FilterGains, dt_update: float) -> FilterEstimate:
     """Apply one star-tracker measurement, iterated over the update interval."""
-    return filter_base.update(est, y, output_map, gains, dt_update, "stage-1 update")
+    return filter_base.update(est, y, STAR_DIRS, gains, dt_update, "stage-1 update")

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import filter_base
-# the shared state action and output matrix are part of this stage's model
-from .filter_base import FilterEstimate, FilterGains, c_matrix, recover_state, state_action  # noqa: F401
-from .geom import AlgebraElement, GroupElement, StageState, cross3, wedge
+# the shared state action, output action and output matrix are part of this stage's model
+from .filter_base import FilterEstimate, FilterGains, c_matrix, output_action, recover_state, state_action  # noqa: F401
+from .geom import AlgebraElement, GroupElement, StageState, cross3
 
 FeaturePair = tuple[np.ndarray, np.ndarray]
 
@@ -47,10 +47,6 @@ def input_action(g: GroupElement, inp: ExtendedInput) -> ExtendedInput:
     return ExtendedInput(qt @ inp.u, qt @ (inp.v - g.vec), qt @ (inp.w + g.vec))
 
 
-def output_action(g: GroupElement, y: FeaturePair) -> FeaturePair:
-    return tuple(g.rot.T @ yi for yi in y)
-
-
 def lift(xi: StageState, inp: ExtendedInput) -> AlgebraElement:
     return AlgebraElement(
         inp.u - xi.vec + inp.v,
@@ -60,14 +56,12 @@ def lift(xi: StageState, inp: ExtendedInput) -> AlgebraElement:
 
 def output_map(xi: StageState, ref_dirs: FeaturePair) -> FeaturePair:
     """Feature model: the target-fixed reference directions in body coordinates."""
-    return tuple(xi.rot.T @ d for d in ref_dirs)
+    return filter_base.output_map(xi, ref_dirs)
 
 
 def a_matrix(x: GroupElement) -> np.ndarray:
-    a = np.zeros((6, 6))
-    a[0:3, 3:6] = -np.eye(3)
-    a[3:6, 3:6] = wedge(x.vec)
-    return a
+    """Linearized error-flow matrix at zero error, with w = X.vec."""
+    return filter_base.a_matrix(x.vec)
 
 
 def predict(est: FilterEstimate, rate: np.ndarray, gains: FilterGains, dt: float) -> FilterEstimate:
@@ -83,4 +77,4 @@ def update(
     dt_update: float,
 ) -> FilterEstimate:
     """Apply one feature measurement, iterated over the update interval."""
-    return filter_base.update(est, y, lambda xi: output_map(xi, ref_dirs), gains, dt_update, "stage-2 update")
+    return filter_base.update(est, y, ref_dirs, gains, dt_update, "stage-2 update")

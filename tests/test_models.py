@@ -11,6 +11,7 @@ from eqfcascade.models import (
     measure_features,
     measure_gyro,
     measure_star_tracker,
+    observed_directions,
     perturb_direction,
     propagate_truth,
     relative_state,
@@ -241,6 +242,18 @@ class TestStarTracker:
                 sq.append(math.acos(min(1.0, max(-1.0, float(noisy[i] @ clean[i])))) ** 2)
         rms = math.sqrt(np.mean(sq))
         assert abs(rms - expected_rms) / expected_rms < 0.05
+
+
+class TestObservedDirections:
+    def test_noiseless_is_transposed_product(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            rot = random_rotation(rng)
+            dirs = (random_unit_vector(rng), random_unit_vector(rng), random_unit_vector(rng))
+            y = observed_directions(rot, dirs, 0.0, rng)
+            assert len(y) == len(dirs)
+            for yi, d in zip(y, dirs):
+                np.testing.assert_array_equal(yi, rot.T @ d)
 
 
 class TestFeatures:

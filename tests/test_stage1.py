@@ -85,6 +85,15 @@ class TestActions:
             for a, b in zip(lhs, rhs):
                 np.testing.assert_allclose(a, b, atol=1e-12)
 
+    def test_output_map_is_rows_of_attitude(self):
+        # y_i = R^T e_i, computed as a product, is row i of R bit for bit
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            xi = StageState(random_rotation(rng), rng.normal(size=3))
+            y = stage1.output_map(xi)
+            for i in range(3):
+                np.testing.assert_array_equal(y[i], xi.rot[i])
+
     def test_system_equivariance_finite_difference(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
