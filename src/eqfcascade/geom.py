@@ -96,7 +96,7 @@ def log_so3(r: np.ndarray) -> np.ndarray:
     )  # == sin(angle) * axis
     sin_angle = np.sqrt(np.vecdot(skew_vec, skew_vec))
     # atan2 stays well conditioned where acos(trace) loses digits near pi
-    angle = map_math(math.atan2, sin_angle, cos_angle)
+    angle = np.arctan2(sin_angle, cos_angle)
     small = angle < SMALL_ANGLE
     near_pi = angle > math.pi - PI_BRANCH
     rest = ~(small | near_pi)
@@ -116,20 +116,10 @@ def _log_pi_branch(r: np.ndarray, cos_angle: np.ndarray, skew_vec: np.ndarray) -
     axis = nnt[rows, :, k] / np.sqrt(nnt[rows, k, k])[:, None]
     axis = axis / np.sqrt(np.vecdot(axis, axis))[:, None]
     s = np.sqrt(np.vecdot(skew_vec, skew_vec))
-    angle = math.pi - map_math(math.asin, np.where(s < 1.0, s, 1.0))
+    angle = math.pi - np.arcsin(np.where(s < 1.0, s, 1.0))
     j = np.argmax(np.abs(axis), axis=1)
     flip = np.where(s > 1e-12, np.vecdot(axis, skew_vec) < 0.0, axis[rows, j] < 0.0)
     return angle[:, None] * np.where(flip[:, None], -axis, axis)
-
-
-def map_math(fn, *args: np.ndarray) -> np.ndarray:
-    """A `math` function applied element by element to equal-shaped arrays.
-
-    numpy's vectorized trigonometry can differ from `math` in the last bit,
-    so results that must match scalar code exactly are computed this way.
-    """
-    values = map(fn, *(np.ravel(a).tolist() for a in args))
-    return np.fromiter(values, dtype=float, count=np.size(args[0])).reshape(np.shape(args[0]))
 
 
 def is_rotation(r: np.ndarray, tol: float = ORTHO_TOL) -> bool:

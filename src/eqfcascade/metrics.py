@@ -17,7 +17,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .geom import map_math, rotation_angle
+from .geom import rotation_angle
 
 RAD2DEG = 180.0 / math.pi
 WINDOW = (10.0, 15.0)
@@ -48,9 +48,9 @@ def euler_zyx(rot: np.ndarray) -> np.ndarray:
     """(roll, pitch, yaw) radians of rot = Rz(yaw) Ry(pitch) Rx(roll); one
     row per rotation for a stack (n, 3, 3)."""
     rot = np.asarray(rot, dtype=float)
-    pitch = -map_math(math.asin, np.clip(rot[..., 2, 0], -1.0, 1.0))
-    roll = map_math(math.atan2, rot[..., 2, 1], rot[..., 2, 2])
-    yaw = map_math(math.atan2, rot[..., 1, 0], rot[..., 0, 0])
+    pitch = -np.arcsin(np.clip(rot[..., 2, 0], -1.0, 1.0))
+    roll = np.arctan2(rot[..., 2, 1], rot[..., 2, 2])
+    yaw = np.arctan2(rot[..., 1, 0], rot[..., 0, 0])
     return np.stack([roll, pitch, yaw], axis=-1)
 
 
