@@ -129,6 +129,7 @@ class TestConfigFile:
             ("sigma0", math.nan, "nan"),
             ("attitude_init_max_deg", math.inf, "inf"),
             ("ref_dir_1", (0.0, math.nan, 1.0), "0 nan 1"),
+            ("duration_s", 1e307, "1e307"),
         ],
     )
     def test_non_finite_and_out_of_range_values_rejected(self, tmp_path, field, value, text):
@@ -251,6 +252,26 @@ class TestCsv:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ",".join(SERIES_COLUMNS)
         assert len(lines) == 5
+
+    def test_series_csv_exact_bytes(self, tmp_path):
+        # %.9g text, CRLF line ends, and nan, inf, -0 and subnormals as
+        # Python formats them
+        series = np.array(
+            [
+                [0.0, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 1 / 3, -1e-5,
+                 0.1, 2.5, 1e16, 123456789.0, 1234567891.0, 1e300, -2.0, 15.0],
+                0.01 * np.arange(17),
+            ]
+        )
+        path = tmp_path / "series.csv"
+        write_series_csv(path, series)
+        expected = (
+            ",".join(SERIES_COLUMNS) + "\r\n"
+            "0,nan,inf,-inf,-0,4.94065646e-324,1e-310,0.333333333,-1e-05,"
+            "0.1,2.5,1e+16,123456789,1.23456789e+09,1e+300,-2,15\r\n"
+            "0,0.01,0.02,0.03,0.04,0.05,0.06,0.07,0.08,0.09,0.1,0.11,0.12,0.13,0.14,0.15,0.16\r\n"
+        )
+        assert path.read_bytes() == expected.encode("ascii")
 
     def test_batch_csv_rows(self, tmp_path):
         from eqfcascade.config import ScenarioConfig
