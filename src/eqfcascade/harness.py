@@ -24,7 +24,9 @@ from .config import ScenarioConfig
 from .filter_base import NumericalFailure, recover_state
 from .geom import GroupElement, StageState, exp_so3, random_rotation, random_unit_vector
 from .metrics import RAD2DEG, BatchSummary, RunMetrics, euler_errors, time_to_threshold
-from .models import STAR_DIRS, MeasurementBundle, TruthWorld, measure_gyro, observed_directions, relative_state, truth_trajectory
+from .models import (
+    STAR_DIRS, MeasurementBundle, TruthWorld, measure_gyro, observed_directions, relative_state, truth_trajectory
+)
 
 DEG2RAD = math.pi / 180.0
 
@@ -131,35 +133,20 @@ def _window_metrics(run_index: int, series: np.ndarray, world: TruthWorld) -> Ru
     win = series[(t >= lo) & (t <= hi)]
     if win.shape[0] == 0:
         win = series  # short runs fall back to the full series
+    values = {}
+    # each stage's three per-axis attitude error columns
+    for name, col in (("chaser", 2), ("rel", 7)):
+        values[f"t1deg_{name}"] = np.array([time_to_threshold(t, series[:, col + i], 1.0) for i in range(3)])
+        values[f"mean_{name}_deg"] = win[:, col : col + 3].mean(axis=0)
+        values[f"min_{name}_deg"] = win[:, col : col + 3].min(axis=0)
     # relative errors are undefined for zero-magnitude truth vectors
-    bias_norm = float(np.linalg.norm(world.gyro_bias)) * RAD2DEG or math.nan
-    omega_norm = float(np.linalg.norm(world.omega_target)) * RAD2DEG or math.nan
-    chaser_axes = slice(2, 5)
-    rel_axes = slice(7, 10)
-    bias_mean = float(np.mean(win[:, 5]))
-    bias_min = float(np.min(win[:, 5]))
-    omega_mean = float(np.mean(win[:, 10]))
-    omega_min = float(np.min(win[:, 10]))
-    return RunMetrics(
-        run_index=run_index,
-        diverged=False,
-        t1deg_chaser=np.array(
-            [time_to_threshold(t, series[:, 2 + i], 1.0) for i in range(3)]
-        ),
-        mean_chaser_deg=win[:, chaser_axes].mean(axis=0),
-        min_chaser_deg=win[:, chaser_axes].min(axis=0),
-        bias_mean_dps=bias_mean,
-        bias_mean_rel_pct=100.0 * bias_mean / bias_norm,
-        bias_min_dps=bias_min,
-        bias_min_rel_pct=100.0 * bias_min / bias_norm,
-        t1deg_rel=np.array([time_to_threshold(t, series[:, 7 + i], 1.0) for i in range(3)]),
-        mean_rel_deg=win[:, rel_axes].mean(axis=0),
-        min_rel_deg=win[:, rel_axes].min(axis=0),
-        omega_mean_dps=omega_mean,
-        omega_mean_rel_pct=100.0 * omega_mean / omega_norm,
-        omega_min_dps=omega_min,
-        omega_min_rel_pct=100.0 * omega_min / omega_norm,
-    )
+    for name, col, truth in (("bias", 5, world.gyro_bias), ("omega", 10, world.omega_target)):
+        truth_norm = float(np.linalg.norm(truth)) * RAD2DEG or math.nan
+        for stat, reduce in (("mean", np.mean), ("min", np.min)):
+            value = float(reduce(win[:, col]))
+            values[f"{name}_{stat}_dps"] = value
+            values[f"{name}_{stat}_rel_pct"] = 100.0 * value / truth_norm
+    return RunMetrics(run_index=run_index, diverged=False, **values)
 
 
 def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = False) -> RunMetrics:
@@ -178,6 +165,7 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
     star_period = 1.0 / sensors.star_rate
     feature_period = 1.0 / sensors.feature_rate
     dt = 1.0 / sensors.gyro_rate
+    dir_noise = sensors.direction_noise_std
     n_steps = cfg.steps_per_run()
     star_every = cfg.star_every()
     feature_every = cfg.feature_every()
@@ -195,21 +183,11 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, n_steps + 1):
             gyro = measure_gyro(world, sensors.gyro_noise_std, rng)
-            star = (
-                observed_directions(truth.att_chaser[k], STAR_DIRS, sensors.direction_noise_std, rng)
-                if k % star_every == 0
-                else None
-            )
-            features = (
-                observed_directions(rel.rot[k], world.ref_dirs, sensors.direction_noise_std, rng)
-                if k % feature_every == 0
-                else None
-            )
+            star = observed_directions(truth.att_chaser[k], STAR_DIRS, dir_noise, rng) if k % star_every == 0 else None
+            features = observed_directions(rel.rot[k], world.ref_dirs, dir_noise, rng) if k % feature_every == 0 else None
             bundle = MeasurementBundle(k * dt, gyro, star, features)
             try:
-                cs = cascade.step(
-                    cs, bundle, gains1, gains2, world.ref_dirs, star_period, feature_period, subtract
-                )
+                cs = cascade.step(cs, bundle, gains1, gains2, world.ref_dirs, star_period, feature_period, subtract)
             except (NumericalFailure, np.linalg.LinAlgError):
                 break
             _store(cs, k, rot, vec, sigma)

@@ -168,11 +168,9 @@ def summarize(runs: list[RunMetrics]) -> BatchSummary:
 
 
 def write_series_csv(path, series: np.ndarray) -> None:
+    """SERIES_COLUMNS header, then one row per tick in %.9g, CRLF line ends."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SERIES_COLUMNS)
-        for row in series:
-            writer.writerow([f"{v:.9g}" for v in row])
+        np.savetxt(fh, series, fmt="%.9g", delimiter=",", newline="\r\n", header=",".join(SERIES_COLUMNS), comments="")
 
 
 def write_batch_csv(path, summary: BatchSummary) -> None:
