@@ -1,15 +1,15 @@
 """The EqF kernel shared by both filter stages: estimate/gain containers,
-the state action and origin, the output model, the form of the A matrix,
-the Riccati steps, and one predict and one update that take a stage's
-lift, A matrix and known directions as arguments.
+the state action and origin, the output model and A-matrix form, the
+Riccati steps, and one predict and one update that take a stage's lift,
+A matrix and known directions as arguments.
 
 Both stages keep a group element (attitude estimate plus a transported
-3-vector) and a 6x6 Riccati matrix, and both act on their SO(3) x R^3
-state manifold in the same way. Both measure known directions d as
-y = R^T d: the inertial basis in stage 1, the target reference directions
-in stage 2. Prediction integrates the lifted dynamics with the exponential
-map on the rotation part and explicit Euler on the vector and Riccati
-parts. Corrections are integrated over the measurement interval in
+3-vector) and a 6x6 Riccati matrix, act on their SO(3) x R^3 state
+manifold in the same way, and measure known directions d as y = R^T d
+(stage 1 the inertial basis, stage 2 the target reference directions).
+Prediction integrates the lifted dynamics with the exponential map on the
+rotation part and explicit Euler on the vector and Riccati parts.
+Corrections are integrated over the measurement interval in
 `update_iterations` equal sub-steps, re-linearizing at every sub-step.
 """
 
@@ -145,10 +145,8 @@ def recover_state(x: GroupElement) -> StageState:
 
 
 def output_map(xi: StageState, dirs) -> tuple[np.ndarray, ...]:
-    """Known-direction output model: each direction d of dirs seen from
-    the state's attitude, R^T d."""
-    rt = xi.rot.T
-    return tuple(rt @ d for d in dirs)
+    """Known-direction output model: R^T d for each direction d of dirs."""
+    return tuple(xi.rot.T @ d for d in dirs)
 
 
 def output_action(g: GroupElement, y) -> tuple[np.ndarray, ...]:
@@ -157,8 +155,7 @@ def output_action(g: GroupElement, y) -> tuple[np.ndarray, ...]:
 
 
 def a_matrix(w: np.ndarray) -> np.ndarray:
-    """Linearized error-flow matrix at zero error, [[0, -I], [0, wedge(w)]];
-    each stage supplies its own rate vector w."""
+    """Linearized error-flow matrix at zero error, [[0, -I], [0, wedge(w)]]."""
     a = np.zeros((6, 6))
     a[0:3, 3:6] = -np.eye(3)
     a[3:6, 3:6] = wedge(w)
@@ -186,13 +183,13 @@ def predict(est: FilterEstimate, lam: AlgebraElement, a: np.ndarray, gains: Filt
 
 
 def update(est: FilterEstimate, y, dirs, gains: FilterGains, dt_update: float, where: str) -> FilterEstimate:
-    """Apply one measurement y of the known directions dirs, iterated over
-    the update interval.
+    """Apply one measurement y of the directions dirs, iterated over the update interval.
 
     The correction is integrated in update_iterations equal sub-steps tau
     with the measurement held fixed; the predicted directions, the output
-    matrix and the Riccati contraction are recomputed at every sub-step. `where` names the stage in the error
-    raised when the Riccati state loses positive-definiteness.
+    matrix and the Riccati contraction are recomputed at every sub-step.
+    `where` names the stage in the error raised when the Riccati state
+    loses positive-definiteness.
     """
     if dt_update <= 0:
         raise ValueError("dt_update must be positive")

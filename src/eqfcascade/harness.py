@@ -25,7 +25,13 @@ from .filter_base import NumericalFailure, recover_state
 from .geom import GroupElement, StageState, exp_so3, random_rotation, random_unit_vector
 from .metrics import RAD2DEG, BatchSummary, RunMetrics, euler_errors, time_to_threshold
 from .models import (
-    STAR_DIRS, MeasurementBundle, TruthWorld, measure_gyro, observed_directions, relative_state, truth_trajectory
+    STAR_DIRS,
+    MeasurementBundle,
+    TruthWorld,
+    measure_gyro,
+    observed_directions,
+    relative_state,
+    truth_trajectory,
 )
 
 DEG2RAD = math.pi / 180.0
@@ -165,7 +171,6 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
     star_period = 1.0 / sensors.star_rate
     feature_period = 1.0 / sensors.feature_rate
     dt = 1.0 / sensors.gyro_rate
-    dir_noise = sensors.direction_noise_std
     n_steps = cfg.steps_per_run()
     star_every = cfg.star_every()
     feature_every = cfg.feature_every()
@@ -183,11 +188,21 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, n_steps + 1):
             gyro = measure_gyro(world, sensors.gyro_noise_std, rng)
-            star = observed_directions(truth.att_chaser[k], STAR_DIRS, dir_noise, rng) if k % star_every == 0 else None
-            features = observed_directions(rel.rot[k], world.ref_dirs, dir_noise, rng) if k % feature_every == 0 else None
+            star = (
+                observed_directions(truth.att_chaser[k], STAR_DIRS, sensors.direction_noise_std, rng)
+                if k % star_every == 0
+                else None
+            )
+            features = (
+                observed_directions(rel.rot[k], world.ref_dirs, sensors.direction_noise_std, rng)
+                if k % feature_every == 0
+                else None
+            )
             bundle = MeasurementBundle(k * dt, gyro, star, features)
             try:
-                cs = cascade.step(cs, bundle, gains1, gains2, world.ref_dirs, star_period, feature_period, subtract)
+                cs = cascade.step(
+                    cs, bundle, gains1, gains2, world.ref_dirs, star_period, feature_period, subtract
+                )
             except (NumericalFailure, np.linalg.LinAlgError):
                 break
             _store(cs, k, rot, vec, sigma)
