@@ -6,7 +6,8 @@ Subcommands:
     compare  low-rate unbiased vs biased input vs 100 Hz variants on the
              same seeds, emitting a combined comparison table
 
-Flags override values loaded from --config.
+Flags override values loaded from --config. An invalid scenario is a
+usage error: one line on stderr naming the field, exit status 2.
 """
 
 from __future__ import annotations
@@ -17,9 +18,19 @@ import math
 import sys
 from pathlib import Path
 
-from .config import INPUT_MODES, ScenarioConfig, apply_overrides, read_config, write_config
+from .config import INPUT_MODES, ConfigError, ScenarioConfig, apply_overrides, read_config, write_config
 from .harness import run_batch
 from .metrics import BatchSummary, RunMetrics, metric_names, write_batch_csv, write_series_csv
+
+
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got '{raw}'") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
@@ -164,21 +175,25 @@ def main(argv=None) -> int:
 
     p_batch = sub.add_parser("batch", help="Monte Carlo batch")
     _add_scenario_flags(p_batch)
-    p_batch.add_argument("--runs", type=int, default=100, help="number of runs")
+    p_batch.add_argument("--runs", type=_positive_int, default=100, help="number of runs")
     p_batch.set_defaults(func=cmd_batch)
 
     p_cmp = sub.add_parser("compare", help="unbiased vs biased vs 100 Hz variants")
     _add_scenario_flags(p_cmp)
-    p_cmp.add_argument("--runs", type=int, default=100, help="runs per variant")
+    p_cmp.add_argument("--runs", type=_positive_int, default=100, help="runs per variant")
     p_cmp.set_defaults(func=cmd_compare)
 
     for p in (p_batch, p_cmp):
-        p.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+        p.add_argument("--workers", type=_positive_int, default=1, help="parallel worker processes")
     for p in (p_run, p_batch):
         p.add_argument("--emit-series", action="store_true", help="write per-tick time-series CSVs")
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """The EqF kernel shared by both filter stages: estimate/gain containers,
 the state action and origin, the output model and A-matrix form, the
 Riccati steps, and one predict and one update that take a stage's lift,
-A matrix and known directions as arguments.
+A-matrix rate vector and known directions as arguments.
 
 Both stages keep a group element (attitude estimate plus a transported
 3-vector) and a 6x6 Riccati matrix, act on their SO(3) x R^3 state
@@ -16,12 +16,17 @@ Corrections are integrated over the measurement interval in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .geom import AlgebraElement, GroupElement, StageState, cross3, exp_so3, identity_element, renormalize_rotation, wedge
 
 ORIGIN = StageState(np.eye(3), np.zeros(3))
+_EYE3 = np.eye(3)
+# half the wedge map as a matrix: 0.5 wedge(x).ravel() == x @ _HALF_WEDGE
+_HALF_WEDGE = np.stack([0.5 * wedge(e).ravel() for e in np.eye(3)])
+_ALGEBRA_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
 
 
 class NumericalFailure(Exception):
@@ -45,6 +50,11 @@ class FilterGains:
         for name, mat in (("M", self.M), ("N", self.N), ("Sigma0", self.Sigma0)):
             if not _is_spd(np.asarray(mat)):
                 raise ValueError(f"gain matrix {name} must be symmetric positive definite")
+
+    @cached_property
+    def n_inv(self) -> np.ndarray:
+        """N^-1, derived once per gains object."""
+        return np.linalg.inv(self.N)
 
     @classmethod
     def identity_scaled(
@@ -80,7 +90,7 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def _is_spd(m: np.ndarray) -> bool:
-    if not np.all(np.isfinite(m)) or np.max(np.abs(m - m.T)) > 1e-9 * (1 + np.max(np.abs(m))):
+    if not np.isfinite(m).all() or np.abs(m - m.T).max() > 1e-9 * (1 + np.abs(m).max()):
         return False
     try:
         np.linalg.cholesky(symmetrize(m))
@@ -94,26 +104,40 @@ def require_spd(sigma: np.ndarray, where: str) -> None:
         raise NumericalFailure(f"Riccati state not positive definite after {where}")
 
 
-def riccati_predict(sigma: np.ndarray, a: np.ndarray, m: np.ndarray, dt: float) -> np.ndarray:
-    """Euler step of the propagation part: Sigma + (A Sigma + Sigma A^T + M) dt."""
-    return symmetrize(sigma + dt * (a @ sigma + sigma @ a.T + m))
+def riccati_predict(sigma: np.ndarray, w: np.ndarray, m: np.ndarray, dt: float) -> np.ndarray:
+    """Euler step of the propagation part, Sigma + (A Sigma + Sigma A^T + M) dt,
+    for A = a_matrix(w).
+
+    A Sigma is built by blocks, [-Sigma[3:]; wedge(w) Sigma[3:]], and the sum
+    X + X^T + M is exactly symmetric when Sigma and M are.
+    """
+    lower = sigma[3:]
+    a_sigma = np.concatenate((-lower, wedge(w) @ lower))
+    return sigma + dt * (a_sigma + a_sigma.T + m)
 
 
-def riccati_correct(sigma: np.ndarray, c: np.ndarray, n: np.ndarray, tau: float) -> np.ndarray:
+def riccati_correct(sigma: np.ndarray, info: np.ndarray, tau: float, where: str) -> np.ndarray:
     """Contraction sub-step of the Riccati flow with the measurement held.
 
     Integrates d(Sigma)/dt = -Sigma C^T N^-1 C Sigma exactly over tau (C
     frozen), i.e. Sigma <- Sigma - Sigma C^T (N/tau + C Sigma C^T)^-1 C Sigma.
     Agrees with the Euler decrement to O(tau^2) but cannot overshoot, so
     Sigma stays positive definite for any sub-step length.
+
+    C is non-zero only in its attitude columns, so only the 3x3 information
+    matrix info = Ca^T N^-1 Ca of the attitude block Ca enters, and by the
+    push-through identity the update is
+    Sigma[:, :3] (I + tau info Sigma[:3, :3])^-1 tau info Sigma[:3, :].
+    `where` names the stage in the error raised when that system is singular.
     """
-    cs = c @ sigma
-    s = c @ cs.T + n / tau
+    left = sigma[:, :3]
+    tau_info = tau * info
     try:
-        return symmetrize(sigma - cs.T @ np.linalg.solve(s, cs))
+        k = np.linalg.solve(_EYE3 + tau_info @ left[:3], tau_info)
     except np.linalg.LinAlgError as exc:
         # a diverged state can push the innovation system to singularity
-        raise NumericalFailure(f"Riccati correction became singular: {exc}") from exc
+        raise NumericalFailure(f"Riccati correction became singular in {where}: {exc}") from exc
+    return symmetrize(sigma - left @ k @ sigma[:3])
 
 
 def tangent_to_algebra(m: np.ndarray) -> np.ndarray:
@@ -123,7 +147,7 @@ def tangent_to_algebra(m: np.ndarray) -> np.ndarray:
     (w, s) to the tangent vector (w, -s), so its right inverse flips the
     sign of the vector part.
     """
-    return np.concatenate([m[:3], -m[3:]])
+    return m * _ALGEBRA_SIGNS
 
 
 def apply_correction(x: GroupElement, delta: np.ndarray, tau: float) -> GroupElement:
@@ -162,23 +186,30 @@ def a_matrix(w: np.ndarray) -> np.ndarray:
     return a
 
 
+def c_block(y: np.ndarray, y_hat: np.ndarray, rot_hat: np.ndarray) -> np.ndarray:
+    """Attitude block of the output matrix, 3k x 3, for k measured and
+    predicted directions given as the rows of y and y_hat: block i is
+    0.5 wedge(y_i + y_hat_i) rot_hat^T."""
+    # row i of the (k, 9) product is 0.5 wedge(y_i + y_hat_i), row-major
+    return (np.add(y, y_hat) @ _HALF_WEDGE).reshape(3 * len(y), 3) @ rot_hat.T
+
+
 def c_matrix(y, y_hat, rot_hat: np.ndarray) -> np.ndarray:
     """Linearized output matrix for k measured directions, 3k x 6; only
-    the attitude block is non-zero."""
+    the attitude block (c_block) is non-zero."""
     c = np.zeros((3 * len(y), 6))
-    for i in range(len(y)):
-        c[3 * i : 3 * i + 3, 0:3] = 0.5 * wedge(y[i] + y_hat[i]) @ rot_hat.T
+    c[:, 0:3] = c_block(y, y_hat, rot_hat)
     return c
 
 
-def predict(est: FilterEstimate, lam: AlgebraElement, a: np.ndarray, gains: FilterGains, dt: float) -> FilterEstimate:
+def predict(est: FilterEstimate, lam: AlgebraElement, w: np.ndarray, gains: FilterGains, dt: float) -> FilterEstimate:
     """Propagate the group state along the lift lam and the Riccati state
-    with the error-flow matrix a, both by Euler."""
+    with the error-flow matrix a_matrix(w), both by Euler."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     rot = renormalize_rotation(est.X.rot @ exp_so3(dt * lam.rot))
     vec = est.X.vec + dt * (est.X.rot @ lam.vec)
-    sigma = riccati_predict(est.Sigma, a, gains.M, dt)
+    sigma = riccati_predict(est.Sigma, w, gains.M, dt)
     return FilterEstimate(GroupElement(rot, vec), sigma)
 
 
@@ -188,21 +219,26 @@ def update(est: FilterEstimate, y, dirs, gains: FilterGains, dt_update: float, w
     The correction is integrated in update_iterations equal sub-steps tau
     with the measurement held fixed; the predicted directions, the output
     matrix and the Riccati contraction are recomputed at every sub-step.
-    `where` names the stage in the error raised when the Riccati state
-    loses positive-definiteness.
+    Only the attitude block Ca of the output matrix is non-zero, so the
+    gain is Sigma[:, :3] Ca^T N^-1 r for the residual r and the
+    contraction needs the 3x3 information Ca^T N^-1 Ca alone. `where`
+    names the stage in the errors raised when the Riccati state loses
+    positive-definiteness or its correction becomes singular.
     """
     if dt_update <= 0:
         raise ValueError("dt_update must be positive")
     tau = dt_update / gains.update_iterations
     x, sigma = est.X, est.Sigma
-    y_stack = np.concatenate(y)
-    n_inv = np.linalg.inv(gains.N)
+    y_rows = np.array(y)
+    dir_rows = np.array(dirs)
+    n_inv = gains.n_inv
     for _ in range(gains.update_iterations):
-        y_hat = output_map(recover_state(x), dirs)
-        c = c_matrix(y, y_hat, x.rot)
-        resid = y_stack - np.concatenate(y_hat)
-        gain = sigma @ (c.T @ (n_inv @ resid))
+        # the output map in row form: row i is rot^T d_i
+        y_hat = dir_rows @ x.rot
+        ca = c_block(y_rows, y_hat, x.rot)
+        ca_t_ninv = ca.T @ n_inv
+        gain = sigma[:, :3] @ (ca_t_ninv @ (y_rows - y_hat).ravel())
         x = apply_correction(x, tangent_to_algebra(gain), tau)
-        sigma = riccati_correct(sigma, c, gains.N, tau)
+        sigma = riccati_correct(sigma, ca_t_ninv @ ca, tau, where)
     require_spd(sigma, where)
     return FilterEstimate(GroupElement(renormalize_rotation(x.rot), x.vec), sigma)

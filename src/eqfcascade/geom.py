@@ -27,23 +27,19 @@ _EYE3.flags.writeable = False
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross product of two 3-vectors (numpy.cross has heavy overhead here)."""
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
+    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
+    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def wedge(x: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix of x, so that wedge(x) @ y == cross(x, y)."""
-    x = np.asarray(x, dtype=float)
+    x0, x1, x2 = np.asarray(x, dtype=float).tolist()
     return np.array(
         [
-            [0.0, -x[2], x[1]],
-            [x[2], 0.0, -x[0]],
-            [-x[1], x[0], 0.0],
+            [0.0, -x2, x1],
+            [x2, 0.0, -x0],
+            [-x1, x0, 0.0],
         ]
     )
 
@@ -63,19 +59,31 @@ def vee(m: np.ndarray) -> np.ndarray:
 def exp_so3(x: np.ndarray) -> np.ndarray:
     """Rotation matrix exp(wedge(x)) by the Rodrigues formula; all NaN when
     x is not finite, so a diverged filter state stays a value and not an
-    error."""
-    x = np.asarray(x, dtype=float)
-    angle = math.sqrt(float(x @ x))
-    k = wedge(x)
+    error.
+
+    Built from the three components as floats, with
+    wedge(x)^2 = x x^T - |x|^2 I, so one array is made per call.
+    """
+    x0, x1, x2 = np.asarray(x, dtype=float).tolist()
+    sq0, sq1, sq2 = x0 * x0, x1 * x1, x2 * x2
+    angle = math.sqrt(sq0 + sq1 + sq2)
     if angle < SMALL_ANGLE:
         a = 1.0 - angle * angle / 6.0
         b = 0.5 - angle * angle / 24.0
-    elif angle == math.inf:
-        a = b = math.nan
-    else:
+    elif angle < math.inf:
         a = math.sin(angle) / angle
         b = (1.0 - math.cos(angle)) / (angle * angle)
-    return _EYE3 + a * k + b * (k @ k)
+    else:
+        return np.full((3, 3), math.nan)
+    b01, b02, b12 = b * x0 * x1, b * x0 * x2, b * x1 * x2
+    a0, a1, a2 = a * x0, a * x1, a * x2
+    return np.array(
+        [
+            [1.0 - b * (sq1 + sq2), b01 - a2, b02 + a1],
+            [b01 + a2, 1.0 - b * (sq0 + sq2), b12 - a0],
+            [b02 - a1, b12 + a0, 1.0 - b * (sq0 + sq1)],
+        ]
+    )
 
 
 def log_so3(r: np.ndarray) -> np.ndarray:
@@ -155,7 +163,7 @@ def renormalize_rotation(r: np.ndarray, tol: float = ORTHO_TOL) -> np.ndarray:
     Long exponential-product integrations accumulate rounding drift; below
     tol the matrix is returned unchanged so the hot path stays cheap.
     """
-    drift = np.max(np.abs(r.T @ r - _EYE3))
+    drift = np.abs(r.T @ r - _EYE3).max()
     if drift > tol:
         return project_so3(r)
     return r

@@ -227,6 +227,8 @@ def run_batch(
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     args = ([cfg] * n_runs, range(n_runs), [keep_series] * n_runs)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -39,14 +39,19 @@ def output_map(xi: StageState) -> StarTriple:
     return filter_base.output_map(xi, STAR_DIRS)
 
 
+def a_rate(x: GroupElement, gyro: np.ndarray) -> np.ndarray:
+    """Rate vector w of the error-flow matrix, w = X.rot gyro + X.vec."""
+    return x.rot @ gyro + x.vec
+
+
 def a_matrix(x: GroupElement, gyro: np.ndarray) -> np.ndarray:
-    """Linearized error-flow matrix at zero error, with w = X.rot gyro + X.vec."""
-    return filter_base.a_matrix(x.rot @ gyro + x.vec)
+    """Linearized error-flow matrix at zero error, filter_base.a_matrix(a_rate(x, gyro))."""
+    return filter_base.a_matrix(a_rate(x, gyro))
 
 
 def predict(est: FilterEstimate, gyro: np.ndarray, gains: FilterGains, dt: float) -> FilterEstimate:
     """Propagate the group state along the lift and the Riccati state by Euler."""
-    return filter_base.predict(est, lift(recover_state(est.X), gyro), a_matrix(est.X, gyro), gains, dt)
+    return filter_base.predict(est, lift(recover_state(est.X), gyro), a_rate(est.X, gyro), gains, dt)
 
 
 def update(est: FilterEstimate, y: StarTriple, gains: FilterGains, dt_update: float) -> FilterEstimate:

@@ -65,8 +65,9 @@ def a_matrix(x: GroupElement) -> np.ndarray:
 
 
 def predict(est: FilterEstimate, rate: np.ndarray, gains: FilterGains, dt: float) -> FilterEstimate:
-    """Propagate with the physical input only (virtual inputs zero)."""
-    return filter_base.predict(est, lift(recover_state(est.X), ExtendedInput(rate)), a_matrix(est.X), gains, dt)
+    """Propagate with the physical input only (virtual inputs zero); the
+    error-flow matrix is a_matrix(est.X), passed as its rate vector X.vec."""
+    return filter_base.predict(est, lift(recover_state(est.X), ExtendedInput(rate)), est.X.vec, gains, dt)
 
 
 def update(

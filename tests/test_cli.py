@@ -77,3 +77,44 @@ def test_flags_only_where_they_act(argv, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out-dir", str(tmp_path)])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["batch", "--runs", "0"],
+        ["batch", "--workers", "0"],
+        ["compare", "--runs", "-1"],
+        ["compare", "--workers", "0"],
+        ["batch", "--runs", "two"],
+    ],
+)
+def test_counts_below_one_are_usage_errors(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["run", "--duration", "0"], "duration_s"),
+        (["batch", "--runs", "2", "--gyro-noise", "-1"], "gyro_noise_std"),
+        (["compare", "--runs", "1", "--star-rate", "3"], "star_rate_hz"),
+    ],
+)
+def test_invalid_scenario_is_one_line_usage_error(argv, field, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and field in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
+def test_invalid_config_file_is_one_line_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "scenario.cfg"
+    cfg_path.write_text("seed = 1\nupdate_iterations = 0\n")
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "update_iterations" in err

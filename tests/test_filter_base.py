@@ -1,10 +1,12 @@
-"""Property tests of the shared Riccati correction step."""
+"""Property tests of the shared Riccati steps: the exact contraction, its
+push-through form on the attitude block, and the block-form predict."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqfcascade.filter_base import c_matrix, riccati_correct
+from eqfcascade.filter_base import NumericalFailure, a_matrix, c_block, c_matrix, riccati_correct, riccati_predict
 from eqfcascade.geom import random_rotation, random_unit_vector
 from oracles import rk4_matrix_ode
 
@@ -22,6 +24,12 @@ def random_spd(rng, dim, lo, hi):
     eig = np.exp(rng.uniform(np.log(lo), np.log(hi), size=dim))
     m = (q * eig) @ q.T
     return 0.5 * (m + m.T)
+
+
+def information(c, n):
+    """C^T N^-1 C restricted to the attitude block, the only non-zero one."""
+    ca = c[:, :3]
+    return ca.T @ np.linalg.solve(n, ca)
 
 
 def riccati_flow(sigma, c, n, tau):
@@ -55,10 +63,61 @@ def test_riccati_correct_is_the_exact_contraction(seed, k, log_tau):
     c = c_matrix(y, y_hat, random_rotation(rng))
     assert c.shape == (3 * k, 6)
 
-    out = riccati_correct(sigma, c, n, tau)
+    out = riccati_correct(sigma, information(c, n), tau, "test")
 
     scale = np.max(np.abs(sigma))
     np.testing.assert_array_equal(out, out.T)
     assert np.min(np.linalg.eigvalsh(out)) > 0.0
     assert np.min(np.linalg.eigvalsh(sigma - out)) > -1e-12 * scale
     np.testing.assert_allclose(out, riccati_flow(sigma, c, n, tau), rtol=0.0, atol=RTOL * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([2, 3]),
+    log_tau=st.floats(-4.0, 3.0),
+)
+def test_push_through_contraction_equals_the_full_form(seed, k, log_tau):
+    # N is a general SPD matrix, not a multiple of the identity
+    rng = np.random.default_rng(seed)
+    tau = 10.0**log_tau
+    sigma = random_spd(rng, 6, 1e-2, 10.0)
+    n = random_spd(rng, 3 * k, 1e-2, 1.0)
+    y = [random_unit_vector(rng) for _ in range(k)]
+    y_hat = [random_unit_vector(rng) for _ in range(k)]
+    rot = random_rotation(rng)
+    c = c_matrix(y, y_hat, rot)
+    np.testing.assert_array_equal(c[:, :3], c_block(np.array(y), np.array(y_hat), rot))
+    assert not np.any(c[:, 3:])
+
+    out = riccati_correct(sigma, information(c, n), tau, "test")
+
+    cs = c @ sigma
+    full = sigma - cs.T @ np.linalg.solve(cs @ c.T + n / tau, cs)
+    np.testing.assert_allclose(out, full, rtol=0.0, atol=1e-10 * np.max(np.abs(sigma)))
+
+
+def test_singular_contraction_names_the_stage():
+    # I + tau info Sigma[:3, :3] is exactly singular here
+    sigma = np.eye(6)
+    info = -np.eye(3)
+    with pytest.raises(NumericalFailure, match="singular in stage-9 update"):
+        riccati_correct(sigma, info, 1.0, "stage-9 update")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_dt=st.floats(-4.0, 0.0))
+def test_block_predict_equals_the_full_form(seed, log_dt):
+    rng = np.random.default_rng(seed)
+    dt = 10.0**log_dt
+    sigma = random_spd(rng, 6, 1e-3, 10.0)
+    m = random_spd(rng, 6, 1e-3, 1.0)
+    w = rng.normal(scale=0.1, size=3)
+    a = a_matrix(w)
+
+    out = riccati_predict(sigma, w, m, dt)
+
+    np.testing.assert_array_equal(out, out.T)
+    full = sigma + dt * (a @ sigma + sigma @ a.T + m)
+    np.testing.assert_allclose(out, full, rtol=0.0, atol=1e-14 * np.max(np.abs(full)))

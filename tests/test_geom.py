@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from eqfcascade.geom import (
     GroupElement,
@@ -93,6 +96,23 @@ class TestExpLog:
         for _ in range(40):
             x = random_unit_vector(rng) * (math.pi - 10 ** rng.uniform(-8, -1))
             np.testing.assert_allclose(log_so3(exp_so3(x)), x, atol=1e-7)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        angle=st.one_of(
+            st.floats(0.0, 1e-4, exclude_max=True),
+            st.floats(1e-4, math.pi),
+            st.floats(1e-16, 1e-7).map(lambda gap: math.pi - gap),
+        ),
+    )
+    def test_exp_matches_matrix_exponential(self, seed, angle):
+        x = angle * random_unit_vector(np.random.default_rng(seed))
+        np.testing.assert_allclose(exp_so3(x), expm(wedge(x)), rtol=0.0, atol=1e-14)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_exp_of_non_finite_input_is_all_nan(self, bad):
+        assert np.all(np.isnan(exp_so3(np.array([0.1, bad, -0.2]))))
 
     def test_exp_output_is_rotation(self):
         rng = np.random.default_rng(5)

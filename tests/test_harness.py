@@ -64,6 +64,11 @@ class TestDeterminism:
         assert batch.runs[0].omega_mean_dps == single.omega_mean_dps
         np.testing.assert_array_equal(batch.runs[0].mean_chaser_deg, single.mean_chaser_deg)
 
+    @pytest.mark.parametrize("n_runs, workers", [(0, 1), (1, 0)])
+    def test_batch_needs_a_run_and_a_worker(self, n_runs, workers):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            run_batch(ScenarioConfig(seed=0, duration_s=0.1), n_runs, workers=workers)
+
     def test_parallel_equals_sequential(self):
         # every metric and the kept series cross the process pool bit for bit
         cfg = ScenarioConfig(seed=13, duration_s=1.0)
@@ -135,11 +140,12 @@ class TestRunSingle:
     def test_divergence_ticks_at_seed_2026(self):
         # runs 0-2 end where a stage-1 update loses positive-definiteness;
         # run 3 ends earlier, at the tick whose stage-1 Riccati state the
-        # diagnostics find singular
+        # diagnostics find singular, before its filter fails at tick 500
         cfg = ScenarioConfig(seed=2026, update_iterations=1)
-        for i, rows in enumerate((400, 200, 500, 439)):
+        for i, rows in enumerate((400, 200, 500, 481)):
             m = run_single(cfg, i, keep_series=True)
             assert m.diverged and m.series.shape == (rows, len(SERIES_COLUMNS))
+            assert m.series.shape[0] <= 500
             assert np.all(np.isfinite(m.series))
             assert run_single(cfg, i).diverged
 

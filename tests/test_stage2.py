@@ -5,7 +5,7 @@ import pytest
 
 from eqfcascade import stage2
 from eqfcascade.cascade import local_error
-from eqfcascade.filter_base import ORIGIN, FilterEstimate, FilterGains, initial_estimate
+from eqfcascade.filter_base import ORIGIN, FilterEstimate, FilterGains, NumericalFailure, initial_estimate
 from eqfcascade.geom import (
     GroupElement,
     StageState,
@@ -276,6 +276,16 @@ class TestUpdate:
         np.testing.assert_array_equal(out.X.rot, x.rot)
         np.testing.assert_array_equal(out.X.vec, x.vec)
         np.testing.assert_allclose(out.Sigma, est.Sigma, atol=1e-15)
+
+    @pytest.mark.parametrize("entry", [(0, 0), (4, 4)])
+    def test_non_finite_riccati_state_fails_naming_the_stage(self, entry):
+        rng = np.random.default_rng(13)
+        x = random_group_element(rng, vec_scale=0.05)
+        sigma = np.eye(6)
+        sigma[entry] = np.inf
+        y = stage2.output_map(random_stage_state(rng), REF_DIRS)
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NumericalFailure, match="stage-2"):
+            stage2.update(FilterEstimate(x, sigma), y, REF_DIRS, gains(), 0.1)
 
     def test_fixed_point_convergence_from_20_degrees(self):
         rng = np.random.default_rng(12)
