@@ -56,7 +56,7 @@ def step(
     bundle: MeasurementBundle,
     gains1: FilterGains,
     gains2: FilterGains,
-    ref_dirs: tuple[np.ndarray, np.ndarray],
+    ref_dirs: np.ndarray,
     star_period: float,
     feature_period: float,
     subtract_bias: bool = True,

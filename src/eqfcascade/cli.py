@@ -6,8 +6,9 @@ Subcommands:
     compare  low-rate unbiased vs biased input vs 100 Hz variants on the
              same seeds, emitting a combined comparison table
 
-Flags override values loaded from --config. An invalid scenario is a
-usage error: one line on stderr naming the field, exit status 2.
+Flags override values loaded from --config. An invalid scenario or an
+unreadable --config file is a usage error: one line on stderr naming the
+field or the file, exit status 2.
 """
 
 from __future__ import annotations
@@ -49,24 +50,30 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_config(args) -> ScenarioConfig:
-    cfg = read_config(args.config) if args.config else ScenarioConfig()
+    try:
+        cfg = read_config(args.config) if args.config else ScenarioConfig()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {args.config}: {exc.strerror}") from exc
     names = {f.name for f in dataclasses.fields(ScenarioConfig)}
     overrides = {k: v for k, v in vars(args).items() if k in names}
     return apply_overrides(cfg, **overrides)
+
+
+def _rpy(values, spec: str) -> str:
+    """Per-axis values as roll/pitch/yaw, each formatted with spec."""
+    return "/".join(format(v, spec) for v in values)
 
 
 def _print_metrics(m: RunMetrics) -> None:
     if m.diverged:
         print(f"run {m.run_index}: DIVERGED (numerical failure or non-finite state)")
         return
-    def axes(v):
-        return "/".join(f"{x:.4f}" for x in v)
     print(f"run {m.run_index}:")
-    print(f"  chaser attitude mean err [10,15]s (deg, r/p/y): {axes(m.mean_chaser_deg)}")
-    print(f"  chaser attitude time-to-1deg (s, r/p/y):        {axes(m.t1deg_chaser)}")
+    print(f"  chaser attitude mean err [10,15]s (deg, r/p/y): {_rpy(m.mean_chaser_deg, '.4f')}")
+    print(f"  chaser attitude time-to-1deg (s, r/p/y):        {_rpy(m.t1deg_chaser, '.4f')}")
     print(f"  gyro bias mean err: {m.bias_mean_dps:.4f} deg/s ({m.bias_mean_rel_pct:.2f} %)")
-    print(f"  relative attitude mean err (deg, r/p/y):        {axes(m.mean_rel_deg)}")
-    print(f"  relative attitude time-to-1deg (s, r/p/y):      {axes(m.t1deg_rel)}")
+    print(f"  relative attitude mean err (deg, r/p/y):        {_rpy(m.mean_rel_deg, '.4f')}")
+    print(f"  relative attitude time-to-1deg (s, r/p/y):      {_rpy(m.t1deg_rel, '.4f')}")
     print(f"  target angular velocity mean err: {m.omega_mean_dps:.4f} deg/s ({m.omega_mean_rel_pct:.2f} %)")
 
 
@@ -75,20 +82,16 @@ def _print_aggregate(tag: str, s: BatchSummary) -> None:
     print(f"[{tag}] {len(s.runs)} runs, {s.n_failed} diverged")
     if s.n_failed == len(s.runs):
         return
-    print(
-        "  chaser att mean (deg r/p/y): "
-        f"{a['mean_chaser_deg_roll']:.4f}/{a['mean_chaser_deg_pitch']:.4f}/{a['mean_chaser_deg_yaw']:.4f}"
-        f"   time-to-1deg: {a['t1deg_chaser_roll']:.3f}/{a['t1deg_chaser_pitch']:.3f}/{a['t1deg_chaser_yaw']:.3f} s"
-    )
+
+    def rpy(name: str, spec: str) -> str:
+        return _rpy((a[f"{name}_{axis}"] for axis in ("roll", "pitch", "yaw")), spec)
+
+    print(f"  chaser att mean (deg r/p/y): {rpy('mean_chaser_deg', '.4f')}   time-to-1deg: {rpy('t1deg_chaser', '.3f')} s")
     print(
         f"  gyro bias mean: {a['bias_mean_dps']:.4f} deg/s ({a['bias_mean_rel_pct']:.2f} %)"
         f"   min: {a['bias_min_dps']:.4f} deg/s"
     )
-    print(
-        "  rel att mean (deg r/p/y):    "
-        f"{a['mean_rel_deg_roll']:.4f}/{a['mean_rel_deg_pitch']:.4f}/{a['mean_rel_deg_yaw']:.4f}"
-        f"   time-to-1deg: {a['t1deg_rel_roll']:.3f}/{a['t1deg_rel_pitch']:.3f}/{a['t1deg_rel_yaw']:.3f} s"
-    )
+    print(f"  rel att mean (deg r/p/y):    {rpy('mean_rel_deg', '.4f')}   time-to-1deg: {rpy('t1deg_rel', '.3f')} s")
     print(
         f"  target ang vel mean: {a['omega_mean_dps']:.4f} deg/s ({a['omega_mean_rel_pct']:.2f} %)"
         f"   min: {a['omega_min_dps']:.4f} deg/s"

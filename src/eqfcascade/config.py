@@ -14,6 +14,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .filter_base import FilterGains
+from .geom import cross3
 from .models import COLLINEAR_TOL, SensorConfig
 
 INPUT_MODES = ("unbiased_cascade", "biased_passthrough")
@@ -85,7 +86,11 @@ class ScenarioConfig:
             lo, hi = getattr(self, name)
             if lo < 0 or hi < lo:
                 raise ConfigError(f"{name} must satisfy 0 <= lo <= hi")
-        if np.linalg.norm(np.cross(self.ref_dir_1, self.ref_dir_2)) <= COLLINEAR_TOL:
+        for name in ("ref_dir_1", "ref_dir_2"):
+            if np.linalg.norm(getattr(self, name)) == 0:
+                raise ConfigError(f"{name} must be non-zero")
+        # TruthWorld's rule, on the unit directions
+        if np.linalg.norm(cross3(*self.ref_dirs())) <= COLLINEAR_TOL:
             raise ConfigError("reference directions are (nearly) collinear")
 
     def sensors(self) -> SensorConfig:
@@ -135,10 +140,10 @@ class ScenarioConfig:
             6, self.state_gain, self.output_gain, self.sigma0, self.update_iterations
         )
 
-    def ref_dirs(self) -> tuple[np.ndarray, np.ndarray]:
-        d1 = np.asarray(self.ref_dir_1, dtype=float)
-        d2 = np.asarray(self.ref_dir_2, dtype=float)
-        return d1 / np.linalg.norm(d1), d2 / np.linalg.norm(d2)
+    def ref_dirs(self) -> np.ndarray:
+        """The two reference directions as the unit rows of a (2, 3) array."""
+        dirs = np.array([self.ref_dir_1, self.ref_dir_2], dtype=float)
+        return np.array([d / np.linalg.norm(d) for d in dirs])
 
     def steps_per_run(self) -> int:
         return round(self.duration_s * self.gyro_rate_hz)

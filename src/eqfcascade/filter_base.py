@@ -168,14 +168,14 @@ def recover_state(x: GroupElement) -> StageState:
     return state_action(x, ORIGIN)
 
 
-def output_map(xi: StageState, dirs) -> tuple[np.ndarray, ...]:
-    """Known-direction output model: R^T d for each direction d of dirs."""
-    return tuple(xi.rot.T @ d for d in dirs)
+def output_map(xi: StageState, dirs: np.ndarray) -> np.ndarray:
+    """Known-direction output model y_i = R^T d_i, row i of (k, 3) dirs @ R."""
+    return dirs @ xi.rot
 
 
-def output_action(g: GroupElement, y) -> tuple[np.ndarray, ...]:
-    """Right action of the group on the outputs: y_i -> A^T y_i."""
-    return tuple(g.rot.T @ yi for yi in y)
+def output_action(g: GroupElement, y: np.ndarray) -> np.ndarray:
+    """Right action of the group on the outputs, y_i -> A^T y_i, row-wise."""
+    return y @ g.rot
 
 
 def a_matrix(w: np.ndarray) -> np.ndarray:
@@ -214,7 +214,7 @@ def predict(est: FilterEstimate, lam: AlgebraElement, w: np.ndarray, gains: Filt
 
 
 def update(est: FilterEstimate, y, dirs, gains: FilterGains, dt_update: float, where: str) -> FilterEstimate:
-    """Apply one measurement y of the directions dirs, iterated over the update interval.
+    """Apply one measurement y of the directions dirs ((k, 3) rows), iterated over the update interval.
 
     The correction is integrated in update_iterations equal sub-steps tau
     with the measurement held fixed; the predicted directions, the output
@@ -229,15 +229,14 @@ def update(est: FilterEstimate, y, dirs, gains: FilterGains, dt_update: float, w
         raise ValueError("dt_update must be positive")
     tau = dt_update / gains.update_iterations
     x, sigma = est.X, est.Sigma
-    y_rows = np.array(y)
-    dir_rows = np.array(dirs)
+    y, dirs = np.asarray(y), np.asarray(dirs)
     n_inv = gains.n_inv
     for _ in range(gains.update_iterations):
-        # the output map in row form: row i is rot^T d_i
-        y_hat = dir_rows @ x.rot
-        ca = c_block(y_rows, y_hat, x.rot)
+        # the state estimate recover_state(x) has the attitude x.rot
+        y_hat = output_map(x, dirs)
+        ca = c_block(y, y_hat, x.rot)
         ca_t_ninv = ca.T @ n_inv
-        gain = sigma[:, :3] @ (ca_t_ninv @ (y_rows - y_hat).ravel())
+        gain = sigma[:, :3] @ (ca_t_ninv @ (y - y_hat).ravel())
         x = apply_correction(x, tangent_to_algebra(gain), tau)
         sigma = riccati_correct(sigma, ca_t_ninv @ ca, tau, where)
     require_spd(sigma, where)

@@ -203,7 +203,7 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
                 cs = cascade.step(
                     cs, bundle, gains1, gains2, world.ref_dirs, star_period, feature_period, subtract
                 )
-            except (NumericalFailure, np.linalg.LinAlgError):
+            except NumericalFailure:
                 break
             _store(cs, k, rot, vec, sigma)
         series = _series(dt, (StageState(truth.att_chaser, truth.gyro_bias), rel), rot, vec, sigma)

@@ -17,10 +17,9 @@ from .geom import StageState, cross3, exp_so3, random_unit_vector, require_rotat
 
 COLLINEAR_TOL = 1e-3
 
-_BASIS = np.eye(3)
-_BASIS.flags.writeable = False
-# the known directions of the star tracker: the inertial basis
-STAR_DIRS = tuple(_BASIS)
+# the known directions of the star tracker, one per row: the inertial basis
+STAR_DIRS = np.eye(3)
+STAR_DIRS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -32,7 +31,7 @@ class TruthWorld:
     omega_target: target angular velocity, target frame, rad/s (constant).
     omega_chaser: chaser angular velocity, chaser frame, rad/s.
     gyro_bias: additive gyro bias, rad/s (constant).
-    ref_dirs: two non-collinear unit vectors fixed in the target frame.
+    ref_dirs: (2, 3) array, two non-collinear unit rows fixed in the target frame.
     """
 
     att_target: np.ndarray
@@ -40,7 +39,7 @@ class TruthWorld:
     omega_target: np.ndarray
     omega_chaser: np.ndarray
     gyro_bias: np.ndarray
-    ref_dirs: tuple[np.ndarray, np.ndarray]
+    ref_dirs: np.ndarray
 
     def __post_init__(self):
         require_rotation(self.att_target)
@@ -69,12 +68,12 @@ class SensorConfig:
 
 @dataclass(frozen=True)
 class MeasurementBundle:
-    """Sensor output for one gyro tick; star / features are None off-schedule."""
+    """Sensor output for one gyro tick; star (3, 3) / features (2, 3), one direction per row, are None off-schedule."""
 
     t: float
     gyro: np.ndarray
-    star: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    features: tuple[np.ndarray, np.ndarray] | None = None
+    star: np.ndarray | None = None
+    features: np.ndarray | None = None
 
 
 def propagate_truth(world: TruthWorld, dt: float) -> TruthWorld:
@@ -139,23 +138,17 @@ def perturb_direction(v: np.ndarray, sigma: float, rng: np.random.Generator) -> 
     return exp_so3(angle * axis) @ v
 
 
-def observed_directions(
-    rot: np.ndarray, dirs: tuple[np.ndarray, ...], noise_std: float, rng: np.random.Generator
-) -> tuple[np.ndarray, ...]:
-    """The known directions dirs seen in the body frame of attitude rot,
-    rot^T d, each independently perturbed."""
-    return tuple(perturb_direction(rot.T @ d, noise_std, rng) for d in dirs)
+def observed_directions(rot: np.ndarray, dirs: np.ndarray, noise_std: float, rng: np.random.Generator) -> np.ndarray:
+    """The known directions, the rows of dirs, seen in the body frame of attitude
+    rot: the (k, 3) rows d_i^T rot = (rot^T d_i)^T, each independently perturbed in row order."""
+    return np.array([perturb_direction(y, noise_std, rng) for y in dirs @ rot])
 
 
-def measure_star_tracker(
-    world: TruthWorld, noise_std: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Star-tracker directions for the world's chaser attitude."""
+def measure_star_tracker(world: TruthWorld, noise_std: float, rng: np.random.Generator) -> np.ndarray:
+    """Star-tracker directions for the world's chaser attitude, (3, 3)."""
     return observed_directions(world.att_chaser, STAR_DIRS, noise_std, rng)
 
 
-def measure_features(
-    world: TruthWorld, noise_std: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Feature directions for the world's relative attitude."""
+def measure_features(world: TruthWorld, noise_std: float, rng: np.random.Generator) -> np.ndarray:
+    """Feature directions for the world's relative attitude, (2, 3)."""
     return observed_directions(relative_state(world).rot, world.ref_dirs, noise_std, rng)

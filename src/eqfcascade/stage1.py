@@ -22,8 +22,6 @@ from .filter_base import FilterEstimate, FilterGains, c_matrix, output_action, r
 from .geom import AlgebraElement, GroupElement, StageState, cross3
 from .models import STAR_DIRS
 
-StarTriple = tuple[np.ndarray, np.ndarray, np.ndarray]
-
 
 def input_action(g: GroupElement, gyro: np.ndarray) -> np.ndarray:
     return g.rot.T @ (gyro - g.vec)
@@ -34,8 +32,8 @@ def lift(xi: StageState, gyro: np.ndarray) -> AlgebraElement:
     return AlgebraElement(gyro - xi.vec, -cross3(gyro, xi.vec))
 
 
-def output_map(xi: StageState) -> StarTriple:
-    """Star-tracker model: the inertial basis directions in body coordinates."""
+def output_map(xi: StageState) -> np.ndarray:
+    """Star-tracker model: the inertial basis directions in body coordinates, (3, 3)."""
     return filter_base.output_map(xi, STAR_DIRS)
 
 
@@ -54,6 +52,6 @@ def predict(est: FilterEstimate, gyro: np.ndarray, gains: FilterGains, dt: float
     return filter_base.predict(est, lift(recover_state(est.X), gyro), a_rate(est.X, gyro), gains, dt)
 
 
-def update(est: FilterEstimate, y: StarTriple, gains: FilterGains, dt_update: float) -> FilterEstimate:
+def update(est: FilterEstimate, y: np.ndarray, gains: FilterGains, dt_update: float) -> FilterEstimate:
     """Apply one star-tracker measurement, iterated over the update interval."""
     return filter_base.update(est, y, STAR_DIRS, gains, dt_update, "stage-1 update")

@@ -30,8 +30,6 @@ from . import filter_base
 from .filter_base import FilterEstimate, FilterGains, c_matrix, output_action, recover_state, state_action  # noqa: F401
 from .geom import AlgebraElement, GroupElement, StageState, cross3
 
-FeaturePair = tuple[np.ndarray, np.ndarray]
-
 
 @dataclass(frozen=True)
 class ExtendedInput:
@@ -54,8 +52,8 @@ def lift(xi: StageState, inp: ExtendedInput) -> AlgebraElement:
     )
 
 
-def output_map(xi: StageState, ref_dirs: FeaturePair) -> FeaturePair:
-    """Feature model: the target-fixed reference directions in body coordinates."""
+def output_map(xi: StageState, ref_dirs: np.ndarray) -> np.ndarray:
+    """Feature model: the target-fixed reference directions (rows) in body coordinates."""
     return filter_base.output_map(xi, ref_dirs)
 
 
@@ -72,8 +70,8 @@ def predict(est: FilterEstimate, rate: np.ndarray, gains: FilterGains, dt: float
 
 def update(
     est: FilterEstimate,
-    y: FeaturePair,
-    ref_dirs: FeaturePair,
+    y: np.ndarray,
+    ref_dirs: np.ndarray,
     gains: FilterGains,
     dt_update: float,
 ) -> FilterEstimate:

@@ -118,3 +118,15 @@ def test_invalid_config_file_is_one_line_usage_error(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "update_iterations" in err
+
+
+@pytest.mark.parametrize("is_dir", [False, True], ids=["missing", "directory"])
+def test_unreadable_config_file_is_one_line_usage_error(is_dir, tmp_path, capsys):
+    cfg_path = tmp_path / "scenario.cfg"
+    if is_dir:
+        cfg_path.mkdir()
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(cfg_path) in err and "Traceback" not in err
+    assert not out_dir.exists()

@@ -140,6 +140,17 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=field):
             read_config(path)
 
+    def test_reference_directions_checked_as_unit_vectors(self):
+        # orthogonal however short
+        cfg = ScenarioConfig(ref_dir_1=(1e-3, 0.0, 0.0), ref_dir_2=(0.0, 1e-3, 0.0))
+        np.testing.assert_array_equal(cfg.ref_dirs(), np.eye(3)[:2])
+        # 5e-4 rad apart however long, which TruthWorld rejects too
+        with pytest.raises(ConfigError, match="collinear"):
+            ScenarioConfig(ref_dir_1=(1000.0, 0.0, 0.0), ref_dir_2=(1000.0, 0.5, 0.0))
+        for field in ("ref_dir_1", "ref_dir_2"):
+            with pytest.raises(ConfigError, match=field):
+                ScenarioConfig(**{field: (0.0, 0.0, 0.0)})
+
     def test_mode_validated(self):
         with pytest.raises(ConfigError, match="input_mode"):
             ScenarioConfig(input_mode="other")

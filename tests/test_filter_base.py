@@ -1,13 +1,28 @@
 """Property tests of the shared Riccati steps: the exact contraction, its
-push-through form on the attitude block, and the block-form predict."""
+push-through form on the attitude block, and the block-form predict; and
+the (k, 3) direction format from the sensors to the update."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqfcascade.filter_base import NumericalFailure, a_matrix, c_block, c_matrix, riccati_correct, riccati_predict
-from eqfcascade.geom import random_rotation, random_unit_vector
+from eqfcascade.filter_base import (
+    FilterEstimate,
+    FilterGains,
+    NumericalFailure,
+    a_matrix,
+    c_block,
+    c_matrix,
+    output_action,
+    output_map,
+    recover_state,
+    riccati_correct,
+    riccati_predict,
+    update,
+)
+from eqfcascade.geom import GroupElement, random_rotation, random_unit_vector
+from eqfcascade.models import STAR_DIRS, TruthWorld, measure_features, measure_star_tracker, observed_directions
 from oracles import rk4_matrix_ode
 
 # the oracle integrates on doubling intervals of RK4_STEPS steps each, the
@@ -121,3 +136,30 @@ def test_block_predict_equals_the_full_form(seed, log_dt):
     np.testing.assert_array_equal(out, out.T)
     full = sigma + dt * (a @ sigma + sigma @ a.T + m)
     np.testing.assert_allclose(out, full, rtol=0.0, atol=1e-14 * np.max(np.abs(full)))
+
+
+def test_directions_are_k_by_3_arrays_and_update_accepts_tuples():
+    rng = np.random.default_rng(33)
+    ref_dirs = np.array([random_unit_vector(rng), random_unit_vector(rng)])
+    world = TruthWorld(random_rotation(rng), random_rotation(rng), *rng.normal(size=(3, 3)), ref_dirs)
+    x = GroupElement(random_rotation(rng), rng.normal(size=3))
+    dirs = np.array([random_unit_vector(rng) for _ in range(4)])
+    for k, y in (
+        (4, observed_directions(random_rotation(rng), dirs, 0.01, rng)),
+        (3, measure_star_tracker(world, 0.01, rng)),
+        (2, measure_features(world, 0.01, rng)),
+        (4, output_map(recover_state(x), dirs)),
+        (4, output_action(x, dirs)),
+    ):
+        assert isinstance(y, np.ndarray) and y.dtype == np.float64 and y.shape == (k, 3)
+
+    # the update reads tuples of 3-vectors as the same rows, bit for bit
+    est = FilterEstimate(x, np.eye(6))
+    for stage_dirs in (STAR_DIRS, ref_dirs):
+        gains = FilterGains.identity_scaled(3 * len(stage_dirs))
+        y = observed_directions(random_rotation(rng), stage_dirs, 0.01, rng)
+        rows = update(est, y, stage_dirs, gains, 0.1, "test")
+        tuples = update(est, tuple(y), tuple(stage_dirs), gains, 0.1, "test")
+        np.testing.assert_array_equal(rows.X.rot, tuples.X.rot)
+        np.testing.assert_array_equal(rows.X.vec, tuples.X.vec)
+        np.testing.assert_array_equal(rows.Sigma, tuples.Sigma)

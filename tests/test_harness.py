@@ -149,12 +149,13 @@ class TestRunSingle:
             assert np.all(np.isfinite(m.series))
             assert run_single(cfg, i).diverged
 
-    def test_value_error_inside_step_is_raised_not_diverged(self, monkeypatch):
+    @pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError])
+    def test_value_error_inside_step_is_raised_not_diverged(self, monkeypatch, error):
         # only numerical failure counts as divergence; a programming error
         # must surface
         def broken_step(*args, **kwargs):
-            raise ValueError("not a numerical failure")
+            raise error("not a numerical failure")
 
         monkeypatch.setattr(cascade, "step", broken_step)
-        with pytest.raises(ValueError, match="not a numerical failure"):
+        with pytest.raises(error, match="not a numerical failure"):
             run_single(ScenarioConfig(seed=0, duration_s=1.0))
