@@ -1,0 +1,66 @@
+"""Bit-identity check of run outputs between two source trees.
+
+    python experiments/bitcheck.py dump SRC OUT.npz   # SRC holds the eqfcascade package
+    python experiments/bitcheck.py compare A.npz B.npz
+
+`dump` runs a fixed corpus at seed 2026 and saves each run's series, metric
+vector and diverged flag. `compare` lists series whose length changed with the
+shorter a bit-exact prefix, and exits 1 if any other array is not bit-equal.
+"""
+
+import sys
+
+import numpy as np
+
+VARIANTS = {  # name: (ScenarioConfig overrides, runs)
+    "default": ({}, 8),
+    "fast": ({"star_rate_hz": 100.0, "feature_rate_hz": 100.0, "update_iterations": 1}, 8),
+    "biased": ({"input_mode": "biased_passthrough"}, 8),
+    "it1": ({"update_iterations": 1}, 25),
+    "it2": ({"update_iterations": 2}, 25),
+    "it1_biased": ({"update_iterations": 1, "input_mode": "biased_passthrough"}, 25),
+    "it1_sigma100": ({"update_iterations": 1, "sigma0": 100.0}, 25),
+}
+
+
+def dump(src: str, out: str) -> None:
+    sys.path.insert(0, src)
+    from eqfcascade.config import ScenarioConfig
+    from eqfcascade.harness import run_single
+    from eqfcascade.metrics import _metric_values
+
+    arrays = {}
+    for name, (overrides, n_runs) in VARIANTS.items():
+        for i in range(n_runs):
+            m = run_single(ScenarioConfig(seed=2026, **overrides), i, keep_series=True)
+            key = f"{name}/{i}"
+            arrays[f"{key}/series"] = m.series
+            arrays[f"{key}/metrics"] = np.array(_metric_values(m))
+            arrays[f"{key}/diverged"] = np.array(m.diverged)
+    np.savez(out, **arrays)
+    print(f"{len(arrays) // 3} runs from {sys.modules['eqfcascade'].__file__} -> {out}")
+
+
+def compare(path_a: str, path_b: str) -> int:
+    a, b = np.load(path_a), np.load(path_b)
+    bad = sorted(set(a.files) ^ set(b.files))
+    print("".join(f"{key}: in one file only\n" for key in bad), end="")
+    equal = prefix = 0
+    for key in sorted(set(a.files) & set(b.files)):
+        x, y = a[key], b[key]
+        if x.shape == y.shape and x.tobytes() == y.tobytes():
+            equal += 1
+        elif key.endswith("/series") and x[: len(y)].tobytes() == y[: len(x)].tobytes():
+            prefix += 1
+            print(f"{key}: {len(x)} -> {len(y)} rows, shorter is a bit-exact prefix")
+        else:
+            bad.append(key)
+            print(f"{key}: DIFFERS")
+    n_div = sum(bool(a[k]) for k in a.files if k.endswith("/diverged"))
+    print(f"{equal} arrays bit-equal, {prefix} series length changes, {len(bad)} differ; {n_div} runs diverged in A")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    cmd, *paths = sys.argv[1:]
+    sys.exit(dump(*paths) if cmd == "dump" else compare(*paths))

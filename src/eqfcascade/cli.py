@@ -52,8 +52,9 @@ def _add_scenario_flags(p: argparse.ArgumentParser) -> None:
 def _load_config(args) -> ScenarioConfig:
     try:
         cfg = read_config(args.config) if args.config else ScenarioConfig()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {args.config}: {exc.strerror}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise ConfigError(f"cannot read config file {args.config}: {reason}") from exc
     names = {f.name for f in dataclasses.fields(ScenarioConfig)}
     overrides = {k: v for k, v in vars(args).items() if k in names}
     return apply_overrides(cfg, **overrides)
@@ -66,7 +67,7 @@ def _rpy(values, spec: str) -> str:
 
 def _print_metrics(m: RunMetrics) -> None:
     if m.diverged:
-        print(f"run {m.run_index}: DIVERGED (numerical failure or non-finite state)")
+        print(f"run {m.run_index}: DIVERGED (filter numerical failure)")
         return
     print(f"run {m.run_index}:")
     print(f"  chaser attitude mean err [10,15]s (deg, r/p/y): {_rpy(m.mean_chaser_deg, '.4f')}")

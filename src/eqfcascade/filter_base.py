@@ -30,7 +30,7 @@ _ALGEBRA_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
 
 
 class NumericalFailure(Exception):
-    """Riccati state lost positive-definiteness or the estimate went non-finite."""
+    """An update left the Riccati state not finite and positive definite, or met a singular correction system."""
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,12 @@ rates or input modes see identical worlds on the same seeds.
 
 run_single keeps only the filter in its tick loop: the truth comes from
 whole-run attitude stacks, and the diagnostic series is computed from the
-stored filter states once the loop has ended.
+stored filter states once the loop has ended. A run has diverged if and
+only if a filter step raised NumericalFailure (after an update, a stage's
+Riccati state was not finite and positive definite, or a correction
+sub-step's system was singular); its series then ends before the failing
+tick. V is NaN on a row whose Riccati state is singular; the diagnostics
+decide nothing.
 """
 
 from __future__ import annotations
@@ -80,18 +85,14 @@ def _norm(v: np.ndarray) -> np.ndarray:
 
 
 def _lyapunov_rows(eps: cascade.ErrorVector, sigma: np.ndarray) -> np.ndarray:
-    """V per row; NaN from the first row whose Riccati state is singular on."""
+    """V per row; NaN on each row whose Riccati state is singular."""
     try:
         return cascade.lyapunov_value(eps, sigma)
     except np.linalg.LinAlgError:
-        # the batched solve names no row, so find the first singular one
-        v = np.full(len(sigma), np.nan)
-        for i in range(len(sigma)):
-            try:
-                v[i] = cascade.lyapunov_value(cascade.ErrorVector(eps.rot[i], eps.vec[i]), sigma[i])
-            except np.linalg.LinAlgError:
-                break
-        return v
+        # the batched solve names no row; slogdet's zero sign marks exactly
+        # the rows it fails on (det would also read 0 when it underflows)
+        singular = np.linalg.slogdet(sigma).sign == 0
+        return cascade.lyapunov_value(eps, np.where(singular[:, None, None], np.nan, sigma))
 
 
 def _stage_columns(truth: StageState, x: GroupElement, sigma: np.ndarray):
@@ -112,8 +113,7 @@ def _stage_columns(truth: StageState, x: GroupElement, sigma: np.ndarray):
 
 
 def _series(dt: float, truths: tuple[StageState, StageState], rot: np.ndarray, vec: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """All SERIES_COLUMNS, cut before the first tick whose row is not
-    finite or whose Riccati state is singular.
+    """All SERIES_COLUMNS, one row per tick.
 
     truths holds each stage's true state per tick; rot, vec and sigma stack
     each stage's group state and Riccati state over the ticks, shapes
@@ -123,9 +123,7 @@ def _series(dt: float, truths: tuple[StageState, StageState], rot: np.ndarray, v
         _stage_columns(truth, GroupElement(rot[i], vec[i]), sigma[i]) for i, truth in enumerate(truths)
     )
     t = dt * np.arange(rot.shape[1])
-    series = np.column_stack([t, *err1, *err2, v1, v2, *norms1, *norms2])
-    bad = ~np.all(np.isfinite(series), axis=1)
-    return series[: int(np.argmax(bad))] if bad.any() else series
+    return np.column_stack([t, *err1, *err2, v1, v2, *norms1, *norms2])
 
 
 def _store(cs: cascade.CascadeState, k: int, rot: np.ndarray, vec: np.ndarray, sigma: np.ndarray) -> None:
@@ -158,9 +156,9 @@ def _window_metrics(run_index: int, series: np.ndarray, world: TruthWorld) -> Ru
 def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = False) -> RunMetrics:
     """Simulate one scenario and summarize it.
 
-    A numerical failure, in a filter step or as a diagnostic row that is
-    not finite or meets a singular Riccati state, ends the series there and
-    marks the run diverged; any other error is raised.
+    The run has diverged if and only if a filter step raised
+    NumericalFailure; its series then holds the rows before the failing
+    tick. Any other error is raised.
     """
     rng = run_rng(cfg.seed, run_index)
     world = sample_world(cfg, rng)
@@ -177,12 +175,12 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
 
     truth = truth_trajectory(world, dt, n_steps)
     rel = relative_state(truth)
-    # ticks after a numerical failure stay NaN, which ends the series there
     rot = np.full((2, n_steps + 1, 3, 3), np.nan)
     vec = np.full((2, n_steps + 1, 3), np.nan)
     sigma = np.full((2, n_steps + 1, 6, 6), np.nan)
     cs = cascade.initial_state(gains1, gains2)
     _store(cs, 0, rot, vec, sigma)
+    n_rows = n_steps + 1
     # overflow inside a diverging filter, and the non-finite diagnostics it
     # leads to, are expected, handled outcomes
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -204,16 +202,13 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
                     cs, bundle, gains1, gains2, world.ref_dirs, star_period, feature_period, subtract
                 )
             except NumericalFailure:
+                n_rows = k
                 break
             _store(cs, k, rot, vec, sigma)
-        series = _series(dt, (StageState(truth.att_chaser, truth.gyro_bias), rel), rot, vec, sigma)
+        series = _series(dt, (StageState(truth.att_chaser, truth.gyro_bias), rel), rot, vec, sigma)[:n_rows]
 
-    if len(series) <= n_steps:
-        return metrics.failed_metrics(run_index, series if keep_series else None)
-    out = _window_metrics(run_index, series, world)
-    if keep_series:
-        out = replace(out, series=series)
-    return out
+    out = metrics.failed_metrics(run_index) if n_rows <= n_steps else _window_metrics(run_index, series, world)
+    return replace(out, series=series) if keep_series else out
 
 
 def run_batch(

@@ -134,9 +134,9 @@ def _metric_values(m: RunMetrics) -> list[float]:
     return [float(v) for name in _METRIC_FIELDS for v in np.ravel(getattr(m, name))]
 
 
-def failed_metrics(run_index: int, series: np.ndarray | None = None) -> RunMetrics:
+def failed_metrics(run_index: int) -> RunMetrics:
     nan = {name: np.full(3, np.nan) if hint is np.ndarray else math.nan for name, hint in _METRIC_FIELDS.items()}
-    return RunMetrics(run_index=run_index, diverged=True, series=series, **nan)
+    return RunMetrics(run_index=run_index, diverged=True, **nan)
 
 
 @dataclass(frozen=True)

@@ -120,11 +120,13 @@ def test_invalid_config_file_is_one_line_usage_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "update_iterations" in err
 
 
-@pytest.mark.parametrize("is_dir", [False, True], ids=["missing", "directory"])
-def test_unreadable_config_file_is_one_line_usage_error(is_dir, tmp_path, capsys):
+@pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+def test_unreadable_config_file_is_one_line_usage_error(kind, tmp_path, capsys):
     cfg_path = tmp_path / "scenario.cfg"
-    if is_dir:
+    if kind == "directory":
         cfg_path.mkdir()
+    elif kind == "binary":
+        cfg_path.write_bytes(bytes(range(128, 256)))
     out_dir = tmp_path / "out"
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 2
     err = capsys.readouterr().err

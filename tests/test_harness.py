@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eqfcascade import cascade
 from eqfcascade.config import ScenarioConfig
+from eqfcascade.filter_base import NumericalFailure
 from eqfcascade.harness import run_batch, run_rng, run_single, sample_world
 from eqfcascade.metrics import SERIES_COLUMNS, _metric_values, metric_names
 
@@ -137,17 +139,61 @@ class TestRunSingle:
         np.testing.assert_allclose(m.mean_chaser_deg, win[:, 2:5].mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(m.bias_mean_dps, win[:, 5].mean(), atol=1e-12)
 
-    def test_divergence_ticks_at_seed_2026(self):
-        # runs 0-2 end where a stage-1 update loses positive-definiteness;
-        # run 3 ends earlier, at the tick whose stage-1 Riccati state the
-        # diagnostics find singular, before its filter fails at tick 500
-        cfg = ScenarioConfig(seed=2026, update_iterations=1)
-        for i, rows in enumerate((400, 200, 500, 481)):
+    def test_divergence_ticks_at_seed_2026(self, monkeypatch):
+        # a series ends before the tick whose filter step raised
+        # NumericalFailure: runs 0-3 in a stage-1 update, and run 8 with
+        # sigma0 = 100 in a stage-2 update; the rows before it keep their
+        # values, and only V can be non-finite there
+        step, calls, failures = cascade.step, [], []
+
+        def recording_step(*args):
+            calls.append(None)
+            try:
+                return step(*args)
+            except NumericalFailure as exc:
+                failures.append((len(calls), str(exc)))
+                raise
+
+        monkeypatch.setattr(cascade, "step", recording_step)
+        cases = [({}, i, rows, "stage-1") for i, rows in enumerate((400, 200, 500, 500))]
+        cases.append(({"sigma0": 100.0}, 8, 50, "stage-2"))
+        kept = [i for i, name in enumerate(SERIES_COLUMNS) if name not in ("V1", "V2")]
+        for overrides, i, rows, stage in cases:
+            cfg = ScenarioConfig(seed=2026, update_iterations=1, **overrides)
+            calls.clear()
+            failures.clear()
             m = run_single(cfg, i, keep_series=True)
             assert m.diverged and m.series.shape == (rows, len(SERIES_COLUMNS))
+            assert len(failures) == 1 and failures[0][0] == rows and stage in failures[0][1]
             assert m.series.shape[0] <= 500
-            assert np.all(np.isfinite(m.series))
+            assert np.all(np.isfinite(m.series[:, kept]))
             assert run_single(cfg, i).diverged
+
+    def test_singular_riccati_row_is_a_value_not_a_verdict(self, monkeypatch):
+        # a stored stage-1 Riccati state of zero at one tick, while the
+        # filter itself carries on with its true state, leaves V1 NaN on
+        # that row only and changes nothing else
+        cfg = ScenarioConfig(seed=5, duration_s=2.0)
+        ref = run_single(cfg, keep_series=True)
+        tick, step, calls, true_state = 37, cascade.step, [], {}
+
+        def step_with_singular_row(cs, *args):
+            calls.append(None)
+            out = step(true_state.pop("cs", cs), *args)
+            if len(calls) != tick:
+                return out
+            true_state["cs"] = out
+            return replace(out, s1=replace(out.s1, Sigma=np.zeros((6, 6))))
+
+        monkeypatch.setattr(cascade, "step", step_with_singular_row)
+        m = run_single(cfg, keep_series=True)
+        v1 = SERIES_COLUMNS.index("V1")
+        assert not m.diverged and m.series.shape == ref.series.shape == (cfg.steps_per_run() + 1, len(SERIES_COLUMNS))
+        assert np.flatnonzero(np.isnan(m.series[:, v1])).tolist() == [tick]
+        patched = m.series.copy()
+        patched[tick, v1] = ref.series[tick, v1]
+        assert patched.tobytes() == ref.series.tobytes()
+        assert np.array(_metric_values(m)).tobytes() == np.array(_metric_values(ref)).tobytes()
 
     @pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError])
     def test_value_error_inside_step_is_raised_not_diverged(self, monkeypatch, error):
