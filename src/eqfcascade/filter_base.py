@@ -26,7 +26,6 @@ ORIGIN = StageState(np.eye(3), np.zeros(3))
 _EYE3 = np.eye(3)
 # half the wedge map as a matrix: 0.5 wedge(x).ravel() == x @ _HALF_WEDGE
 _HALF_WEDGE = np.stack([0.5 * wedge(e).ravel() for e in np.eye(3)])
-_ALGEBRA_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
 
 
 class NumericalFailure(Exception):
@@ -140,20 +139,15 @@ def riccati_correct(sigma: np.ndarray, info: np.ndarray, tau: float, where: str)
     return symmetrize(sigma - left @ k @ sigma[:3])
 
 
-def tangent_to_algebra(m: np.ndarray) -> np.ndarray:
-    """Map a tangent-space correction into the Lie algebra.
+def apply_correction(x: GroupElement, gain: np.ndarray, tau: float) -> GroupElement:
+    """Integrate the left correction (Delta X, Delta x.vec + s) over tau.
 
     The state-action differential at the origin sends an algebra element
-    (w, s) to the tangent vector (w, -s), so its right inverse flips the
-    sign of the vector part.
+    (w, s) to the tangent vector (w, -s), so the tangent-space gain is the
+    algebra element Delta = (w, s) = (gain[:3], -gain[3:]).
     """
-    return m * _ALGEBRA_SIGNS
-
-
-def apply_correction(x: GroupElement, delta: np.ndarray, tau: float) -> GroupElement:
-    """Integrate the left correction (Delta X, Delta x.vec + delta_vec) over tau."""
-    rot = exp_so3(delta[:3] * tau) @ x.rot
-    vec = x.vec + tau * (cross3(delta[:3], x.vec) + delta[3:])
+    rot = exp_so3(gain[:3] * tau) @ x.rot
+    vec = x.vec + tau * (cross3(gain[:3], x.vec) - gain[3:])
     return GroupElement(rot, vec)
 
 
@@ -237,7 +231,7 @@ def update(est: FilterEstimate, y, dirs, gains: FilterGains, dt_update: float, w
         ca = c_block(y, y_hat, x.rot)
         ca_t_ninv = ca.T @ n_inv
         gain = sigma[:, :3] @ (ca_t_ninv @ (y - y_hat).ravel())
-        x = apply_correction(x, tangent_to_algebra(gain), tau)
+        x = apply_correction(x, gain, tau)
         sigma = riccati_correct(sigma, ca_t_ninv @ ca, tau, where)
     require_spd(sigma, where)
     return FilterEstimate(GroupElement(renormalize_rotation(x.rot), x.vec), sigma)

@@ -12,9 +12,9 @@ whole-run attitude stacks, and the diagnostic series is computed from the
 stored filter states once the loop has ended. A run has diverged if and
 only if a filter step raised NumericalFailure (after an update, a stage's
 Riccati state was not finite and positive definite, or a correction
-sub-step's system was singular); its series then ends before the failing
-tick. V is NaN on a row whose Riccati state is singular; the diagnostics
-decide nothing.
+sub-step's system was singular); its series then covers only the ticks
+before the failing one. V is NaN on a row whose Riccati state is
+singular; the diagnostics decide nothing.
 """
 
 from __future__ import annotations
@@ -112,17 +112,18 @@ def _stage_columns(truth: StageState, x: GroupElement, sigma: np.ndarray):
     return errors, _lyapunov_rows(eps, sigma), norms
 
 
-def _series(dt: float, truths: tuple[StageState, StageState], rot: np.ndarray, vec: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """All SERIES_COLUMNS, one row per tick.
+def _series(dt: float, n: int, truths: tuple[StageState, StageState], rot: np.ndarray, vec: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """All SERIES_COLUMNS, one row for each of the first n ticks.
 
     truths holds each stage's true state per tick; rot, vec and sigma stack
     each stage's group state and Riccati state over the ticks, shapes
-    (2, n, 3, 3), (2, n, 3) and (2, n, 6, 6).
+    (2, m, 3, 3), (2, m, 3) and (2, m, 6, 6) for m >= n.
     """
     (err1, v1, norms1), (err2, v2, norms2) = (
-        _stage_columns(truth, GroupElement(rot[i], vec[i]), sigma[i]) for i, truth in enumerate(truths)
+        _stage_columns(StageState(truth.rot[:n], truth.vec[:n]), GroupElement(rot[i, :n], vec[i, :n]), sigma[i, :n])
+        for i, truth in enumerate(truths)
     )
-    t = dt * np.arange(rot.shape[1])
+    t = dt * np.arange(n)
     return np.column_stack([t, *err1, *err2, v1, v2, *norms1, *norms2])
 
 
@@ -205,7 +206,9 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
                 n_rows = k
                 break
             _store(cs, k, rot, vec, sigma)
-        series = _series(dt, (StageState(truth.att_chaser, truth.gyro_bias), rel), rot, vec, sigma)[:n_rows]
+        # the constant bias as a per-tick view, so that both stages slice alike
+        bias = np.broadcast_to(truth.gyro_bias, rel.vec.shape)
+        series = _series(dt, n_rows, (StageState(truth.att_chaser, bias), rel), rot, vec, sigma)
 
     out = metrics.failed_metrics(run_index) if n_rows <= n_steps else _window_metrics(run_index, series, world)
     return replace(out, series=series) if keep_series else out
@@ -224,6 +227,7 @@ def run_batch(
         raise ValueError("n_runs must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    workers = min(workers, n_runs)  # a pool of more workers than runs would fork idle ones
     args = ([cfg] * n_runs, range(n_runs), [keep_series] * n_runs)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -83,6 +83,37 @@ class TestDeterminism:
         assert list(par.aggregate) == metric_names()
         np.testing.assert_array_equal(list(seq.aggregate.values()), list(par.aggregate.values()))
 
+    def test_pool_never_has_more_workers_than_runs(self, monkeypatch):
+        # a fake pool records the size asked for and maps in this process,
+        # so no worker process is started
+        import concurrent.futures
+
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        cfg = ScenarioConfig(seed=13, duration_s=1.0)
+        capped = run_batch(cfg, 2, keep_series=True, workers=3)
+        assert asked == [2]
+        seq = run_batch(cfg, 2, keep_series=True, workers=1)
+        for a, b in zip(seq.runs, capped.runs, strict=True):
+            assert np.array(_metric_values(a)).tobytes() == np.array(_metric_values(b)).tobytes()
+            assert a.series.tobytes() == b.series.tobytes()
+        run_batch(cfg, 1, workers=2)
+        assert asked == [2]
+
 
 class TestRunSingle:
     def test_perfect_information_run(self):
@@ -194,6 +225,23 @@ class TestRunSingle:
         patched[tick, v1] = ref.series[tick, v1]
         assert patched.tobytes() == ref.series.tobytes()
         assert np.array(_metric_values(m)).tobytes() == np.array(_metric_values(ref)).tobytes()
+
+    def test_diagnostics_see_only_the_rows_before_the_failing_tick(self, monkeypatch):
+        # run 0 fails in its update at tick 400; no diagnostic is computed
+        # for that tick or any later one, with or without the series kept
+        group_error, rows = cascade.group_error, []
+
+        def recording_group_error(truth, x_hat):
+            rows.append(len(x_hat.rot))
+            return group_error(truth, x_hat)
+
+        monkeypatch.setattr(cascade, "group_error", recording_group_error)
+        cfg = ScenarioConfig(seed=2026, update_iterations=1)
+        for keep_series in (True, False):
+            rows.clear()
+            m = run_single(cfg, 0, keep_series=keep_series)
+            assert m.diverged and rows == [400, 400]
+        assert m.series is None
 
     @pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError])
     def test_value_error_inside_step_is_raised_not_diverged(self, monkeypatch, error):
