@@ -20,6 +20,12 @@ VARIANTS = {  # name: (ScenarioConfig overrides, runs)
     "it2": ({"update_iterations": 2}, 25),
     "it1_biased": ({"update_iterations": 1, "input_mode": "biased_passthrough"}, 25),
     "it1_sigma100": ({"update_iterations": 1, "sigma0": 100.0}, 25),
+    # the sensor streams' branches: a noiseless sensor draws nothing, and
+    # uneven star/feature schedules interleave their draws
+    "gyro_noise0": ({"gyro_noise_std": 0.0}, 6),
+    "dir_noise0": ({"direction_noise_std": 0.0}, 6),
+    "star20_feat25": ({"star_rate_hz": 20.0, "feature_rate_hz": 25.0}, 6),
+    "star20_feat25_it1": ({"star_rate_hz": 20.0, "feature_rate_hz": 25.0, "update_iterations": 1}, 6),
 }
 
 

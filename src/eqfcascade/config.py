@@ -76,6 +76,8 @@ class ScenarioConfig:
                 raise ConfigError(f"{name} must be non-negative")
         if not math.isfinite(self.duration_s * self.gyro_rate_hz):
             raise ConfigError("duration_s * gyro_rate_hz (the tick count) must be finite")
+        if self.steps_per_run() < 1:
+            raise ConfigError("duration_s must cover at least one gyro tick (1 / gyro_rate_hz)")
         if self.input_mode not in INPUT_MODES:
             raise ConfigError(f"input_mode must be one of {INPUT_MODES}")
         for name in ("star_rate_hz", "feature_rate_hz"):

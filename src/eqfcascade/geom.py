@@ -20,6 +20,7 @@ SMALL_ANGLE = 1e-4  # below this, Taylor series replace sin/cos ratios
 SKEW_TOL = 1e-6  # max Frobenius norm of the symmetric part accepted by vee
 PI_BRANCH = 1e-6  # log switches to axis extraction within this of pi
 ORTHO_TOL = 1e-9  # rotation validity / renormalization threshold
+MIN_DRAW_NORM = 1e-12  # random_unit_vector redraws a normal triple of at most this norm
 
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
@@ -59,12 +60,16 @@ def vee(m: np.ndarray) -> np.ndarray:
 def exp_so3(x: np.ndarray) -> np.ndarray:
     """Rotation matrix exp(wedge(x)) by the Rodrigues formula; all NaN when
     x is not finite, so a diverged filter state stays a value and not an
-    error.
+    error. For a stack (..., 3) of vectors, the (..., 3, 3) stack of their
+    rotations, each row equal to the single-vector call bit for bit.
 
-    Built from the three components as floats, with
+    A single vector is built from its three components as floats, with
     wedge(x)^2 = x x^T - |x|^2 I, so one array is made per call.
     """
-    x0, x1, x2 = np.asarray(x, dtype=float).tolist()
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 1:
+        return _exp_so3_rows(x)
+    x0, x1, x2 = x.tolist()
     sq0, sq1, sq2 = x0 * x0, x1 * x1, x2 * x2
     angle = math.sqrt(sq0 + sq1 + sq2)
     if angle < SMALL_ANGLE:
@@ -84,6 +89,27 @@ def exp_so3(x: np.ndarray) -> np.ndarray:
             [b02 - a1, b12 + a0, 1.0 - b * (sq0 + sq1)],
         ]
     )
+
+
+def _exp_so3_rows(x: np.ndarray) -> np.ndarray:
+    # exp_so3's float operations in the same order, on arrays; np.sin and
+    # np.cos must round as math.sin and math.cos do (tests/test_geom.py)
+    x0, x1, x2 = np.moveaxis(x, -1, 0)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sq0, sq1, sq2 = x0 * x0, x1 * x1, x2 * x2
+        angle = np.sqrt(sq0 + sq1 + sq2)
+        small = angle < SMALL_ANGLE
+        a = np.where(small, 1.0 - angle * angle / 6.0, np.sin(angle) / angle)
+        b = np.where(small, 0.5 - angle * angle / 24.0, (1.0 - np.cos(angle)) / (angle * angle))
+        finite = angle < math.inf
+        a, b = np.where(finite, a, math.nan), np.where(finite, b, math.nan)
+        b01, b02, b12 = b * x0 * x1, b * x0 * x2, b * x1 * x2
+        a0, a1, a2 = a * x0, a * x1, a * x2
+    out = np.empty(x.shape + (3,))
+    out[..., 0, 0], out[..., 0, 1], out[..., 0, 2] = 1.0 - b * (sq1 + sq2), b01 - a2, b02 + a1
+    out[..., 1, 0], out[..., 1, 1], out[..., 1, 2] = b01 + a2, 1.0 - b * (sq0 + sq2), b12 - a0
+    out[..., 2, 0], out[..., 2, 1], out[..., 2, 2] = b02 - a1, b12 + a0, 1.0 - b * (sq0 + sq1)
+    return out
 
 
 def log_so3(r: np.ndarray) -> np.ndarray:
@@ -191,7 +217,7 @@ def random_unit_vector(rng: np.random.Generator) -> np.ndarray:
     while True:
         v = rng.normal(size=3)
         n = np.linalg.norm(v)
-        if n > 1e-12:
+        if n > MIN_DRAW_NORM:
             return v / n
 
 

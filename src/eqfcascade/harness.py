@@ -8,7 +8,8 @@ in a fixed order before any measurement noise, so batches with different
 rates or input modes see identical worlds on the same seeds.
 
 run_single keeps only the filter in its tick loop: the truth comes from
-whole-run attitude stacks, and the diagnostic series is computed from the
+whole-run attitude stacks, the measurements from whole-run sensor streams
+drawn before the loop, and the diagnostic series is computed from the
 stored filter states once the loop has ended. A run has diverged if and
 only if a filter step raised NumericalFailure (after an update, a stage's
 Riccati state was not finite and positive definite, or a correction
@@ -29,15 +30,7 @@ from .config import ScenarioConfig
 from .filter_base import NumericalFailure, recover_state
 from .geom import GroupElement, StageState, exp_so3, random_rotation, random_unit_vector
 from .metrics import RAD2DEG, BatchSummary, RunMetrics, euler_errors, time_to_threshold
-from .models import (
-    STAR_DIRS,
-    MeasurementBundle,
-    TruthWorld,
-    measure_gyro,
-    observed_directions,
-    relative_state,
-    truth_trajectory,
-)
+from .models import MeasurementBundle, TruthWorld, relative_state, sensor_streams, truth_trajectory
 
 DEG2RAD = math.pi / 180.0
 
@@ -176,6 +169,7 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
 
     truth = truth_trajectory(world, dt, n_steps)
     rel = relative_state(truth)
+    streams = sensor_streams(truth, rel.rot, sensors, star_every, feature_every, rng)
     rot = np.full((2, n_steps + 1, 3, 3), np.nan)
     vec = np.full((2, n_steps + 1, 3), np.nan)
     sigma = np.full((2, n_steps + 1, 6, 6), np.nan)
@@ -186,18 +180,9 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
     # leads to, are expected, handled outcomes
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, n_steps + 1):
-            gyro = measure_gyro(world, sensors.gyro_noise_std, rng)
-            star = (
-                observed_directions(truth.att_chaser[k], STAR_DIRS, sensors.direction_noise_std, rng)
-                if k % star_every == 0
-                else None
-            )
-            features = (
-                observed_directions(rel.rot[k], world.ref_dirs, sensors.direction_noise_std, rng)
-                if k % feature_every == 0
-                else None
-            )
-            bundle = MeasurementBundle(k * dt, gyro, star, features)
+            star = streams.star[k // star_every - 1] if k % star_every == 0 else None
+            features = streams.features[k // feature_every - 1] if k % feature_every == 0 else None
+            bundle = MeasurementBundle(k * dt, streams.gyro[k - 1], star, features)
             try:
                 cs = cascade.step(
                     cs, bundle, gains1, gains2, world.ref_dirs, star_period, feature_period, subtract
@@ -206,6 +191,7 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
                 n_rows = k
                 break
             _store(cs, k, rot, vec, sigma)
+        del streams, bundle, star, features  # not read by the diagnostics; frees their memory
         # the constant bias as a per-tick view, so that both stages slice alike
         bias = np.broadcast_to(truth.gyro_bias, rel.vec.shape)
         series = _series(dt, n_rows, (StageState(truth.att_chaser, bias), rel), rot, vec, sigma)

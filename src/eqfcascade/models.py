@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geom import StageState, cross3, exp_so3, random_unit_vector, require_rotation
+from .geom import MIN_DRAW_NORM, StageState, cross3, exp_so3, random_unit_vector, require_rotation
 
 COLLINEAR_TOL = 1e-3
 
@@ -129,13 +129,18 @@ def measure_gyro(world: TruthWorld, noise_std: float, rng: np.random.Generator) 
     return world.omega_chaser + world.gyro_bias + noise
 
 
+def _rotate_about(v: np.ndarray, axis: np.ndarray, angle, out=None) -> np.ndarray:
+    """Rotate v about the unit vector axis by angle (rad); row by row for
+    stacks (..., 3) of vectors and axes with (...) angles."""
+    return np.matvec(exp_so3(np.expand_dims(angle, -1) * axis), v, out=out)
+
+
 def perturb_direction(v: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Rotate the unit vector v about a uniformly random axis by an angle ~ N(0, sigma^2)."""
     if sigma <= 0:
         return np.array(v, dtype=float)
     axis = random_unit_vector(rng)
-    angle = sigma * rng.normal()
-    return exp_so3(angle * axis) @ v
+    return _rotate_about(v, axis, sigma * rng.normal())
 
 
 def observed_directions(rot: np.ndarray, dirs: np.ndarray, noise_std: float, rng: np.random.Generator) -> np.ndarray:
@@ -152,3 +157,80 @@ def measure_star_tracker(world: TruthWorld, noise_std: float, rng: np.random.Gen
 def measure_features(world: TruthWorld, noise_std: float, rng: np.random.Generator) -> np.ndarray:
     """Feature directions for the world's relative attitude, (2, 3)."""
     return observed_directions(relative_state(world).rot, world.ref_dirs, noise_std, rng)
+
+
+@dataclass(frozen=True)
+class SensorStreams:
+    """A run's measurements: gyro (n, 3), one row per tick 1..n; star
+    (n_star, 3, 3) and features (n_feat, 2, 3), one set of directions per
+    scheduled tick, in tick order."""
+
+    gyro: np.ndarray
+    star: np.ndarray
+    features: np.ndarray
+
+
+def sensor_streams(
+    truth: TruthWorld,
+    rel_rot: np.ndarray,
+    sensors: SensorConfig,
+    star_every: int,
+    feature_every: int,
+    rng: np.random.Generator,
+) -> SensorStreams:
+    """Every measurement of ticks 1..n, from the truth stacks over ticks 0..n
+    (truth_trajectory, and rel_rot = relative_state(truth).rot). The star
+    tracker reads every star_every-th tick, the features every
+    feature_every-th.
+
+    The normals come from rng as one block, in the order in which
+    measure_gyro, measure_star_tracker and measure_features draw them tick
+    by tick: the gyro's 3, then 3 axis normals and 1 angle normal per star
+    direction, then the same per feature direction; a sensor whose noise
+    level is 0 draws nothing. Row for row the streams equal those per-tick
+    calls on an identically seeded generator, bit for bit.
+    """
+    n = len(truth.att_chaser) - 1
+    sigma = sensors.direction_noise_std
+    # the outputs come first and the block and the rotations' temporaries
+    # after them, so that those free as one region, which the run's state
+    # stacks then reuse instead of growing the heap; the gyro sum and the
+    # rotations write into the outputs
+    gyro = np.empty((n, 3))
+    dirs = [
+        STAR_DIRS @ truth.att_chaser[star_every::star_every],
+        truth.ref_dirs @ rel_rot[feature_every::feature_every],
+    ]
+    # a row of slots per tick: the gyro's 3, then 4 per direction of each
+    # direction sensor on its ticks; the block fills the used slots row by row
+    g = 3 if sensors.gyro_noise_std > 0 else 0
+    spans, start = [], g  # each direction sensor's (buffer rows, slot columns)
+    for every, y in zip((star_every, feature_every), dirs):
+        width = 4 * y.shape[-2] if sigma > 0 else 0
+        spans.append((slice(every - 1, None, every), slice(start, start + width)))
+        start += width
+    mask = np.zeros((n, start), dtype=bool)
+    mask[:, :g] = True
+    for span in spans:
+        mask[span] = True
+    block = rng.normal(size=np.count_nonzero(mask))
+    buf = np.zeros(mask.shape)
+    while True:
+        buf[mask] = block
+        draws = [buf[span].reshape(y.shape[:-1] + (4,)) for span, y in zip(spans, dirs)] if sigma > 0 else []
+        norms = [np.sqrt(np.vecdot(d[..., :3], d[..., :3])) for d in draws]
+        if all(np.all(norm > MIN_DRAW_NORM) for norm in norms):
+            break
+        # random_unit_vector drops the first rejected axis draw and takes
+        # the next 3 normals: the stream without it, 3 more at the end
+        rejected = np.zeros(mask.shape, dtype=bool)
+        for (rows, cols), norm in zip(spans, norms):
+            rejected[rows, cols.start : cols.stop : 4] = norm <= MIN_DRAW_NORM
+        at = np.count_nonzero(mask.ravel()[: np.argmax(rejected)])
+        block = np.concatenate((np.delete(block, np.s_[at : at + 3]), rng.normal(size=3)))
+    del block, mask
+    noise = sensors.gyro_noise_std * buf[:, :3] if g else np.zeros((n, 3))
+    np.add(truth.omega_chaser + truth.gyro_bias, noise, out=gyro)
+    for y, d, norm in zip(dirs, draws, norms):
+        _rotate_about(y, d[..., :3] / norm[..., None], sigma * d[..., 3], out=y)
+    return SensorStreams(gyro, *dirs)

@@ -112,6 +112,15 @@ def test_invalid_scenario_is_one_line_usage_error(argv, field, tmp_path, capsys)
     assert not out_dir.exists()
 
 
+def test_duration_without_a_gyro_tick_is_usage_error(tmp_path, capsys):
+    # 0.004 s at 100 Hz rounds to 0 ticks: there is no run to report
+    out_dir = tmp_path / "out"
+    assert main(["run", "--duration", "0.004", "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "duration_s" in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
 def test_invalid_config_file_is_one_line_usage_error(tmp_path, capsys):
     cfg_path = tmp_path / "scenario.cfg"
     cfg_path.write_text("seed = 1\nupdate_iterations = 0\n")

@@ -130,6 +130,7 @@ class TestConfigFile:
             ("attitude_init_max_deg", math.inf, "inf"),
             ("ref_dir_1", (0.0, math.nan, 1.0), "0 nan 1"),
             ("duration_s", 1e307, "1e307"),
+            ("duration_s", 0.004, "0.004"),
         ],
     )
     def test_non_finite_and_out_of_range_values_rejected(self, tmp_path, field, value, text):

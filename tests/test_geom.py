@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from eqfcascade.geom import (
+    SMALL_ANGLE,
     GroupElement,
     exp_so3,
     group_compose,
@@ -118,6 +119,39 @@ class TestExpLog:
         rng = np.random.default_rng(5)
         for _ in range(50):
             assert is_rotation(exp_so3(rng.normal(size=3) * 2.0))
+
+
+class TestExpStack:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_rows_equal_single_calls_bit_for_bit(self, seed):
+        # Haar-random axes at generic angles, angles just either side of
+        # SMALL_ANGLE and within 1e-7 of pi, the zero vector, and non-finite
+        # rows; np.sin/np.cos must round as math.sin/math.cos do for this
+        rng = np.random.default_rng(seed)
+        angles = np.concatenate(
+            [
+                rng.uniform(0.0, math.pi, 8),
+                SMALL_ANGLE * (1.0 - rng.uniform(0.0, 1e-9, 4)),
+                SMALL_ANGLE * (1.0 + rng.uniform(0.0, 1e-9, 4)),
+                [SMALL_ANGLE, math.pi],
+                math.pi + rng.uniform(-1e-7, 1e-7, 8),
+            ]
+        )
+        axes = np.array([random_unit_vector(rng) for _ in angles])
+        x = np.concatenate([angles[:, None] * axes, np.zeros((1, 3))])
+        bad = np.array([[math.nan, 0.1, 0.2], [0.1, math.inf, 0.0], [-math.inf, 0.0, 0.0], [math.nan] * 3])
+        x = np.concatenate([x, bad])[rng.permutation(len(x) + len(bad))]
+        stack = exp_so3(x)
+        assert stack.shape == (len(x), 3, 3)
+        for row, xi in zip(stack, x):
+            assert row.tobytes() == exp_so3(xi).tobytes()
+        assert np.all(np.isnan(stack[~np.all(np.isfinite(x), axis=1)]))
+        # any number of leading axes
+        assert exp_so3(x.reshape(len(x), 1, 3)).tobytes() == stack.tobytes()
+
+    def test_empty_stack(self):
+        assert exp_so3(np.zeros((0, 3))).shape == (0, 3, 3)
 
 
 class TestGroupOps:

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eqfcascade.geom import exp_so3, random_rotation, random_unit_vector, wedge
 from eqfcascade.models import (
+    STAR_DIRS,
     MeasurementBundle,
     SensorConfig,
     TruthWorld,
@@ -15,6 +17,7 @@ from eqfcascade.models import (
     perturb_direction,
     propagate_truth,
     relative_state,
+    sensor_streams,
     truth_trajectory,
 )
 from oracles import rk4_matrix_ode, rotate_about_random_axis
@@ -279,3 +282,71 @@ class TestFeatures:
 def test_measurement_bundle_defaults():
     b = MeasurementBundle(0.5, np.zeros(3))
     assert b.star is None and b.features is None
+
+
+class StubNormals:
+    """Serves a fixed sequence of normals in order, as Generator.normal does."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+        self.used = 0
+
+    def normal(self, size=None):
+        k = 1 if size is None else size
+        out = self.values[self.used : self.used + k].copy()
+        assert len(out) == k, "stub ran out of normals"
+        self.used += k
+        return float(out[0]) if size is None else out
+
+
+def per_tick_streams(truth, sensors, star_every, feature_every, rng):
+    """The reference: each tick's measurements drawn by the per-tick functions, in tick order."""
+    rel = relative_state(truth)
+    gyro, star, features = [], [], []
+    for k in range(1, len(truth.att_chaser)):
+        gyro.append(measure_gyro(truth, sensors.gyro_noise_std, rng))
+        if k % star_every == 0:
+            star.append(observed_directions(truth.att_chaser[k], STAR_DIRS, sensors.direction_noise_std, rng))
+        if k % feature_every == 0:
+            features.append(observed_directions(rel.rot[k], truth.ref_dirs, sensors.direction_noise_std, rng))
+    return [np.array(rows).reshape(-1, *shape) for rows, shape in ((gyro, (3,)), (star, (3, 3)), (features, (2, 3)))]
+
+
+def assert_streams_equal_reference(truth, sensors, star_every, feature_every, make_rng):
+    rng_a, rng_b = make_rng(), make_rng()
+    streams = sensor_streams(truth, relative_state(truth).rot, sensors, star_every, feature_every, rng_a)
+    expected = per_tick_streams(truth, sensors, star_every, feature_every, rng_b)
+    for got, want in zip((streams.gyro, streams.star, streams.features), expected):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    # both consumed the same normals: the next draw agrees
+    assert rng_a.normal() == rng_b.normal()
+
+
+class TestSensorStreams:
+    @pytest.mark.parametrize(
+        "rates", [(100.0, 1.0, 10.0), (100.0, 100.0, 100.0), (100.0, 20.0, 25.0)], ids=["default", "100Hz", "20_25Hz"]
+    )
+    @pytest.mark.parametrize("gyro_std, dir_std", [(0.01, 0.01), (0.0, 0.01), (0.01, 0.0), (0.0, 0.0)])
+    def test_streams_equal_per_tick_draws_bit_for_bit(self, rates, gyro_std, dir_std):
+        gyro_rate, star_rate, feature_rate = rates
+        sensors = SensorConfig(gyro_std, dir_std, gyro_rate, star_rate, feature_rate)
+        w = random_world(20)
+        truth = truth_trajectory(replace(w, ref_dirs=np.array(w.ref_dirs)), 1.0 / gyro_rate, 250)
+        every = round(gyro_rate / star_rate), round(gyro_rate / feature_rate)
+        assert_streams_equal_reference(truth, sensors, *every, lambda: np.random.default_rng(21))
+
+    def test_rejected_axis_draws_keep_the_stream_order(self):
+        # gyro 3 normals a tick, star every 2nd tick (3 x 4), features every
+        # 3rd (2 x 4): tick 2's first star axis sits at offset 6. Reject it
+        # twice (0, then a norm of 1e-13 <= 1e-12), so that the axis is
+        # 12..14 and the angle 15; tick 3 then starts at 3 + 3 + 18 = 24, and
+        # its second feature axis sits at 24 + 3 + 4 = 31.
+        values = np.random.default_rng(22).normal(size=400)
+        values[6:9] = 0.0
+        values[9:12] = (1e-13, 0.0, 0.0)
+        values[31:34] = 0.0
+        sensors = SensorConfig(0.01, 0.01, 100.0, 50.0, 100.0 / 3.0)
+        w = random_world(23)
+        truth = truth_trajectory(replace(w, ref_dirs=np.array(w.ref_dirs)), 0.01, 12)
+        assert_streams_equal_reference(truth, sensors, 2, 3, lambda: StubNormals(values))
