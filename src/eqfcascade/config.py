@@ -74,10 +74,13 @@ class ScenarioConfig:
         for name in _NON_NEGATIVE:
             if (getattr(self, name) or 0) < 0:
                 raise ConfigError(f"{name} must be non-negative")
-        if not math.isfinite(self.duration_s * self.gyro_rate_hz):
+        ticks = self.duration_s * self.gyro_rate_hz
+        if not math.isfinite(ticks):
             raise ConfigError("duration_s * gyro_rate_hz (the tick count) must be finite")
         if self.steps_per_run() < 1:
             raise ConfigError("duration_s must cover at least one gyro tick (1 / gyro_rate_hz)")
+        if abs(ticks - round(ticks)) > 1e-9:
+            raise ConfigError("duration_s must be a whole number of gyro ticks (1 / gyro_rate_hz)")
         if self.input_mode not in INPUT_MODES:
             raise ConfigError(f"input_mode must be one of {INPUT_MODES}")
         for name in ("star_rate_hz", "feature_rate_hz"):
@@ -94,6 +97,11 @@ class ScenarioConfig:
         # TruthWorld's rule, on the unit directions
         if np.linalg.norm(cross3(*self.ref_dirs())) <= COLLINEAR_TOL:
             raise ConfigError("reference directions are (nearly) collinear")
+        if not 0 < self._stage1_m_scale() < math.inf:
+            raise ConfigError(
+                "gyro_noise_std and direction_noise_std (with output_gain and the gyro and star rates) "
+                "must give stage 1 a finite, positive process gain M"
+            )
 
     def sensors(self) -> SensorConfig:
         return SensorConfig(
@@ -127,15 +135,22 @@ class ScenarioConfig:
         With either noise level at zero the ratio is undefined, and M falls
         back to state_gain * I.
         """
-        gyro_density = self.gyro_noise_std**2 / self.gyro_rate_hz
-        star_density = self.direction_noise_std**2 / 3.0 / self.star_rate_hz
-        if gyro_density > 0 and star_density > 0:
-            m_scale = self.output_gain * gyro_density / star_density
-        else:
-            m_scale = self.state_gain
         return FilterGains.identity_scaled(
-            9, m_scale, self.output_gain, self.sigma0, self.update_iterations
+            9, self._stage1_m_scale(), self.output_gain, self.sigma0, self.update_iterations
         )
+
+    def _stage1_m_scale(self) -> float:
+        """The factor of I in stage 1's M (see stage1_gains); inf or NaN when
+        a density overflows or the star density underflows, 0 when the
+        gyro density or the ratio underflows."""
+        if self.gyro_noise_std == 0 or self.direction_noise_std == 0:
+            return self.state_gain
+        # products, not powers: a float power raises OverflowError
+        gyro_density = self.gyro_noise_std * self.gyro_noise_std / self.gyro_rate_hz
+        star_density = self.direction_noise_std * self.direction_noise_std / 3.0 / self.star_rate_hz
+        if star_density == 0:
+            return math.inf
+        return self.output_gain * gyro_density / star_density
 
     def stage2_gains(self) -> FilterGains:
         return FilterGains.identity_scaled(

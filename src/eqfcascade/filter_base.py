@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geom import AlgebraElement, GroupElement, StageState, cross3, exp_so3, identity_element, renormalize_rotation, wedge
+from .geom import AlgebraElement, GroupElement, StageState, exp_so3, identity_element, renormalize_rotation, wedge
 
 ORIGIN = StageState(np.eye(3), np.zeros(3))
 _EYE3 = np.eye(3)
@@ -99,8 +99,15 @@ def _is_spd(m: np.ndarray) -> bool:
 
 
 def require_spd(sigma: np.ndarray, where: str) -> None:
-    if not _is_spd(sigma):
+    """_is_spd's verdict on an exactly symmetric sigma, which riccati_correct
+    returns: its symmetry test passes and its symmetrize changes no bit, so
+    only the finiteness test and the Cholesky factorization are left."""
+    if not np.isfinite(sigma).all():
         raise NumericalFailure(f"Riccati state not positive definite after {where}")
+    try:
+        np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        raise NumericalFailure(f"Riccati state not positive definite after {where}") from None
 
 
 def riccati_predict(sigma: np.ndarray, w: np.ndarray, m: np.ndarray, dt: float) -> np.ndarray:
@@ -136,6 +143,7 @@ def riccati_correct(sigma: np.ndarray, info: np.ndarray, tau: float, where: str)
     except np.linalg.LinAlgError as exc:
         # a diverged state can push the innovation system to singularity
         raise NumericalFailure(f"Riccati correction became singular in {where}: {exc}") from exc
+    # the result is exactly symmetric, which require_spd relies on
     return symmetrize(sigma - left @ k @ sigma[:3])
 
 
@@ -145,9 +153,21 @@ def apply_correction(x: GroupElement, gain: np.ndarray, tau: float) -> GroupElem
     The state-action differential at the origin sends an algebra element
     (w, s) to the tangent vector (w, -s), so the tangent-space gain is the
     algebra element Delta = (w, s) = (gain[:3], -gain[3:]).
+
+    The vector part, x.vec + tau * (cross3(gain[:3], x.vec) - gain[3:]),
+    is formed from floats in that operation order; float64 array operations
+    round as Python floats do, so the bits are those of the array form.
     """
-    rot = exp_so3(gain[:3] * tau) @ x.rot
-    vec = x.vec + tau * (cross3(gain[:3], x.vec) - gain[3:])
+    w0, w1, w2, s0, s1, s2 = gain.tolist()
+    v0, v1, v2 = x.vec.tolist()
+    rot = exp_so3((w0 * tau, w1 * tau, w2 * tau)) @ x.rot
+    vec = np.array(
+        [
+            v0 + tau * ((w1 * v2 - w2 * v1) - s0),
+            v1 + tau * ((w2 * v0 - w0 * v2) - s1),
+            v2 + tau * ((w0 * v1 - w1 * v0) - s2),
+        ]
+    )
     return GroupElement(rot, vec)
 
 
@@ -158,8 +178,10 @@ def state_action(g: GroupElement, xi: StageState) -> StageState:
 
 
 def recover_state(x: GroupElement) -> StageState:
-    """Manifold estimate: the group state acting on the origin."""
-    return state_action(x, ORIGIN)
+    """Manifold estimate: the group state acting on the origin,
+    state_action(x, ORIGIN). The origin's attitude is I, so the attitude is
+    x.rot itself; single states and (n, 3, 3)/(n, 3) stacks alike."""
+    return StageState(x.rot, np.matvec(x.rot.mT, ORIGIN.vec - x.vec))
 
 
 def output_map(xi: StageState, dirs: np.ndarray) -> np.ndarray:

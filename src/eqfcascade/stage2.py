@@ -31,13 +31,18 @@ from .filter_base import FilterEstimate, FilterGains, c_matrix, output_action, r
 from .geom import AlgebraElement, GroupElement, StageState, cross3
 
 
+# the virtual inputs' default, shared read-only so a tick allocates no zeros
+_ZERO3 = np.zeros(3)
+_ZERO3.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class ExtendedInput:
     """Physical rate input plus the two virtual inputs (zero in production)."""
 
     u: np.ndarray
-    v: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    w: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    v: np.ndarray = field(default_factory=lambda: _ZERO3)
+    w: np.ndarray = field(default_factory=lambda: _ZERO3)
 
 
 def input_action(g: GroupElement, inp: ExtendedInput) -> ExtendedInput:

@@ -102,6 +102,8 @@ def test_counts_below_one_are_usage_errors(argv, tmp_path, capsys):
         (["run", "--duration", "0"], "duration_s"),
         (["batch", "--runs", "2", "--gyro-noise", "-1"], "gyro_noise_std"),
         (["compare", "--runs", "1", "--star-rate", "3"], "star_rate_hz"),
+        (["run", "--gyro-noise", "1e200", "--duration", "1"], "gyro_noise_std"),
+        (["run", "--duration", "0.015"], "duration_s"),
     ],
 )
 def test_invalid_scenario_is_one_line_usage_error(argv, field, tmp_path, capsys):

@@ -131,6 +131,9 @@ class TestConfigFile:
             ("ref_dir_1", (0.0, math.nan, 1.0), "0 nan 1"),
             ("duration_s", 1e307, "1e307"),
             ("duration_s", 0.004, "0.004"),
+            ("duration_s", 0.015, "0.015"),
+            ("gyro_noise_std", 1e200, "1e200"),
+            ("direction_noise_std", 1e300, "1e300"),
         ],
     )
     def test_non_finite_and_out_of_range_values_rejected(self, tmp_path, field, value, text):
@@ -139,6 +142,23 @@ class TestConfigFile:
         path = tmp_path / "bad.cfg"
         path.write_text(f"{field} = {text}\n")
         with pytest.raises(ConfigError, match=field):
+            read_config(path)
+
+    @pytest.mark.parametrize(
+        "gyro, direction",
+        [
+            (1e150, 1e-150),  # stage 1's M scale overflows to inf
+            (1e-160, 1e150),  # and underflows to 0
+            (1e-200, 0.01),  # the gyro density underflows to 0
+            (0.01, 1e-200),  # the star density underflows to 0
+        ],
+    )
+    def test_noise_levels_outside_the_stage1_gain_range_rejected(self, tmp_path, gyro, direction):
+        with pytest.raises(ConfigError, match="gyro_noise_std and direction_noise_std"):
+            ScenarioConfig(gyro_noise_std=gyro, direction_noise_std=direction)
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"gyro_noise_std = {gyro!r}\ndirection_noise_std = {direction!r}\n")
+        with pytest.raises(ConfigError, match="gyro_noise_std and direction_noise_std"):
             read_config(path)
 
     def test_reference_directions_checked_as_unit_vectors(self):

@@ -8,20 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eqfcascade.filter_base import (
+    ORIGIN,
     FilterEstimate,
     FilterGains,
     NumericalFailure,
+    _is_spd,
     a_matrix,
+    apply_correction,
     c_block,
     c_matrix,
     output_action,
     output_map,
     recover_state,
+    require_spd,
     riccati_correct,
     riccati_predict,
+    state_action,
     update,
 )
-from eqfcascade.geom import GroupElement, random_rotation, random_unit_vector
+from eqfcascade.geom import GroupElement, cross3, exp_so3, random_rotation, random_unit_vector, wedge
 from eqfcascade.models import STAR_DIRS, TruthWorld, measure_features, measure_star_tracker, observed_directions
 from oracles import rk4_matrix_ode
 
@@ -163,3 +168,76 @@ def test_directions_are_k_by_3_arrays_and_update_accepts_tuples():
         np.testing.assert_array_equal(rows.X.rot, tuples.X.rot)
         np.testing.assert_array_equal(rows.X.vec, tuples.X.vec)
         np.testing.assert_array_equal(rows.Sigma, tuples.Sigma)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["spd", "spd_1e300", "rank5", "negative_eigenvalue", "nan", "inf", "-inf"]),
+)
+def test_require_spd_gives_the_full_check_verdict_on_symmetric_matrices(seed, kind):
+    # require_spd skips _is_spd's symmetry test and symmetrize, so both must
+    # agree on every exactly symmetric matrix
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    eig = np.exp(rng.uniform(np.log(1e-3), np.log(10.0), size=6))
+    if kind == "spd_1e300":
+        eig *= 1e300
+    elif kind == "rank5":
+        eig[rng.integers(6)] = 0.0
+    elif kind == "negative_eigenvalue":
+        eig[rng.integers(6)] *= -1.0
+    m = (q * eig) @ q.T
+    m = m + m.T
+    if kind in ("nan", "inf", "-inf"):
+        i, j = rng.integers(6, size=2)
+        m[i, j] = m[j, i] = float(kind)
+    assert m.tobytes() == m.T.copy().tobytes()
+
+    if _is_spd(m):
+        require_spd(m, "test")
+    else:
+        with pytest.raises(NumericalFailure, match="after test"):
+            require_spd(m, "test")
+    if kind in ("spd", "spd_1e300"):
+        assert _is_spd(m)
+    elif kind in ("nan", "inf", "-inf"):
+        assert not _is_spd(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_tau=st.floats(-4.0, 3.0))
+def test_riccati_correct_output_is_exactly_symmetric(seed, log_tau):
+    rng = np.random.default_rng(seed)
+    sigma = random_spd(rng, 6, 1e-2, 10.0)
+    ca = rng.normal(size=(9, 3))
+    out = riccati_correct(sigma, ca.T @ ca, 10.0**log_tau, "test")
+    assert out.tobytes() == out.T.copy().tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), log_dt=st.floats(-4.0, 0.0), n=st.sampled_from([None, 1, 5]))
+def test_kernel_steps_equal_their_reference_forms_bit_for_bit(seed, log_dt, n):
+    rng = np.random.default_rng(seed)
+    dt = 10.0**log_dt
+    # recover_state on a single state and on (n, 3, 3)/(n, 3) stacks
+    if n is None:
+        x = GroupElement(random_rotation(rng), rng.normal(size=3))
+    else:
+        x = GroupElement(np.array([random_rotation(rng) for _ in range(n)]), rng.normal(size=(n, 3)))
+    got, ref = recover_state(x), state_action(x, ORIGIN)
+    np.testing.assert_array_equal(got.rot, ref.rot)
+    np.testing.assert_array_equal(got.vec, ref.vec)
+
+    x = GroupElement(random_rotation(rng), rng.normal(size=3))
+    gain = rng.normal(size=6)
+    got = apply_correction(x, gain, dt)
+    ref = GroupElement(exp_so3(gain[:3] * dt) @ x.rot, x.vec + dt * (cross3(gain[:3], x.vec) - gain[3:]))
+    np.testing.assert_array_equal(got.rot, ref.rot)
+    np.testing.assert_array_equal(got.vec, ref.vec)
+
+    sigma = random_spd(rng, 6, 1e-3, 10.0)
+    m = random_spd(rng, 6, 1e-3, 1.0)
+    w = rng.normal(scale=0.1, size=3)
+    a = np.concatenate((-sigma[3:], wedge(w) @ sigma[3:]))
+    np.testing.assert_array_equal(riccati_predict(sigma, w, m, dt), sigma + dt * (a + a.T + m))
