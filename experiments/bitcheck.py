@@ -4,11 +4,18 @@
     python experiments/bitcheck.py compare A.npz B.npz
 
 `dump` runs a fixed corpus at seed 2026 and saves each run's series, metric
-vector and diverged flag. `compare` lists series whose length changed with the
-shorter a bit-exact prefix, and exits 1 if any other array is not bit-equal.
+vector and diverged flag. It also runs the CLI commands of CLI in-process into
+OUT's sibling directory OUT_cli/ and saves each output file and the captured
+stdout as bytes, under cli/<command>/. `compare` lists series whose length
+changed with the shorter a bit-exact prefix, and exits 1 if any other array or
+CLI output is not bit-equal.
 """
 
+import contextlib
+import io
+import shutil
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -28,6 +35,28 @@ VARIANTS = {  # name: (ScenarioConfig overrides, runs)
     "star20_feat25_it1": ({"star_rate_hz": 20.0, "feature_rate_hz": 25.0, "update_iterations": 1}, 6),
 }
 
+CLI = {  # name: arguments, each run with --seed 2026 into OUT_cli/<name>
+    "run": ["run", "--emit-series"],
+    "batch": ["batch", "--runs", "3", "--emit-series"],
+    "compare": ["compare", "--runs", "2"],
+}
+
+
+def _cli_outputs(out_dir: Path) -> dict:
+    """Each CLI command's exit status and stdout, and its output files, as bytes."""
+    from eqfcascade.cli import main
+
+    shutil.rmtree(out_dir, ignore_errors=True)  # files of an earlier dump are not this tree's
+    arrays = {}
+    for name, argv in CLI.items():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            status = main([*argv, "--seed", "2026", "--out-dir", str(out_dir / name)])
+        arrays[f"cli/{name}/stdout"] = f"exit {status}\n{stdout.getvalue()}".encode()
+        for path in sorted((out_dir / name).iterdir()):
+            arrays[f"cli/{name}/{path.name}"] = path.read_bytes()
+    return {key: np.frombuffer(data, dtype=np.uint8) for key, data in arrays.items()}
+
 
 def dump(src: str, out: str) -> None:
     sys.path.insert(0, src)
@@ -43,19 +72,24 @@ def dump(src: str, out: str) -> None:
             arrays[f"{key}/series"] = m.series
             arrays[f"{key}/metrics"] = np.array(_metric_values(m))
             arrays[f"{key}/diverged"] = np.array(m.diverged)
+    n_runs = len(arrays) // 3
+    arrays.update(_cli_outputs(Path(out).with_name(Path(out).stem + "_cli")))
     np.savez(out, **arrays)
-    print(f"{len(arrays) // 3} runs from {sys.modules['eqfcascade'].__file__} -> {out}")
+    print(f"{n_runs} runs and {len(arrays) - 3 * n_runs} CLI outputs from {sys.modules['eqfcascade'].__file__} -> {out}")
 
 
 def compare(path_a: str, path_b: str) -> int:
     a, b = np.load(path_a), np.load(path_b)
     bad = sorted(set(a.files) ^ set(b.files))
     print("".join(f"{key}: in one file only\n" for key in bad), end="")
-    equal = prefix = 0
+    equal = prefix = cli = 0
     for key in sorted(set(a.files) & set(b.files)):
         x, y = a[key], b[key]
         if x.shape == y.shape and x.tobytes() == y.tobytes():
-            equal += 1
+            if key.startswith("cli/"):
+                cli += 1
+            else:
+                equal += 1
         elif key.endswith("/series") and x[: len(y)].tobytes() == y[: len(x)].tobytes():
             prefix += 1
             print(f"{key}: {len(x)} -> {len(y)} rows, shorter is a bit-exact prefix")
@@ -63,7 +97,10 @@ def compare(path_a: str, path_b: str) -> int:
             bad.append(key)
             print(f"{key}: DIFFERS")
     n_div = sum(bool(a[k]) for k in a.files if k.endswith("/diverged"))
-    print(f"{equal} arrays bit-equal, {prefix} series length changes, {len(bad)} differ; {n_div} runs diverged in A")
+    print(
+        f"{equal} arrays bit-equal, {cli} CLI outputs byte-equal, {prefix} series length changes, "
+        f"{len(bad)} differ; {n_div} runs diverged in A"
+    )
     return 1 if bad else 0
 
 

@@ -87,13 +87,18 @@ class ScenarioConfig:
             ratio = self.gyro_rate_hz / getattr(self, name)
             if not math.isfinite(ratio) or round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9:
                 raise ConfigError(f"{name} must divide gyro_rate_hz evenly")
+        if (self.attitude_init_max_deg or 0) > 180:
+            raise ConfigError("attitude_init_max_deg must be at most 180, the largest rotation angle")
+        # at most half a turn per gyro tick: a faster rate aliases, and past ~1e154 rad a tick's rotation overflows
         for name in ("omega_target_range_dps", "chaser_rate_range_dps", "gyro_bias_range_dps"):
             lo, hi = getattr(self, name)
-            if lo < 0 or hi < lo:
-                raise ConfigError(f"{name} must satisfy 0 <= lo <= hi")
+            if not 0 <= lo <= hi <= 180 * self.gyro_rate_hz:
+                raise ConfigError(f"{name} must satisfy 0 <= lo <= hi <= 180 * gyro_rate_hz (half a turn per tick)")
         for name in ("ref_dir_1", "ref_dir_2"):
-            if np.linalg.norm(getattr(self, name)) == 0:
-                raise ConfigError(f"{name} must be non-zero")
+            with np.errstate(over="ignore"):  # an overflowing length is rejected, not warned about
+                length = np.linalg.norm(getattr(self, name))
+            if not 0 < length < math.inf:
+                raise ConfigError(f"{name} must be non-zero with a finite length")
         # TruthWorld's rule, on the unit directions
         if np.linalg.norm(cross3(*self.ref_dirs())) <= COLLINEAR_TOL:
             raise ConfigError("reference directions are (nearly) collinear")

@@ -7,15 +7,15 @@ batch reproduces the single run bit for bit. Scenario quantities are drawn
 in a fixed order before any measurement noise, so batches with different
 rates or input modes see identical worlds on the same seeds.
 
-run_single keeps only the filter in its tick loop: the truth comes from
-whole-run attitude stacks, the measurements from whole-run sensor streams
-drawn before the loop, and the diagnostic series is computed from the
-stored filter states once the loop has ended. A run has diverged if and
-only if a filter step raised NumericalFailure (after an update, a stage's
-Riccati state was not finite and positive definite, or a correction
-sub-step's system was singular); its series then covers only the ticks
-before the failing one. V is NaN on a row whose Riccati state is
-singular; the diagnostics decide nothing.
+run_single keeps only the filter in its tick loops, one pass per stage:
+stage 1 over every tick, then stage 2 over the ticks before stage 1's
+failing one, on the gyro less stage 1's bias estimates. Truth and
+measurements are whole-run stacks drawn first; the diagnostic series is
+computed from the stored filter states last. A run has diverged if and
+only if a filter step raised NumericalFailure (an update left a Riccati
+state not finite and positive definite, or a correction sub-step's system
+was singular); its series then covers only the ticks before the earlier
+failing one. V is NaN on a singular Riccati row; the diagnostics decide nothing.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ import numpy as np
 
 from . import cascade, metrics
 from .config import ScenarioConfig
-from .filter_base import NumericalFailure, recover_state
+from .filter_base import NumericalFailure, initial_estimate, recover_state
 from .geom import GroupElement, StageState, exp_so3, random_rotation, random_unit_vector
 from .metrics import RAD2DEG, BatchSummary, RunMetrics, euler_errors, time_to_threshold
-from .models import MeasurementBundle, TruthWorld, relative_state, sensor_streams, truth_trajectory
+from .models import TruthWorld, relative_state, sensor_streams, truth_trajectory
 
 DEG2RAD = math.pi / 180.0
 
@@ -120,9 +120,21 @@ def _series(dt: float, n: int, truths: tuple[StageState, StageState], rot: np.nd
     return np.column_stack([t, *err1, *err2, v1, v2, *norms1, *norms2])
 
 
-def _store(cs: cascade.CascadeState, k: int, rot: np.ndarray, vec: np.ndarray, sigma: np.ndarray) -> None:
-    for i, est in enumerate((cs.s1, cs.s2)):
-        rot[i, k], vec[i, k], sigma[i, k] = est.X.rot, est.X.vec, est.Sigma
+def _pass(tick, dts: list, inputs: np.ndarray, every: int, measured: np.ndarray, out, gains, *params) -> int:
+    """Run one stage's tick over ticks 1..len(inputs) from the initial estimate
+    of its gains, storing its states at rows 0.. of out = (rot, vec, sigma);
+    the rows stored, which is the failing tick on NumericalFailure."""
+    rot, vec, sigma = out
+    est = initial_estimate(gains)
+    rot[0], vec[0], sigma[0] = est.X.rot, est.X.vec, est.Sigma
+    for k in range(1, len(inputs) + 1):
+        y = measured[k // every - 1] if k % every == 0 else None
+        try:
+            est = tick(est, dts[k - 1], inputs[k - 1], y, gains, *params)
+        except NumericalFailure:
+            return k
+        rot[k], vec[k], sigma[k] = est.X.rot, est.X.vec, est.Sigma
+    return len(inputs) + 1
 
 
 def _window_metrics(run_index: int, series: np.ndarray, world: TruthWorld) -> RunMetrics:
@@ -151,52 +163,42 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
     """Simulate one scenario and summarize it.
 
     The run has diverged if and only if a filter step raised
-    NumericalFailure; its series then holds the rows before the failing
-    tick. Any other error is raised.
+    NumericalFailure; its series then holds the rows before the earlier
+    of the two stages' failing ticks. Any other error is raised.
     """
     rng = run_rng(cfg.seed, run_index)
     world = sample_world(cfg, rng)
     sensors = cfg.sensors()
-    gains1 = cfg.stage1_gains()
-    gains2 = cfg.stage2_gains()
-    subtract = cfg.input_mode == "unbiased_cascade"
-    star_period = 1.0 / sensors.star_rate
-    feature_period = 1.0 / sensors.feature_rate
+    gains1, gains2 = cfg.stage1_gains(), cfg.stage2_gains()
     dt = 1.0 / sensors.gyro_rate
     n_steps = cfg.steps_per_run()
-    star_every = cfg.star_every()
-    feature_every = cfg.feature_every()
 
     truth = truth_trajectory(world, dt, n_steps)
     rel = relative_state(truth)
-    streams = sensor_streams(truth, rel.rot, sensors, star_every, feature_every, rng)
+    streams = sensor_streams(truth, rel.rot, sensors, cfg.star_every(), cfg.feature_every(), rng)
     rot = np.full((2, n_steps + 1, 3, 3), np.nan)
     vec = np.full((2, n_steps + 1, 3), np.nan)
     sigma = np.full((2, n_steps + 1, 6, 6), np.nan)
-    cs = cascade.initial_state(gains1, gains2)
-    _store(cs, 0, rot, vec, sigma)
-    n_rows = n_steps + 1
+    # tick k advances by k dt - (k - 1) dt, as cascade.step does between bundle times
+    dts = np.diff(dt * np.arange(n_steps + 1)).tolist()
     # overflow inside a diverging filter, and the non-finite diagnostics it
     # leads to, are expected, handled outcomes
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for k in range(1, n_steps + 1):
-            star = streams.star[k // star_every - 1] if k % star_every == 0 else None
-            features = streams.features[k // feature_every - 1] if k % feature_every == 0 else None
-            bundle = MeasurementBundle(k * dt, streams.gyro[k - 1], star, features)
-            try:
-                cs = cascade.step(
-                    cs, bundle, gains1, gains2, world.ref_dirs, star_period, feature_period, subtract
-                )
-            except NumericalFailure:
-                n_rows = k
-                break
-            _store(cs, k, rot, vec, sigma)
-        del streams, bundle, star, features  # not read by the diagnostics; frees their memory
+        n1 = _pass(
+            cascade.stage1_tick, dts, streams.gyro, cfg.star_every(), streams.star,
+            (rot[0], vec[0], sigma[0]), gains1, 1.0 / sensors.star_rate,
+        )
+        rate = streams.gyro[: n1 - 1]
+        if cfg.input_mode == "unbiased_cascade":
+            rate = rate - recover_state(GroupElement(rot[0, 1:n1], vec[0, 1:n1])).vec
+        n_rows = _pass(
+            cascade.stage2_tick, dts, rate, cfg.feature_every(), streams.features,
+            (rot[1], vec[1], sigma[1]), gains2, world.ref_dirs, 1.0 / sensors.feature_rate,
+        )
         # the constant bias as a per-tick view, so that both stages slice alike
         bias = np.broadcast_to(truth.gyro_bias, rel.vec.shape)
         series = _series(dt, n_rows, (StageState(truth.att_chaser, bias), rel), rot, vec, sigma)
-
-    out = metrics.failed_metrics(run_index) if n_rows <= n_steps else _window_metrics(run_index, series, world)
+        out = metrics.failed_metrics(run_index) if n_rows <= n_steps else _window_metrics(run_index, series, world)
     return replace(out, series=series) if keep_series else out
 
 

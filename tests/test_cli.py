@@ -104,6 +104,8 @@ def test_counts_below_one_are_usage_errors(argv, tmp_path, capsys):
         (["compare", "--runs", "1", "--star-rate", "3"], "star_rate_hz"),
         (["run", "--gyro-noise", "1e200", "--duration", "1"], "gyro_noise_std"),
         (["run", "--duration", "0.015"], "duration_s"),
+        # an angle bound past 180 deg once ended in a traceback
+        (["run", "--attitude-init-max", "1e160", "--duration", "1"], "attitude_init_max_deg"),
     ],
 )
 def test_invalid_scenario_is_one_line_usage_error(argv, field, tmp_path, capsys):
@@ -123,12 +125,27 @@ def test_duration_without_a_gyro_tick_is_usage_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_invalid_config_file_is_one_line_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("seed = 1\nupdate_iterations = 0\n", "update_iterations"),
+        # a rate range may reach half a turn per gyro tick, 18000 deg/s at
+        # 100 Hz; these once ended in a traceback (1e200) or completed with
+        # an overflow warning (1e156)
+        ("omega_target_range_dps = 1e200 1e200\nduration_s = 1\n", "omega_target_range_dps"),
+        ("chaser_rate_range_dps = 1e200 1e200\nduration_s = 1\n", "chaser_rate_range_dps"),
+        ("omega_target_range_dps = 1e156 1e156\nduration_s = 1\n", "omega_target_range_dps"),
+        # a reference direction whose length overflows once warned
+        ("ref_dir_1 = 1e300 0 0\nduration_s = 1\n", "ref_dir_1"),
+    ],
+    ids=["update_iterations_0", "omega_target_1e200", "chaser_rate_1e200", "omega_target_1e156", "ref_dir_1e300"],
+)
+def test_invalid_config_file_is_one_line_usage_error(text, field, tmp_path, capsys):
     cfg_path = tmp_path / "scenario.cfg"
-    cfg_path.write_text("seed = 1\nupdate_iterations = 0\n")
+    cfg_path.write_text(text)
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "update_iterations" in err
+    assert err.count("\n") == 1 and field in err
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "binary"])

@@ -7,8 +7,10 @@ import pytest
 from eqfcascade import cascade
 from eqfcascade.config import ScenarioConfig
 from eqfcascade.filter_base import NumericalFailure
-from eqfcascade.harness import run_batch, run_rng, run_single, sample_world
+from eqfcascade.geom import StageState
+from eqfcascade.harness import _series, run_batch, run_rng, run_single, sample_world
 from eqfcascade.metrics import SERIES_COLUMNS, _metric_values, metric_names
+from eqfcascade.models import MeasurementBundle, relative_state, sensor_streams, truth_trajectory
 
 
 class TestScenarioSampling:
@@ -175,17 +177,23 @@ class TestRunSingle:
         # NumericalFailure: runs 0-3 in a stage-1 update, and run 8 with
         # sigma0 = 100 in a stage-2 update; the rows before it keep their
         # values, and only V can be non-finite there
-        step, calls, failures = cascade.step, [], []
+        calls, failures = {}, []
 
-        def recording_step(*args):
-            calls.append(None)
-            try:
-                return step(*args)
-            except NumericalFailure as exc:
-                failures.append((len(calls), str(exc)))
-                raise
+        def recording(name):
+            tick = getattr(cascade, name)
 
-        monkeypatch.setattr(cascade, "step", recording_step)
+            def recording_tick(*args):
+                calls[name] = calls.get(name, 0) + 1
+                try:
+                    return tick(*args)
+                except NumericalFailure as exc:
+                    failures.append((calls[name], str(exc)))
+                    raise
+
+            monkeypatch.setattr(cascade, name, recording_tick)
+
+        recording("stage1_tick")
+        recording("stage2_tick")
         cases = [({}, i, rows, "stage-1") for i, rows in enumerate((400, 200, 500, 500))]
         cases.append(({"sigma0": 100.0}, 8, 50, "stage-2"))
         kept = [i for i, name in enumerate(SERIES_COLUMNS) if name not in ("V1", "V2")]
@@ -195,7 +203,10 @@ class TestRunSingle:
             failures.clear()
             m = run_single(cfg, i, keep_series=True)
             assert m.diverged and m.series.shape == (rows, len(SERIES_COLUMNS))
-            assert len(failures) == 1 and failures[0][0] == rows and stage in failures[0][1]
+            # stage 1's pass covers every tick, so it may fail again past the
+            # series' end (run 8's at tick 200); one failure ends the series
+            ending = [failure for failure in failures if failure[0] <= rows]
+            assert len(ending) == 1 and ending[0][0] == rows and stage in ending[0][1]
             assert m.series.shape[0] <= 500
             assert np.all(np.isfinite(m.series[:, kept]))
             assert run_single(cfg, i).diverged
@@ -206,17 +217,17 @@ class TestRunSingle:
         # that row only and changes nothing else
         cfg = ScenarioConfig(seed=5, duration_s=2.0)
         ref = run_single(cfg, keep_series=True)
-        tick, step, calls, true_state = 37, cascade.step, [], {}
+        tick, stage1_tick, calls, true_state = 37, cascade.stage1_tick, [], {}
 
-        def step_with_singular_row(cs, *args):
+        def tick_with_singular_row(s1, *args):
             calls.append(None)
-            out = step(true_state.pop("cs", cs), *args)
+            out = stage1_tick(true_state.pop("s1", s1), *args)
             if len(calls) != tick:
                 return out
-            true_state["cs"] = out
-            return replace(out, s1=replace(out.s1, Sigma=np.zeros((6, 6))))
+            true_state["s1"] = out
+            return replace(out, Sigma=np.zeros((6, 6)))
 
-        monkeypatch.setattr(cascade, "step", step_with_singular_row)
+        monkeypatch.setattr(cascade, "stage1_tick", tick_with_singular_row)
         m = run_single(cfg, keep_series=True)
         v1 = SERIES_COLUMNS.index("V1")
         assert not m.diverged and m.series.shape == ref.series.shape == (cfg.steps_per_run() + 1, len(SERIES_COLUMNS))
@@ -243,13 +254,71 @@ class TestRunSingle:
             assert m.diverged and rows == [400, 400]
         assert m.series is None
 
+    @pytest.mark.parametrize("tick", ["stage1_tick", "stage2_tick"])
     @pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError])
-    def test_value_error_inside_step_is_raised_not_diverged(self, monkeypatch, error):
+    def test_value_error_inside_step_is_raised_not_diverged(self, monkeypatch, error, tick):
         # only numerical failure counts as divergence; a programming error
-        # must surface
-        def broken_step(*args, **kwargs):
+        # in either stage's tick must surface
+        def broken_tick(*args, **kwargs):
             raise error("not a numerical failure")
 
-        monkeypatch.setattr(cascade, "step", broken_step)
+        monkeypatch.setattr(cascade, tick, broken_tick)
         with pytest.raises(error, match="not a numerical failure"):
             run_single(ScenarioConfig(seed=0, duration_s=1.0))
+
+
+def _step_loop_series(cfg: ScenarioConfig, run_index: int) -> np.ndarray:
+    """run_single's series with both stages advanced together, one
+    cascade.step per tick on a MeasurementBundle of the run's sensor streams,
+    up to the tick whose step raised NumericalFailure."""
+    rng = run_rng(cfg.seed, run_index)
+    world = sample_world(cfg, rng)
+    sensors = cfg.sensors()
+    gains1, gains2 = cfg.stage1_gains(), cfg.stage2_gains()
+    dt, star_every, feature_every = 1.0 / sensors.gyro_rate, cfg.star_every(), cfg.feature_every()
+    truth = truth_trajectory(world, dt, cfg.steps_per_run())
+    rel = relative_state(truth)
+    streams = sensor_streams(truth, rel.rot, sensors, star_every, feature_every, rng)
+    states = [cascade.initial_state(gains1, gains2)]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(1, cfg.steps_per_run() + 1):
+            star = streams.star[k // star_every - 1] if k % star_every == 0 else None
+            features = streams.features[k // feature_every - 1] if k % feature_every == 0 else None
+            bundle = MeasurementBundle(k * dt, streams.gyro[k - 1], star, features)
+            try:
+                states.append(
+                    cascade.step(
+                        states[-1], bundle, gains1, gains2, world.ref_dirs, 1.0 / sensors.star_rate,
+                        1.0 / sensors.feature_rate, cfg.input_mode == "unbiased_cascade",
+                    )
+                )
+            except NumericalFailure:
+                break
+        estimates = [[cs.s1 for cs in states], [cs.s2 for cs in states]]
+        rot = np.array([[est.X.rot for est in stage] for stage in estimates])
+        vec = np.array([[est.X.vec for est in stage] for stage in estimates])
+        sigma = np.array([[est.Sigma for est in stage] for stage in estimates])
+        bias = np.broadcast_to(truth.gyro_bias, rel.vec.shape)
+        return _series(dt, len(states), (StageState(truth.att_chaser, bias), rel), rot, vec, sigma)
+
+
+@pytest.mark.parametrize(
+    "overrides, run_index, rows",
+    [
+        ({}, 0, 1501),
+        ({"star_rate_hz": 100.0, "feature_rate_hz": 100.0, "update_iterations": 1}, 0, 1501),
+        ({"input_mode": "biased_passthrough"}, 0, 1501),
+        ({"update_iterations": 1}, 0, 400),  # stage 1 fails at tick 400
+        ({"update_iterations": 1, "sigma0": 100.0}, 8, 50),  # stage 2 fails at tick 50
+    ],
+    ids=["default", "fast_rate", "biased", "stage1_fails", "stage2_fails"],
+)
+def test_two_pass_run_equals_the_step_loop(overrides, run_index, rows):
+    # each stage's pass over the whole run, stage 2 on stage 1's bias
+    # stream, gives the series of the per-tick cascade, bit for bit
+    cfg = ScenarioConfig(seed=2026, **overrides)
+    m = run_single(cfg, run_index, keep_series=True)
+    ref = _step_loop_series(cfg, run_index)
+    assert m.series.shape == ref.shape == (rows, len(SERIES_COLUMNS))
+    assert m.series.tobytes() == ref.tobytes()
+    assert m.diverged == (rows <= cfg.steps_per_run())
