@@ -4,7 +4,10 @@
     python experiments/bitcheck.py compare A.npz B.npz
 
 `dump` runs a fixed corpus at seed 2026 and saves each run's series, metric
-vector and diverged flag. It also runs the CLI commands of CLI in-process into
+vector and diverged flag: every run of each variant alone by run_single, under
+<variant>/<i>/, then each variant as one run_batch, under batch/<variant>/<i>/,
+and the variants of POOLED on POOL_WORKERS worker processes, under
+batch<POOL_WORKERS>/<variant>/<i>/. It also runs the CLI commands of CLI in-process into
 OUT's sibling directory OUT_cli/ and saves each output file and the captured
 stdout as bytes, under cli/<command>/. `compare` lists series whose length
 changed with the shorter a bit-exact prefix, and exits 1 if any other array or
@@ -35,6 +38,8 @@ VARIANTS = {  # name: (ScenarioConfig overrides, runs)
     "star20_feat25_it1": ({"star_rate_hz": 20.0, "feature_rate_hz": 25.0, "update_iterations": 1}, 6),
 }
 
+POOLED, POOL_WORKERS = ("default", "it1"), 2
+
 CLI = {  # name: arguments, each run with --seed 2026 into OUT_cli/<name>
     "run": ["run", "--emit-series"],
     "batch": ["batch", "--runs", "3", "--emit-series"],
@@ -58,20 +63,32 @@ def _cli_outputs(out_dir: Path) -> dict:
     return {key: np.frombuffer(data, dtype=np.uint8) for key, data in arrays.items()}
 
 
-def dump(src: str, out: str) -> None:
-    sys.path.insert(0, src)
-    from eqfcascade.config import ScenarioConfig
-    from eqfcascade.harness import run_single
+def _runs(prefix: str, runs) -> dict:
+    """Each run's series, metric vector and diverged flag under prefix/<i>/."""
     from eqfcascade.metrics import _metric_values
 
     arrays = {}
+    for i, m in enumerate(runs):
+        key = f"{prefix}/{i}"
+        arrays[f"{key}/series"] = m.series
+        arrays[f"{key}/metrics"] = np.array(_metric_values(m))
+        arrays[f"{key}/diverged"] = np.array(m.diverged)
+    return arrays
+
+
+def dump(src: str, out: str) -> None:
+    sys.path.insert(0, src)
+    from eqfcascade.config import ScenarioConfig
+    from eqfcascade.harness import run_batch, run_single
+
+    arrays = {}
     for name, (overrides, n_runs) in VARIANTS.items():
-        for i in range(n_runs):
-            m = run_single(ScenarioConfig(seed=2026, **overrides), i, keep_series=True)
-            key = f"{name}/{i}"
-            arrays[f"{key}/series"] = m.series
-            arrays[f"{key}/metrics"] = np.array(_metric_values(m))
-            arrays[f"{key}/diverged"] = np.array(m.diverged)
+        cfg = ScenarioConfig(seed=2026, **overrides)
+        arrays.update(_runs(name, (run_single(cfg, i, keep_series=True) for i in range(n_runs))))
+        arrays.update(_runs(f"batch/{name}", run_batch(cfg, n_runs, keep_series=True).runs))
+        if name in POOLED:
+            pooled = run_batch(cfg, n_runs, keep_series=True, workers=POOL_WORKERS)
+            arrays.update(_runs(f"batch{POOL_WORKERS}/{name}", pooled.runs))
     n_runs = len(arrays) // 3
     arrays.update(_cli_outputs(Path(out).with_name(Path(out).stem + "_cli")))
     np.savez(out, **arrays)

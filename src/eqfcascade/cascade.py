@@ -1,9 +1,10 @@
 """Wiring of the two filter stages plus the truth-referenced error maps.
 
 The cascade is one-way: each stage advances by its own tick function
-(predict, then its iterated update when a measurement is due), and stage
-2 reads stage 1 only through the bias estimate after stage 1's tick,
-subtracted from the gyro for its rate input; `step` composes the two.
+(predict, then its iterated update when a measurement is due), on one
+run's estimate or on R runs' stacked in lanes, and stage 2 reads stage 1
+only through the bias estimate after stage 1's tick, subtracted from the
+gyro for its rate input; `step` composes the two.
 Truth is only ever read by the error maps, never by the estimation path;
 they take one state or a whole run's stacked states, as the harness
 diagnostics do.

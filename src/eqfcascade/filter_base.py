@@ -11,6 +11,12 @@ Prediction integrates the lifted dynamics with the exponential map on the
 rotation part and explicit Euler on the vector and Riccati parts.
 Corrections are integrated over the measurement interval in
 `update_iterations` equal sub-steps, re-linearizing at every sub-step.
+
+The kernel takes one run's states, or R runs' as stacks with a leading lane
+axis ((R, 3, 3), (R, 3), (R, 6, 6); inputs and measurements likewise), and
+gives each lane the one-run result bit for bit. A single gain or vector
+takes a float path inside the same functions, as exp_so3 does; a batched
+solve or Cholesky factorization that fails raises for the whole stack.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .geom import AlgebraElement, GroupElement, StageState, exp_so3, identity_element, renormalize_rotation, wedge
+from .geom import AlgebraElement, GroupElement, StageState, cross3, exp_so3, identity_element, renormalize_rotation, wedge
 
 ORIGIN = StageState(np.eye(3), np.zeros(3))
 _EYE3 = np.eye(3)
@@ -85,7 +91,7 @@ def initial_estimate(gains: FilterGains) -> FilterEstimate:
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    return 0.5 * (m + m.T)
+    return 0.5 * (m + m.mT)
 
 
 def _is_spd(m: np.ndarray) -> bool:
@@ -117,9 +123,9 @@ def riccati_predict(sigma: np.ndarray, w: np.ndarray, m: np.ndarray, dt: float) 
     A Sigma is built by blocks, [-Sigma[3:]; wedge(w) Sigma[3:]], and the sum
     X + X^T + M is exactly symmetric when Sigma and M are.
     """
-    lower = sigma[3:]
-    a_sigma = np.concatenate((-lower, wedge(w) @ lower))
-    return sigma + dt * (a_sigma + a_sigma.T + m)
+    lower = sigma[..., 3:, :]
+    a_sigma = np.concatenate((-lower, wedge(w) @ lower), axis=-2)
+    return sigma + dt * (a_sigma + a_sigma.mT + m)
 
 
 def riccati_correct(sigma: np.ndarray, info: np.ndarray, tau: float, where: str) -> np.ndarray:
@@ -136,15 +142,15 @@ def riccati_correct(sigma: np.ndarray, info: np.ndarray, tau: float, where: str)
     Sigma[:, :3] (I + tau info Sigma[:3, :3])^-1 tau info Sigma[:3, :].
     `where` names the stage in the error raised when that system is singular.
     """
-    left = sigma[:, :3]
+    left = sigma[..., :3]
     tau_info = tau * info
     try:
-        k = np.linalg.solve(_EYE3 + tau_info @ left[:3], tau_info)
+        k = np.linalg.solve(_EYE3 + tau_info @ left[..., :3, :], tau_info)
     except np.linalg.LinAlgError as exc:
         # a diverged state can push the innovation system to singularity
         raise NumericalFailure(f"Riccati correction became singular in {where}: {exc}") from exc
     # the result is exactly symmetric, which require_spd relies on
-    return symmetrize(sigma - left @ k @ sigma[:3])
+    return symmetrize(sigma - left @ k @ sigma[..., :3, :])
 
 
 def apply_correction(x: GroupElement, gain: np.ndarray, tau: float) -> GroupElement:
@@ -154,10 +160,13 @@ def apply_correction(x: GroupElement, gain: np.ndarray, tau: float) -> GroupElem
     (w, s) to the tangent vector (w, -s), so the tangent-space gain is the
     algebra element Delta = (w, s) = (gain[:3], -gain[3:]).
 
-    The vector part, x.vec + tau * (cross3(gain[:3], x.vec) - gain[3:]),
-    is formed from floats in that operation order; float64 array operations
-    round as Python floats do, so the bits are those of the array form.
+    The vector part, x.vec + tau * (cross3(gain[:3], x.vec) - gain[3:]), row
+    by row for (R, 6) gains, is formed from floats for one gain in that
+    order; float64 array operations round as Python floats do.
     """
+    if gain.ndim > 1:
+        w = gain[..., :3]
+        return GroupElement(exp_so3(w * tau) @ x.rot, x.vec + tau * (cross3(w, x.vec) - gain[..., 3:]))
     w0, w1, w2, s0, s1, s2 = gain.tolist()
     v0, v1, v2 = x.vec.tolist()
     rot = exp_so3((w0 * tau, w1 * tau, w2 * tau)) @ x.rot
@@ -207,7 +216,8 @@ def c_block(y: np.ndarray, y_hat: np.ndarray, rot_hat: np.ndarray) -> np.ndarray
     predicted directions given as the rows of y and y_hat: block i is
     0.5 wedge(y_i + y_hat_i) rot_hat^T."""
     # row i of the (k, 9) product is 0.5 wedge(y_i + y_hat_i), row-major
-    return (np.add(y, y_hat) @ _HALF_WEDGE).reshape(3 * len(y), 3) @ rot_hat.T
+    half = np.add(y, y_hat) @ _HALF_WEDGE
+    return half.reshape(half.shape[:-2] + (-1, 3)) @ rot_hat.mT
 
 
 def c_matrix(y, y_hat, rot_hat: np.ndarray) -> np.ndarray:
@@ -224,7 +234,7 @@ def predict(est: FilterEstimate, lam: AlgebraElement, w: np.ndarray, gains: Filt
     if dt <= 0:
         raise ValueError("dt must be positive")
     rot = renormalize_rotation(est.X.rot @ exp_so3(dt * lam.rot))
-    vec = est.X.vec + dt * (est.X.rot @ lam.vec)
+    vec = est.X.vec + dt * np.matvec(est.X.rot, lam.vec)
     sigma = riccati_predict(est.Sigma, w, gains.M, dt)
     return FilterEstimate(GroupElement(rot, vec), sigma)
 
@@ -246,13 +256,13 @@ def update(est: FilterEstimate, y, dirs, gains: FilterGains, dt_update: float, w
     tau = dt_update / gains.update_iterations
     x, sigma = est.X, est.Sigma
     y, dirs = np.asarray(y), np.asarray(dirs)
-    n_inv = gains.n_inv
+    n_inv, residual = gains.n_inv, y.shape[:-2] + (-1,)  # the residual's shape: one row per lane
     for _ in range(gains.update_iterations):
         # the state estimate recover_state(x) has the attitude x.rot
         y_hat = output_map(x, dirs)
         ca = c_block(y, y_hat, x.rot)
-        ca_t_ninv = ca.T @ n_inv
-        gain = sigma[:, :3] @ (ca_t_ninv @ (y - y_hat).ravel())
+        ca_t_ninv = ca.mT @ n_inv
+        gain = np.matvec(sigma[..., :3], np.matvec(ca_t_ninv, (y - y_hat).reshape(residual)))
         x = apply_correction(x, gain, tau)
         sigma = riccati_correct(sigma, ca_t_ninv @ ca, tau, where)
     require_spd(sigma, where)

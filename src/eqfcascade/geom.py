@@ -24,18 +24,30 @@ MIN_DRAW_NORM = 1e-12  # random_unit_vector redraws a normal triple of at most t
 
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two 3-vectors (numpy.cross has heavy overhead here)."""
-    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
-    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
+    """Cross product of two 3-vectors, read as floats, or row by row of
+    broadcasting (..., 3) stacks (numpy.cross has heavy overhead here)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.ndim > 1 or b.ndim > 1:
+        # component i is a[i + 1] b[i + 2] - a[i + 2] b[i + 1]
+        return a.take(_NEXT, -1) * b.take(_AFTER, -1) - a.take(_AFTER, -1) * b.take(_NEXT, -1)
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 def wedge(x: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix of x, so that wedge(x) @ y == cross(x, y)."""
-    x0, x1, x2 = np.asarray(x, dtype=float).tolist()
+    """Skew-symmetric matrix of x, so that wedge(x) @ y == cross(x, y); the
+    (..., 3, 3) stack of them for a stack (..., 3)."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 1:
+        out = np.zeros(x.shape + (3,))
+        out[..., [2, 0, 1], [1, 2, 0]], out[..., [1, 2, 0], [2, 0, 1]] = x, -x
+        return out
+    x0, x1, x2 = x.tolist()
     return np.array(
         [
             [0.0, -x2, x1],
@@ -93,16 +105,20 @@ def exp_so3(x: np.ndarray) -> np.ndarray:
 
 def _exp_so3_rows(x: np.ndarray) -> np.ndarray:
     # exp_so3's float operations in the same order, on arrays; np.sin and
-    # np.cos must round as math.sin and math.cos do (tests/test_geom.py)
-    x0, x1, x2 = np.moveaxis(x, -1, 0)
+    # np.cos must round as math.sin and math.cos do (tests/test_geom.py);
+    # the small-angle and non-finite rows are patched in only when present
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         sq0, sq1, sq2 = x0 * x0, x1 * x1, x2 * x2
         angle = np.sqrt(sq0 + sq1 + sq2)
+        sq_angle = angle * angle
+        a, b = np.sin(angle) / angle, (1.0 - np.cos(angle)) / sq_angle
         small = angle < SMALL_ANGLE
-        a = np.where(small, 1.0 - angle * angle / 6.0, np.sin(angle) / angle)
-        b = np.where(small, 0.5 - angle * angle / 24.0, (1.0 - np.cos(angle)) / (angle * angle))
+        if small.any():
+            a, b = np.where(small, 1.0 - sq_angle / 6.0, a), np.where(small, 0.5 - sq_angle / 24.0, b)
         finite = angle < math.inf
-        a, b = np.where(finite, a, math.nan), np.where(finite, b, math.nan)
+        if not finite.all():
+            a, b = np.where(finite, a, math.nan), np.where(finite, b, math.nan)
         b01, b02, b12 = b * x0 * x1, b * x0 * x2, b * x1 * x2
         a0, a1, a2 = a * x0, a * x1, a * x2
     out = np.empty(x.shape + (3,))
@@ -184,15 +200,15 @@ def project_so3(m: np.ndarray) -> np.ndarray:
 
 
 def renormalize_rotation(r: np.ndarray, tol: float = ORTHO_TOL) -> np.ndarray:
-    """Re-project onto SO(3) once orthonormality drift exceeds tol.
+    """Re-project onto SO(3) once orthonormality drift exceeds tol; row by row for a stack.
 
     Long exponential-product integrations accumulate rounding drift; below
     tol the matrix is returned unchanged so the hot path stays cheap.
     """
-    drift = np.abs(r.T @ r - _EYE3).max()
-    if drift > tol:
-        return project_so3(r)
-    return r
+    drift = np.abs(r.mT @ r - _EYE3)
+    if r.ndim == 2:
+        return project_so3(r) if drift.max() > tol else r
+    return np.array([renormalize_rotation(m, tol) for m in r]) if (drift > tol).any() else r
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

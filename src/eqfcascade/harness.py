@@ -7,15 +7,22 @@ batch reproduces the single run bit for bit. Scenario quantities are drawn
 in a fixed order before any measurement noise, so batches with different
 rates or input modes see identical worlds on the same seeds.
 
-run_single keeps only the filter in its tick loops, one pass per stage:
+The engine keeps only the filter in its tick loops, one pass per stage:
 stage 1 over every tick, then stage 2 over the ticks before stage 1's
-failing one, on the gyro less stage 1's bias estimates. Truth and
-measurements are whole-run stacks drawn first; the diagnostic series is
-computed from the stored filter states last. A run has diverged if and
-only if a filter step raised NumericalFailure (an update left a Riccati
-state not finite and positive definite, or a correction sub-step's system
-was singular); its series then covers only the ticks before the earlier
-failing one. V is NaN on a singular Riccati row; the diagnostics decide nothing.
+failing one, on the gyro less stage 1's bias estimates. A pass advances
+its lanes in lockstep: the states carry a leading lane axis, () for one
+run and (R,) for R runs, and every tick is one call of the stage's tick
+function for all of them. run_batch runs a batch, or each worker's
+contiguous shard of it, as lanes; run_single is the engine on one run at
+shape (), a batch of one. Truth and measurements are whole-run stacks
+drawn first; the diagnostic series is computed from the stored filter
+states last, a run and a stage at a time. The Riccati stacks, and the V
+columns they feed, are stored and formed only when the series is kept. A
+run has diverged if and only if a filter step raised NumericalFailure (an
+update left a Riccati state not finite and positive definite, or a
+correction sub-step's system was singular); its series then covers only
+the ticks before the earlier failing one. V is NaN on a singular Riccati
+row; the diagnostics decide nothing.
 """
 
 from __future__ import annotations
@@ -27,12 +34,13 @@ import numpy as np
 
 from . import cascade, metrics
 from .config import ScenarioConfig
-from .filter_base import NumericalFailure, initial_estimate, recover_state
+from .filter_base import FilterEstimate, NumericalFailure, initial_estimate, recover_state
 from .geom import GroupElement, StageState, exp_so3, random_rotation, random_unit_vector
 from .metrics import RAD2DEG, BatchSummary, RunMetrics, euler_errors, time_to_threshold
-from .models import TruthWorld, relative_state, sensor_streams, truth_trajectory
+from .models import SensorStreams, TruthWorld, relative_state, sensor_streams, truth_trajectory
 
 DEG2RAD = math.pi / 180.0
+LANES = 50  # runs advanced together at most; their stacks take 0.3 MB a run, 1.2 MB with the series
 
 
 def run_rng(seed: int, run_index: int) -> np.random.Generator:
@@ -88,10 +96,10 @@ def _lyapunov_rows(eps: cascade.ErrorVector, sigma: np.ndarray) -> np.ndarray:
         return cascade.lyapunov_value(eps, np.where(singular[:, None, None], np.nan, sigma))
 
 
-def _stage_columns(truth: StageState, x: GroupElement, sigma: np.ndarray):
+def _stage_columns(truth: StageState, x: GroupElement, sigma: np.ndarray | None):
     """One stage's series columns, row by row over the ticks: the errors
     (geodesic angle, per-axis Euler angles in deg, vector state in deg/s),
-    V, and the norms of the group error's two parts."""
+    V (NaN without sigma), and the norms of the group error's two parts."""
     st = recover_state(x)
     e = cascade.group_error(truth, x)
     # the local rotation error norm equals the estimate-vs-truth geodesic angle
@@ -102,39 +110,84 @@ def _stage_columns(truth: StageState, x: GroupElement, sigma: np.ndarray):
         _norm(st.vec - truth.vec) * RAD2DEG,
     )
     norms = (_norm((e.rot - _EYE3).reshape(-1, 9)), _norm(e.vec))
-    return errors, _lyapunov_rows(eps, sigma), norms
+    return errors, np.full(len(e.vec), np.nan) if sigma is None else _lyapunov_rows(eps, sigma), norms
 
 
-def _series(dt: float, n: int, truths: tuple[StageState, StageState], rot: np.ndarray, vec: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def _series(dt: float, n: int, truths: tuple[StageState, StageState], rot: np.ndarray, vec: np.ndarray, sigma: np.ndarray | None) -> np.ndarray:
     """All SERIES_COLUMNS, one row for each of the first n ticks.
 
     truths holds each stage's true state per tick; rot, vec and sigma stack
     each stage's group state and Riccati state over the ticks, shapes
-    (2, m, 3, 3), (2, m, 3) and (2, m, 6, 6) for m >= n.
+    (2, m, 3, 3), (2, m, 3) and (2, m, 6, 6) for m >= n. Without sigma the
+    V columns are NaN.
     """
+    sigma = (None, None) if sigma is None else sigma[:, :n]
     (err1, v1, norms1), (err2, v2, norms2) = (
-        _stage_columns(StageState(truth.rot[:n], truth.vec[:n]), GroupElement(rot[i, :n], vec[i, :n]), sigma[i, :n])
+        _stage_columns(StageState(truth.rot[:n], truth.vec[:n]), GroupElement(rot[i, :n], vec[i, :n]), sigma[i])
         for i, truth in enumerate(truths)
     )
     t = dt * np.arange(n)
     return np.column_stack([t, *err1, *err2, v1, v2, *norms1, *norms2])
 
 
-def _pass(tick, dts: list, inputs: np.ndarray, every: int, measured: np.ndarray, out, gains, *params) -> int:
-    """Run one stage's tick over ticks 1..len(inputs) from the initial estimate
-    of its gains, storing its states at rows 0.. of out = (rot, vec, sigma);
-    the rows stored, which is the failing tick on NumericalFailure."""
-    rot, vec, sigma = out
-    est = initial_estimate(gains)
-    rot[0], vec[0], sigma[0] = est.X.rot, est.X.vec, est.Sigma
-    for k in range(1, len(inputs) + 1):
-        y = measured[k // every - 1] if k % every == 0 else None
+def _take(est: FilterEstimate, lanes) -> FilterEstimate:
+    return FilterEstimate(GroupElement(est.X.rot[lanes], est.X.vec[lanes]), est.Sigma[lanes])
+
+
+def _failing(tick, est: FilterEstimate, dt: float, u: np.ndarray, y, *args) -> list[int]:
+    """The lanes of a tick that failed over R lanes that fail on their own, each redone at shape ()."""
+    failing = []
+    for j in range(len(u)):
         try:
-            est = tick(est, dts[k - 1], inputs[k - 1], y, gains, *params)
+            tick(_take(est, j), dt, u[j], None if y is None else y[j], *args)
         except NumericalFailure:
-            return k
-        rot[k], vec[k], sigma[k] = est.X.rot, est.X.vec, est.Sigma
-    return len(inputs) + 1
+            failing.append(j)
+    return failing
+
+
+def _lockstep(tick, dts: list, inputs: np.ndarray, every: int, measured: np.ndarray, out, ends, gains, *params) -> np.ndarray:
+    """Run one stage's tick from the initial estimate of its gains over ticks
+    1.. of each lane (leading shape () for one run, (R,) for R runs in
+    lockstep), storing its states at rows 0.. of out = (rot, vec, sigma),
+    sigma None when not kept; inputs (..., n, 3) holds each tick's input,
+    measured (..., n_meas, k, 3) every `every`-th tick's measurement. A lane
+    stops before its tick `ends`, or at a tick that raised NumericalFailure;
+    returns each lane's rows stored, `ends` lowered to its failing tick.
+    A lane's result does not depend on the lanes beside it, so a tick that
+    raises over R lanes drops the lanes that raise on their own and is
+    redone on the others. Any other error propagates.
+    """
+    rot, vec, sigma = out
+    ends = np.array(ends)
+    flat, live = ends.reshape(-1), np.arange(ends.size)
+    at = (slice(None),) * ends.ndim  # where the live lanes are in out
+    est = initial_estimate(gains)
+    if at:  # a copy for each lane
+        est = _take(_take(est, np.newaxis), np.zeros_like(live))
+    k, stop = 0, int(flat.min())
+    while True:
+        if k >= stop:  # the lanes that end before tick k leave
+            keep = flat[live] > k
+            if not keep.any():
+                return ends
+            est, live = _take(est, keep), live[keep]
+            at, stop = (live,), int(flat[live].min())
+        if k:
+            y = measured[(*at, k // every - 1)] if k % every == 0 else None
+            u = inputs[(*at, k - 1)]
+            try:
+                est = tick(est, dts[k - 1], u, y, gains, *params)
+            except NumericalFailure:
+                failing = _failing(tick, est, dts[k - 1], u, y, gains, *params) if at else [0]
+                if not failing:
+                    raise
+                flat[live[failing]] = stop = k
+                continue
+        row = (*at, k)
+        rot[row], vec[row] = est.X.rot, est.X.vec
+        if sigma is not None:
+            sigma[row] = est.Sigma
+        k += 1
 
 
 def _window_metrics(run_index: int, series: np.ndarray, world: TruthWorld) -> RunMetrics:
@@ -159,47 +212,88 @@ def _window_metrics(run_index: int, series: np.ndarray, world: TruthWorld) -> Ru
     return RunMetrics(run_index=run_index, diverged=False, **values)
 
 
-def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = False) -> RunMetrics:
+def _scenario(cfg: ScenarioConfig, run_index: int):
+    """A run's generator after its world is drawn, and its truth and relative-state stacks."""
+    rng = run_rng(cfg.seed, run_index)
+    truth = truth_trajectory(sample_world(cfg, rng), 1.0 / cfg.gyro_rate_hz, cfg.steps_per_run())
+    return rng, truth, relative_state(truth)
+
+
+def _simulate(cfg: ScenarioConfig, streams: SensorStreams, keep_sigma: bool):
+    """Both stages' passes over the runs of `streams` (leading shape () for
+    one run, (R,) for R in lockstep). Returns the stored states rot (2, ...,
+    n + 1, 3, 3), vec (2, ..., n + 1, 3) and sigma (2, ..., n + 1, 6, 6) or
+    None, and each run's rows: its earlier failing tick, or n + 1."""
+    sensors, n, lead = cfg.sensors(), cfg.steps_per_run(), streams.gyro.shape[:-2]
+    rot = np.full((2, *lead, n + 1, 3, 3), np.nan)
+    vec = np.full((2, *lead, n + 1, 3), np.nan)
+    sigma = np.full((2, *lead, n + 1, 6, 6), np.nan) if keep_sigma else None
+    sigmas = (None, None) if sigma is None else sigma
+    # tick k advances by k dt - (k - 1) dt, as cascade.step does between bundle times
+    dts = np.diff(1.0 / sensors.gyro_rate * np.arange(n + 1)).tolist()
+    # overflow inside a diverging filter is an expected, handled outcome
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        n1 = _lockstep(cascade.stage1_tick, dts, streams.gyro, cfg.star_every(), streams.star, (rot[0], vec[0], sigmas[0]),
+                       np.full(lead, n + 1), cfg.stage1_gains(), 1.0 / sensors.star_rate)
+        rate = streams.gyro
+        if cfg.input_mode == "unbiased_cascade":
+            # in place, a lane at a time: stage 1 has read the gyro for the last time
+            for j in np.ndindex(lead):
+                rate[j] -= recover_state(GroupElement(rot[0][j][1:], vec[0][j][1:])).vec
+        rows = _lockstep(cascade.stage2_tick, dts, rate, cfg.feature_every(), streams.features, (rot[1], vec[1], sigmas[1]),
+                         n1, cfg.stage2_gains(), cfg.ref_dirs(), 1.0 / sensors.feature_rate)
+    return rot, vec, sigma, rows
+
+
+def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = False, *, lane=None) -> RunMetrics:
     """Simulate one scenario and summarize it.
 
     The run has diverged if and only if a filter step raised
     NumericalFailure; its series then holds the rows before the earlier
     of the two stages' failing ticks. Any other error is raised.
-    """
-    rng = run_rng(cfg.seed, run_index)
-    world = sample_world(cfg, rng)
-    sensors = cfg.sensors()
-    gains1, gains2 = cfg.stage1_gains(), cfg.stage2_gains()
-    dt = 1.0 / sensors.gyro_rate
-    n_steps = cfg.steps_per_run()
 
-    truth = truth_trajectory(world, dt, n_steps)
-    rel = relative_state(truth)
-    streams = sensor_streams(truth, rel.rot, sensors, cfg.star_every(), cfg.feature_every(), rng)
-    rot = np.full((2, n_steps + 1, 3, 3), np.nan)
-    vec = np.full((2, n_steps + 1, 3), np.nan)
-    sigma = np.full((2, n_steps + 1, 6, 6), np.nan)
-    # tick k advances by k dt - (k - 1) dt, as cascade.step does between bundle times
-    dts = np.diff(dt * np.arange(n_steps + 1)).tolist()
-    # overflow inside a diverging filter, and the non-finite diagnostics it
-    # leads to, are expected, handled outcomes
+    The engine runs on this run alone, at shape (); or lane holds the run's
+    part of run_batch's lockstep passes, _simulate's (rot, vec, sigma, rows)
+    for one run, and only the diagnostics and metrics are left.
+    """
+    rng, truth, rel = _scenario(cfg, run_index)
+    if lane is None:
+        streams = sensor_streams(truth, rel.rot, cfg.sensors(), cfg.star_every(), cfg.feature_every(), rng)
+        lane = _simulate(cfg, streams, keep_series)
+    rot, vec, sigma, n_rows = lane
+    # the non-finite diagnostics of a diverging filter are expected too
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        n1 = _pass(
-            cascade.stage1_tick, dts, streams.gyro, cfg.star_every(), streams.star,
-            (rot[0], vec[0], sigma[0]), gains1, 1.0 / sensors.star_rate,
-        )
-        rate = streams.gyro[: n1 - 1]
-        if cfg.input_mode == "unbiased_cascade":
-            rate = rate - recover_state(GroupElement(rot[0, 1:n1], vec[0, 1:n1])).vec
-        n_rows = _pass(
-            cascade.stage2_tick, dts, rate, cfg.feature_every(), streams.features,
-            (rot[1], vec[1], sigma[1]), gains2, world.ref_dirs, 1.0 / sensors.feature_rate,
-        )
         # the constant bias as a per-tick view, so that both stages slice alike
         bias = np.broadcast_to(truth.gyro_bias, rel.vec.shape)
-        series = _series(dt, n_rows, (StageState(truth.att_chaser, bias), rel), rot, vec, sigma)
-        out = metrics.failed_metrics(run_index) if n_rows <= n_steps else _window_metrics(run_index, series, world)
+        series = _series(1.0 / cfg.gyro_rate_hz, int(n_rows), (StageState(truth.att_chaser, bias), rel), rot, vec, sigma)
+        diverged = n_rows <= cfg.steps_per_run()
+        out = metrics.failed_metrics(run_index) if diverged else _window_metrics(run_index, series, truth)
     return replace(out, series=series) if keep_series else out
+
+
+def _run_lanes(cfg: ScenarioConfig, indices: range, keep_series: bool) -> list[RunMetrics]:
+    """The runs `indices` advanced in lockstep, LANES at a time, then each
+    one's diagnostics and metrics by run_single, in run order; one run is a
+    batch of one."""
+    if len(indices) > LANES:
+        return [m for lo in range(0, len(indices), LANES) for m in _run_lanes(cfg, indices[lo : lo + LANES], keep_series)]
+    if len(indices) == 1:
+        return [run_single(cfg, indices[0], keep_series)]
+    n, star_every, feature_every = cfg.steps_per_run(), cfg.star_every(), cfg.feature_every()
+    # the lane stacks come first, each run's streams are copied in as drawn
+    shapes = ((n, 3), (n // star_every, 3, 3), (n // feature_every, 2, 3))
+    streams = SensorStreams(*(np.empty((len(indices), *shape)) for shape in shapes))
+    for j, i in enumerate(indices):
+        rng, truth, rel = _scenario(cfg, i)
+        run = sensor_streams(truth, rel.rot, cfg.sensors(), star_every, feature_every, rng)
+        streams.gyro[j], streams.star[j], streams.features[j] = run.gyro, run.star, run.features
+    del rng, truth, rel, run
+    rot, vec, sigma, rows = _simulate(cfg, streams, keep_series)
+    del streams
+    return [
+        run_single(cfg, i, keep_series, lane=(rot[:, j], vec[:, j], None if sigma is None else sigma[:, j], rows[j]))
+        for j, i in enumerate(indices)
+    ]
 
 
 def run_batch(
@@ -207,21 +301,23 @@ def run_batch(
 ) -> BatchSummary:
     """n independent runs with per-run seeds derived from the master seed.
 
-    Runs own their RNG streams and share no state, so they may fan out
-    across processes; aggregation follows run order, making the result
-    independent of worker count and completion order.
+    Runs own their RNG streams and share no state, so they may be advanced
+    in lockstep, and split into contiguous shards across processes; a run's
+    result does not depend on its grouping, and aggregation follows run
+    order, making the result independent of worker count.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     workers = min(workers, n_runs)  # a pool of more workers than runs would fork idle ones
-    args = ([cfg] * n_runs, range(n_runs), [keep_series] * n_runs)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
+        cuts = [-(-n_runs * w // workers) for w in range(workers + 1)]  # 8 runs on 3: 3 + 3 + 2
+        shards = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(run_single, *args, chunksize=max(1, n_runs // (4 * workers))))
+            runs = [m for shard in pool.map(_run_lanes, [cfg] * workers, shards, [keep_series] * workers) for m in shard]
     else:
-        runs = list(map(run_single, *args))
+        runs = _run_lanes(cfg, range(n_runs), keep_series)
     return metrics.summarize(runs)

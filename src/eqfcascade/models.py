@@ -96,24 +96,17 @@ def truth_trajectory(world: TruthWorld, dt: float, n_steps: int) -> TruthWorld:
 
     Row k equals k iterations of propagate_truth bit for bit: each attitude
     is right-multiplied by the same exp_so3(omega dt) every tick, computed
-    once here. Every row is checked with require_rotation's tolerance.
+    once here; both attitudes advance in one stacked product per tick. Every
+    row is checked with require_rotation's tolerance.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-
-    def flow(att: np.ndarray, omega: np.ndarray) -> np.ndarray:
-        step = exp_so3(omega * dt)
-        out = np.empty((n_steps + 1, 3, 3))
-        out[0] = att
-        for k in range(n_steps):
-            np.matmul(out[k], step, out=out[k + 1])
-        return out
-
-    return replace(
-        world,
-        att_target=flow(world.att_target, world.omega_target),
-        att_chaser=flow(world.att_chaser, world.omega_chaser),
-    )
+    out = np.empty((n_steps + 1, 2, 3, 3))
+    out[0] = world.att_target, world.att_chaser
+    step = exp_so3(np.stack((world.omega_target, world.omega_chaser)) * dt)
+    for k in range(n_steps):
+        np.matmul(out[k], step, out=out[k + 1])
+    return replace(world, att_target=out[:, 0], att_chaser=out[:, 1])
 
 
 def relative_state(world: TruthWorld) -> StageState:

@@ -38,8 +38,8 @@ def output_map(xi: StageState) -> np.ndarray:
 
 
 def a_rate(x: GroupElement, gyro: np.ndarray) -> np.ndarray:
-    """Rate vector w of the error-flow matrix, w = X.rot gyro + X.vec."""
-    return x.rot @ gyro + x.vec
+    """Rate vector w of the error-flow matrix, w = X.rot gyro + X.vec; row by row for stacks."""
+    return np.matvec(x.rot, gyro) + x.vec
 
 
 def a_matrix(x: GroupElement, gyro: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from eqfcascade.filter_base import (
     c_matrix,
     output_action,
     output_map,
+    predict,
     recover_state,
     require_spd,
     riccati_correct,
@@ -26,7 +27,17 @@ from eqfcascade.filter_base import (
     state_action,
     update,
 )
-from eqfcascade.geom import GroupElement, cross3, exp_so3, random_rotation, random_unit_vector, wedge
+from eqfcascade.geom import (
+    SMALL_ANGLE,
+    GroupElement,
+    cross3,
+    exp_so3,
+    random_rotation,
+    random_unit_vector,
+    renormalize_rotation,
+    wedge,
+)
+from eqfcascade.harness import _failing
 from eqfcascade.models import STAR_DIRS, TruthWorld, measure_features, measure_star_tracker, observed_directions
 from oracles import rk4_matrix_ode
 
@@ -241,3 +252,119 @@ def test_kernel_steps_equal_their_reference_forms_bit_for_bit(seed, log_dt, n):
     w = rng.normal(scale=0.1, size=3)
     a = np.concatenate((-sigma[3:], wedge(w) @ sigma[3:]))
     np.testing.assert_array_equal(riccati_predict(sigma, w, m, dt), sigma + dt * (a + a.T + m))
+
+
+# the kinds of lane in a stack: a generic one, a correction below
+# SMALL_ANGLE, a correction within 1e-8 of pi, and a rotation whose
+# orthonormality drift needs re-projection
+LANE_KINDS = ("generic", "small", "near_pi", "drifted")
+
+
+def _lane(a, i):
+    """Lane i of a stacked estimate or group element."""
+    if isinstance(a, FilterEstimate):
+        return FilterEstimate(_lane(a.X, i), a.Sigma[i])
+    return GroupElement(a.rot[i], a.vec[i])
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, FilterEstimate):
+        return _same(a.X, b.X) and a.Sigma.tobytes() == b.Sigma.tobytes()
+    if isinstance(a, GroupElement):
+        return a.rot.tobytes() == b.rot.tobytes() and a.vec.tobytes() == b.vec.tobytes()
+    return a.tobytes() == b.tobytes()
+
+
+def _lane_stack(kinds, rng, k):
+    """States, Riccati matrices, correction gains and measurements for one
+    lane of each kind."""
+    rot = np.stack([random_rotation(rng) for _ in kinds])
+    angles = np.array([{"small": SMALL_ANGLE * rng.uniform(0.0, 1.0), "near_pi": np.pi - 1e-8}.get(
+        kind, rng.uniform(0.0, np.pi)) for kind in kinds])
+    for i, kind in enumerate(kinds):
+        if kind == "drifted":
+            sym = rng.normal(size=(3, 3))
+            rot[i] = rot[i] @ (np.eye(3) + 1e-7 * (sym + sym.T))
+    assert all((np.abs(r.T @ r - np.eye(3)).max() > 1e-9) == (kind == "drifted") for r, kind in zip(rot, kinds))
+    x = GroupElement(rot, rng.normal(size=(len(kinds), 3)))
+    sigma = np.stack([random_spd(rng, 6, 1e-2, 10.0) for _ in kinds])
+    axes = np.stack([random_unit_vector(rng) for _ in kinds])
+    gain = np.concatenate([angles[:, None] * axes, rng.normal(size=(len(kinds), 3))], axis=1)
+    dirs = np.stack([random_unit_vector(rng) for _ in range(k)])
+    y = np.stack([observed_directions(random_rotation(rng), dirs, 0.01, rng) for _ in kinds])
+    return x, sigma, gain, dirs, y
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kinds=st.lists(st.sampled_from(LANE_KINDS), min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([2, 3]),
+    log_tau=st.floats(-3.0, 0.0),
+)
+def test_kernel_on_lane_stacks_equals_the_per_lane_calls(kinds, seed, k, log_tau):
+    # every kernel step on an (R, ...) stack gives each lane the result of
+    # the one-lane call at shape (), bit for bit
+    rng = np.random.default_rng(seed)
+    tau = 10.0**log_tau
+    x, sigma, gain, dirs, y = _lane_stack(kinds, rng, k)
+    lanes = range(len(kinds))
+    gains = FilterGains(random_spd(rng, 6, 1e-3, 1.0), random_spd(rng, 3 * k, 1e-2, 1.0), np.eye(6), int(rng.integers(1, 5)))
+    est = FilterEstimate(x, sigma)
+
+    # unit-time corrections, so that each lane turns by its own angle
+    out = apply_correction(x, gain, 1.0)
+    assert all(_same(_lane(out, i), apply_correction(_lane(x, i), gain[i], 1.0)) for i in lanes)
+
+    out = renormalize_rotation(x.rot)
+    assert all(_same(out[i], renormalize_rotation(x.rot[i])) for i in lanes)
+    for i, kind in enumerate(kinds):
+        assert (out[i].tobytes() == x.rot[i].tobytes()) == (kind != "drifted")
+
+    ca = rng.normal(size=(len(kinds), 3 * k, 3))
+    info = ca.mT @ ca
+    out = riccati_correct(sigma, info, tau, "test")
+    assert all(_same(out[i], riccati_correct(sigma[i], info[i], tau, "test")) for i in lanes)
+
+    lam = GroupElement(rng.normal(size=(len(kinds), 3)), rng.normal(size=(len(kinds), 3)))
+    w = rng.normal(size=(len(kinds), 3))
+    out = predict(est, lam, w, gains, tau)
+    assert all(_same(_lane(out, i), predict(_lane(est, i), _lane(lam, i), w[i], gains, tau)) for i in lanes)
+
+    # shared known directions, as stage 1's, and one set per lane
+    for lane_dirs in (dirs, np.broadcast_to(dirs, y.shape)):
+        try:
+            out = update(est, y, lane_dirs, gains, tau, "test")
+        except NumericalFailure:
+            # then the lanes that fail alone are the ones the stack failed for
+            tick = lambda e, dt, u, yi, d: update(e, yi, d, gains, dt, "test")  # noqa: E731
+            assert _failing(tick, est, tau, y, y, dirs)
+            continue
+        assert all(_same(_lane(out, i), update(_lane(est, i), y[i], dirs, gains, tau, "test")) for i in lanes)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n_lanes=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_one_failing_lane_fails_the_stack_and_only_itself(n_lanes, seed):
+    # a singular correction system, and a non-finite Riccati state, in one
+    # lane: the call on the stack raises, and redone lane by lane it raises
+    # for that lane alone
+    rng = np.random.default_rng(seed)
+    bad = int(rng.integers(n_lanes))
+    x, sigma, _, dirs, y = _lane_stack(["generic"] * n_lanes, rng, 3)
+    info = np.stack([ca.T @ ca for ca in rng.normal(size=(n_lanes, 9, 3))])
+    sigma_singular, info_singular = sigma.copy(), info.copy()
+    # I + tau info Sigma[:3, :3] is exactly singular here
+    sigma_singular[bad], info_singular[bad] = np.eye(6), -np.eye(3)
+    with pytest.raises(NumericalFailure, match="singular in test"):
+        riccati_correct(sigma_singular, info_singular, 1.0, "test")
+    correct = lambda est, tau, u, y: riccati_correct(est.Sigma, u, tau, "test")  # noqa: E731
+    assert _failing(correct, FilterEstimate(x, sigma_singular), 1.0, info_singular, None) == [bad]
+
+    sigma_nan = sigma.copy()
+    sigma_nan[bad, 4, 4] = np.nan
+    gains = FilterGains.identity_scaled(9, update_iterations=3)
+    with pytest.raises(NumericalFailure, match="not positive definite after test"):
+        update(FilterEstimate(x, sigma_nan), y, dirs, gains, 0.1, "test")
+    tick = lambda est, dt, u, yi: update(est, yi, dirs, gains, dt, "test")  # noqa: E731
+    assert _failing(tick, FilterEstimate(x, sigma_nan), 0.1, y, y) == [bad]

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eqfcascade import cascade
+from eqfcascade import cascade, harness
 from eqfcascade.config import ScenarioConfig
 from eqfcascade.filter_base import NumericalFailure
 from eqfcascade.geom import StageState
@@ -322,3 +322,118 @@ def test_two_pass_run_equals_the_step_loop(overrides, run_index, rows):
     assert m.series.shape == ref.shape == (rows, len(SERIES_COLUMNS))
     assert m.series.tobytes() == ref.tobytes()
     assert m.diverged == (rows <= cfg.steps_per_run())
+
+
+def _run_bits(m) -> bytes:
+    """A run's series and metric vector, as bytes."""
+    return m.series.tobytes() + np.array(_metric_values(m)).tobytes()
+
+
+class TestLanes:
+    """run_batch advances its runs together, as the lanes of one pass per
+    stage; each run's result is its run_single result, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"star_rate_hz": 100.0, "feature_rate_hz": 100.0, "update_iterations": 1}],
+        ids=["default", "100Hz"],
+    )
+    def test_batch_equals_single_runs(self, overrides):
+        cfg = ScenarioConfig(seed=2026, **overrides)
+        batch = run_batch(cfg, 8, keep_series=True)
+        assert [m.run_index for m in batch.runs] == list(range(8))
+        for i, m in enumerate(batch.runs):
+            assert not m.diverged and m.series.shape == (1501, len(SERIES_COLUMNS))
+            assert _run_bits(m) == _run_bits(run_single(cfg, i, keep_series=True))
+
+    def test_worker_counts_and_lane_groups_agree(self, monkeypatch):
+        cfg = ScenarioConfig(seed=2026, duration_s=2.0)
+        ref = [_run_bits(m) for m in run_batch(cfg, 8, keep_series=True).runs]
+        for workers in (2, 3):
+            assert [_run_bits(m) for m in run_batch(cfg, 8, keep_series=True, workers=workers).runs] == ref
+        # and in lockstep groups of at most 3 lanes
+        monkeypatch.setattr(harness, "LANES", 3)
+        assert [_run_bits(m) for m in run_batch(cfg, 8, keep_series=True).runs] == ref
+
+        # the shards are contiguous and as even as they can be: 3 + 3 + 2
+        import concurrent.futures
+
+        shards = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, *iterables):
+                shards.extend(iterables[1])
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(harness, "LANES", 50)
+        assert [_run_bits(m) for m in run_batch(cfg, 8, keep_series=True, workers=3).runs] == ref
+        assert [list(shard) for shard in shards] == [[0, 1, 2], [3, 4, 5], [6, 7]]
+
+    @pytest.mark.parametrize(
+        "iterations, rows",
+        [
+            (1, [400, 200, 500, 500, 400, 400, 400, 300]),  # every lane fails in a stage-1 update
+            (5, [1501, 1000, 1100, 900, 1000, 1501, 1501, 900]),  # lanes 0, 5 and 6 complete
+        ],
+    )
+    def test_failing_lanes_leave_and_the_others_carry_on(self, iterations, rows):
+        cfg = ScenarioConfig(seed=2026, update_iterations=iterations)
+        batch = run_batch(cfg, 8, keep_series=True)
+        assert [len(m.series) for m in batch.runs] == rows
+        assert [m.diverged for m in batch.runs] == [n <= cfg.steps_per_run() for n in rows]
+        for i, m in enumerate(batch.runs):
+            assert _run_bits(m) == _run_bits(run_single(cfg, i, keep_series=True))
+
+    def test_one_lane_fails_in_stage_2(self, monkeypatch):
+        # with sigma0 = 100, lane 8 fails in its stage-2 update at tick 50,
+        # while its stage-1 pass carries on to tick 200
+        ends, real_lockstep = [], harness._lockstep
+        monkeypatch.setattr(harness, "_lockstep", lambda *args: ends.append(real_lockstep(*args)) or ends[-1])
+        cfg = ScenarioConfig(seed=2026, update_iterations=1, sigma0=100.0)
+        batch = run_batch(cfg, 9, keep_series=True)
+        (stage1_ends, stage2_ends), lane = ends, 8
+        assert stage1_ends[lane] == 200 and stage2_ends[lane] == 50
+        assert batch.runs[lane].diverged and len(batch.runs[lane].series) == 50
+        for i, m in enumerate(batch.runs):
+            assert len(m.series) == min(stage1_ends[i], stage2_ends[i])
+            assert _run_bits(m) == _run_bits(run_single(cfg, i, keep_series=True))
+
+    @pytest.mark.parametrize("on_lanes", [True, False], ids=["batched_tick", "redone_lane"])
+    def test_value_error_inside_a_lane_tick_propagates(self, monkeypatch, on_lanes):
+        # a programming error is raised from run_batch, whether it comes from
+        # the tick over all lanes or from a lane redone after a numerical failure
+        stage2_tick = cascade.stage2_tick
+
+        def broken_tick(est, *args):
+            if (est.Sigma.ndim == 3) == on_lanes:
+                raise ValueError("not a numerical failure")
+            if on_lanes:
+                return stage2_tick(est, *args)
+            raise NumericalFailure("stage-2 update")
+
+        monkeypatch.setattr(cascade, "stage2_tick", broken_tick)
+        with pytest.raises(ValueError, match="not a numerical failure"):
+            run_batch(ScenarioConfig(seed=0, duration_s=1.0), 3)
+
+    def test_run_single_is_called_once_per_run_in_order(self, monkeypatch):
+        # each run's diagnostics and metrics come from run_single, given its lane
+        calls, real_single = [], harness.run_single
+
+        def recording(cfg, run_index, keep_series=False, **lane):
+            calls.append((run_index, set(lane)))
+            return real_single(cfg, run_index, keep_series, **lane)
+
+        monkeypatch.setattr(harness, "run_single", recording)
+        cfg = ScenarioConfig(seed=3, duration_s=1.0)
+        run_batch(cfg, 4)
+        run_batch(cfg, 1)
+        assert calls == [(i, {"lane"}) for i in range(4)] + [(0, set())]
