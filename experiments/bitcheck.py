@@ -36,6 +36,10 @@ VARIANTS = {  # name: (ScenarioConfig overrides, runs)
     "dir_noise0": ({"direction_noise_std": 0.0}, 6),
     "star20_feat25": ({"star_rate_hz": 20.0, "feature_rate_hz": 25.0}, 6),
     "star20_feat25_it1": ({"star_rate_hz": 20.0, "feature_rate_hz": 25.0, "update_iterations": 1}, 6),
+    # a batch wider than harness.LANES runs as lane groups of 50 + 5
+    "wide_2s": ({"duration_s": 2.0}, 55),
+    # shorter than one star period: the star stream is empty
+    "short_0p5s": ({"duration_s": 0.5}, 4),
 }
 
 POOLED, POOL_WORKERS = ("default", "it1"), 2

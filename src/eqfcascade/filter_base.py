@@ -120,11 +120,12 @@ def riccati_predict(sigma: np.ndarray, w: np.ndarray, m: np.ndarray, dt: float) 
     """Euler step of the propagation part, Sigma + (A Sigma + Sigma A^T + M) dt,
     for A = a_matrix(w).
 
-    A Sigma is built by blocks, [-Sigma[3:]; wedge(w) Sigma[3:]], and the sum
-    X + X^T + M is exactly symmetric when Sigma and M are.
+    A Sigma is built by blocks, [-Sigma[3:]; wedge(w) Sigma[3:]], in one
+    buffer, and the sum X + X^T + M is exactly symmetric when Sigma and M are.
     """
-    lower = sigma[..., 3:, :]
-    a_sigma = np.concatenate((-lower, wedge(w) @ lower), axis=-2)
+    lower, a_sigma = sigma[..., 3:, :], np.empty_like(sigma)
+    np.negative(lower, out=a_sigma[..., :3, :])
+    np.matmul(wedge(w), lower, out=a_sigma[..., 3:, :])
     return sigma + dt * (a_sigma + a_sigma.mT + m)
 
 

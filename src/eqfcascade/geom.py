@@ -21,10 +21,19 @@ SKEW_TOL = 1e-6  # max Frobenius norm of the symmetric part accepted by vee
 PI_BRANCH = 1e-6  # log switches to axis extraction within this of pi
 ORTHO_TOL = 1e-9  # rotation validity / renormalization threshold
 MIN_DRAW_NORM = 1e-12  # random_unit_vector redraws a normal triple of at most this norm
+_CHECK_ROWS = 4096  # is_rotation checks a stack this many matrices at a time
 
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
 _NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+# _exp_so3_rows' columns: a scalar's three copies, the pairs ij = 01, 02, 12
+# with the k of each pair's a x_k term, the diagonal's jk = 12, 02, 01, and
+# the matrix entries, row-major, in the columns (diagonal, pairs - a x_k,
+# pairs + a x_k)
+_COPIES = np.zeros(3, dtype=np.intp)
+_PAIR_I, _PAIR_J, _PAIR_K = np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([2, 1, 0])
+_DIAG_J, _DIAG_K = np.array([1, 0, 0]), np.array([2, 2, 1])
+_LAYOUT = np.array([0, 3, 7, 6, 1, 5, 4, 8, 2])
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -45,7 +54,7 @@ def wedge(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim > 1:
         out = np.zeros(x.shape + (3,))
-        out[..., [2, 0, 1], [1, 2, 0]], out[..., [1, 2, 0], [2, 0, 1]] = x, -x
+        out[..., _AFTER, _NEXT], out[..., _NEXT, _AFTER] = x, -x
         return out
     x0, x1, x2 = x.tolist()
     return np.array(
@@ -104,28 +113,30 @@ def exp_so3(x: np.ndarray) -> np.ndarray:
 
 
 def _exp_so3_rows(x: np.ndarray) -> np.ndarray:
-    # exp_so3's float operations in the same order, on arrays; np.sin and
-    # np.cos must round as math.sin and math.cos do (tests/test_geom.py);
-    # the small-angle and non-finite rows are patched in only when present
-    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    # exp_so3's float operations, entry for entry, as (..., 3)-wide ones;
+    # np.sin and np.cos must round as math.sin and math.cos do
+    # (tests/test_geom.py); the small-angle and non-finite rows are patched
+    # in only when present
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sq0, sq1, sq2 = x0 * x0, x1 * x1, x2 * x2
-        angle = np.sqrt(sq0 + sq1 + sq2)
+        sq = x * x
+        angle = np.sqrt(sq.sum(axis=-1, keepdims=True))
         sq_angle = angle * angle
         a, b = np.sin(angle) / angle, (1.0 - np.cos(angle)) / sq_angle
-        small = angle < SMALL_ANGLE
-        if small.any():
+        # NaN fails both tests; an empty stack passes them
+        if not (angle.min(initial=math.inf) >= SMALL_ANGLE and angle.max(initial=0.0) < math.inf):
+            small, finite = angle < SMALL_ANGLE, angle < math.inf
             a, b = np.where(small, 1.0 - sq_angle / 6.0, a), np.where(small, 0.5 - sq_angle / 24.0, b)
-        finite = angle < math.inf
-        if not finite.all():
             a, b = np.where(finite, a, math.nan), np.where(finite, b, math.nan)
-        b01, b02, b12 = b * x0 * x1, b * x0 * x2, b * x1 * x2
-        a0, a1, a2 = a * x0, a * x1, a * x2
-    out = np.empty(x.shape + (3,))
-    out[..., 0, 0], out[..., 0, 1], out[..., 0, 2] = 1.0 - b * (sq1 + sq2), b01 - a2, b02 + a1
-    out[..., 1, 0], out[..., 1, 1], out[..., 1, 2] = b01 + a2, 1.0 - b * (sq0 + sq2), b12 - a0
-    out[..., 2, 0], out[..., 2, 1], out[..., 2, 2] = b02 - a1, b12 + a0, 1.0 - b * (sq0 + sq1)
-    return out
+        a, b = a.take(_COPIES, -1), b.take(_COPIES, -1)
+        pairs = (b * x).take(_PAIR_I, -1) * x.take(_PAIR_J, -1)  # b x_i x_j
+        terms = a * x.take(_PAIR_K, -1)
+        diagonal = 1.0 - b * (sq.take(_DIAG_J, -1) + sq.take(_DIAG_K, -1))
+    # each temporary goes once used, so that a long stack (a run's sensor
+    # noise) peaks at about 24 floats a row
+    del a, b, sq, angle, sq_angle
+    entries = np.concatenate((diagonal, pairs - terms, pairs + terms), axis=-1)
+    del pairs, terms, diagonal
+    return entries.take(_LAYOUT, -1).reshape(x.shape + (3,))
 
 
 def log_so3(r: np.ndarray) -> np.ndarray:
@@ -173,11 +184,18 @@ def _log_pi_branch(r: np.ndarray, cos_angle: np.ndarray, skew_vec: np.ndarray) -
 
 
 def is_rotation(r: np.ndarray, tol: float = ORTHO_TOL) -> bool:
-    """True when r is a rotation, or a stack (n, 3, 3) of rotations."""
+    """True when r is a rotation, or a stack (..., 3, 3) of rotations."""
     r = np.asarray(r, dtype=float)
-    if r.ndim not in (2, 3) or r.shape[-2:] != (3, 3) or not np.all(np.isfinite(r)):
+    if r.ndim < 2 or r.shape[-2:] != (3, 3):
         return False
-    if np.max(np.abs(r.mT @ r - _EYE3)) > tol:
+    # a chunk at a time, so that a lane group's truth is checked without a
+    # temporary of its size
+    rs = r.reshape(-1, 3, 3)
+    return all(_rotations(rs[lo : lo + _CHECK_ROWS], tol) for lo in range(0, len(rs), _CHECK_ROWS))
+
+
+def _rotations(r: np.ndarray, tol: float) -> bool:
+    if not np.all(np.isfinite(r)) or np.max(np.abs(r.mT @ r - _EYE3)) > tol:
         return False
     det = (
         r[..., 0, 0] * (r[..., 1, 1] * r[..., 2, 2] - r[..., 1, 2] * r[..., 2, 1])
@@ -208,7 +226,8 @@ def renormalize_rotation(r: np.ndarray, tol: float = ORTHO_TOL) -> np.ndarray:
     drift = np.abs(r.mT @ r - _EYE3)
     if r.ndim == 2:
         return project_so3(r) if drift.max() > tol else r
-    return np.array([renormalize_rotation(m, tol) for m in r]) if (drift > tol).any() else r
+    # fmax passes over NaN, so a non-finite row leaves its drifted neighbours projected
+    return np.array([renormalize_rotation(m, tol) for m in r]) if np.fmax.reduce(drift, None, initial=0.0) > tol else r
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

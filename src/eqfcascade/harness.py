@@ -15,8 +15,10 @@ run and (R,) for R runs, and every tick is one call of the stage's tick
 function for all of them. run_batch runs a batch, or each worker's
 contiguous shard of it, as lanes; run_single is the engine on one run at
 shape (), a batch of one. Truth and measurements are whole-run stacks
-drawn first; the diagnostic series is computed from the stored filter
-states last, a run and a stage at a time. The Riccati stacks, and the V
+drawn first (a lane group's truth as one lane-stacked trajectory, held
+only until its noiseless streams are taken); the diagnostic series is
+computed from the stored filter states last, a run and a stage at a time,
+each run's truth built again. The Riccati stacks, and the V
 columns they feed, are stored and formed only when the series is kept. A
 run has diverged if and only if a filter step raised NumericalFailure (an
 update left a Riccati state not finite and positive definite, or a
@@ -37,7 +39,15 @@ from .config import ScenarioConfig
 from .filter_base import FilterEstimate, NumericalFailure, initial_estimate, recover_state
 from .geom import GroupElement, StageState, exp_so3, random_rotation, random_unit_vector
 from .metrics import RAD2DEG, BatchSummary, RunMetrics, euler_errors, time_to_threshold
-from .models import SensorStreams, TruthWorld, relative_state, sensor_streams, truth_trajectory
+from .models import (
+    SensorStreams,
+    TruthWorld,
+    add_sensor_noise,
+    noiseless_streams,
+    relative_state,
+    sensor_streams,
+    truth_trajectory,
+)
 
 DEG2RAD = math.pi / 180.0
 LANES = 50  # runs advanced together at most; their stacks take 0.3 MB a run, 1.2 MB with the series
@@ -274,20 +284,26 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
 def _run_lanes(cfg: ScenarioConfig, indices: range, keep_series: bool) -> list[RunMetrics]:
     """The runs `indices` advanced in lockstep, LANES at a time, then each
     one's diagnostics and metrics by run_single, in run order; one run is a
-    batch of one."""
+    batch of one. The lanes' truth is built once, as one lane-stacked
+    truth_trajectory, to draw each run's streams from its own generator."""
     if len(indices) > LANES:
         return [m for lo in range(0, len(indices), LANES) for m in _run_lanes(cfg, indices[lo : lo + LANES], keep_series)]
     if len(indices) == 1:
         return [run_single(cfg, indices[0], keep_series)]
     n, star_every, feature_every = cfg.steps_per_run(), cfg.star_every(), cfg.feature_every()
-    # the lane stacks come first, each run's streams are copied in as drawn
+    rngs = [run_rng(cfg.seed, i) for i in indices]
+    truth = truth_trajectory(TruthWorld.stack([sample_world(cfg, rng) for rng in rngs]), 1.0 / cfg.gyro_rate_hz, n)
+    # the lane stacks take each run's noiseless streams, and the truth goes
+    # before the noise's temporaries come
     shapes = ((n, 3), (n // star_every, 3, 3), (n // feature_every, 2, 3))
     streams = SensorStreams(*(np.empty((len(indices), *shape)) for shape in shapes))
-    for j, i in enumerate(indices):
-        rng, truth, rel = _scenario(cfg, i)
-        run = sensor_streams(truth, rel.rot, cfg.sensors(), star_every, feature_every, rng)
-        streams.gyro[j], streams.star[j], streams.features[j] = run.gyro, run.star, run.features
-    del rng, truth, rel, run
+    for j in range(len(indices)):
+        world = truth.lane(j)
+        clean = noiseless_streams(world, relative_state(world).rot, star_every, feature_every)
+        streams.gyro[j], streams.star[j], streams.features[j] = clean.gyro, clean.star, clean.features
+    del truth, world, clean
+    for j, rng in enumerate(rngs):
+        add_sensor_noise(SensorStreams(streams.gyro[j], streams.star[j], streams.features[j]), cfg.sensors(), star_every, feature_every, rng)
     rot, vec, sigma, rows = _simulate(cfg, streams, keep_series)
     del streams
     return [

@@ -9,7 +9,7 @@ integration error never contaminates filter-accuracy numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -32,6 +32,9 @@ class TruthWorld:
     omega_chaser: chaser angular velocity, chaser frame, rad/s.
     gyro_bias: additive gyro bias, rad/s (constant).
     ref_dirs: (2, 3) array, two non-collinear unit rows fixed in the target frame.
+
+    R runs' worlds may share one TruthWorld as lanes: attitudes (R, 3, 3),
+    or (n, R, 3, 3) over the ticks, and rates (R, 3); ref_dirs is shared.
     """
 
     att_target: np.ndarray
@@ -47,6 +50,28 @@ class TruthWorld:
         d1, d2 = self.ref_dirs
         if np.linalg.norm(cross3(d1, d2)) <= COLLINEAR_TOL:
             raise ValueError("reference directions are (nearly) collinear")
+
+    @classmethod
+    def stack(cls, worlds: list["TruthWorld"]) -> "TruthWorld":
+        """The worlds as the lanes of one; they share the first one's ref_dirs."""
+        rows = [[getattr(w, f.name) for w in worlds] for f in fields(cls)[:-1]]
+        return cls(*map(np.stack, rows), ref_dirs=worlds[0].ref_dirs)
+
+    def lane(self, j: int) -> "TruthWorld":
+        """Lane j of a lane-stacked world, as views. Its rows were checked
+        with the stack's, so they are not checked again."""
+        views = (
+            self.att_target[..., j, :, :],
+            self.att_chaser[..., j, :, :],
+            self.omega_target[j],
+            self.omega_chaser[j],
+            self.gyro_bias[j],
+            self.ref_dirs,
+        )
+        lane = object.__new__(TruthWorld)
+        for f, view in zip(fields(self), views):
+            object.__setattr__(lane, f.name, view)
+        return lane
 
 
 @dataclass(frozen=True)
@@ -92,21 +117,22 @@ def propagate_truth(world: TruthWorld, dt: float) -> TruthWorld:
 
 def truth_trajectory(world: TruthWorld, dt: float, n_steps: int) -> TruthWorld:
     """The world at t = k dt for k = 0..n_steps, as one TruthWorld whose
-    attitudes are (n_steps + 1, 3, 3) stacks.
+    attitudes are (n_steps + 1, 3, 3) stacks; (n_steps + 1, R, 3, 3) for a
+    world of R lanes, each lane the one-lane result bit for bit.
 
     Row k equals k iterations of propagate_truth bit for bit: each attitude
     is right-multiplied by the same exp_so3(omega dt) every tick, computed
-    once here; both attitudes advance in one stacked product per tick. Every
-    row is checked with require_rotation's tolerance.
+    once here; both attitudes of every lane advance in one stacked product
+    per tick. Every row is checked with require_rotation's tolerance.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    out = np.empty((n_steps + 1, 2, 3, 3))
-    out[0] = world.att_target, world.att_chaser
-    step = exp_so3(np.stack((world.omega_target, world.omega_chaser)) * dt)
+    out = np.empty((n_steps + 1, *world.att_chaser.shape[:-2], 2, 3, 3))
+    out[0] = np.stack((world.att_target, world.att_chaser), axis=-3)
+    step = exp_so3(np.stack((world.omega_target, world.omega_chaser), axis=-2) * dt)
     for k in range(n_steps):
         np.matmul(out[k], step, out=out[k + 1])
-    return replace(world, att_target=out[:, 0], att_chaser=out[:, 1])
+    return replace(world, att_target=out[..., 0, :, :], att_chaser=out[..., 1, :, :])
 
 
 def relative_state(world: TruthWorld) -> StageState:
@@ -172,28 +198,45 @@ def sensor_streams(
     rng: np.random.Generator,
 ) -> SensorStreams:
     """Every measurement of ticks 1..n, from the truth stacks over ticks 0..n
-    (truth_trajectory, and rel_rot = relative_state(truth).rot). The star
-    tracker reads every star_every-th tick, the features every
-    feature_every-th.
+    (truth_trajectory, and rel_rot = relative_state(truth).rot): the
+    noiseless streams with the sensors' noise added (add_sensor_noise). The
+    star tracker reads every star_every-th tick, the features every
+    feature_every-th. Row for row the streams equal the per-tick calls of
+    measure_gyro, measure_star_tracker and measure_features on an
+    identically seeded generator, bit for bit.
+    """
+    # the outputs come first and the noise's block and the rotations'
+    # temporaries after them, so that those free as one region, which the
+    # run's state stacks then reuse instead of growing the heap
+    return add_sensor_noise(noiseless_streams(truth, rel_rot, star_every, feature_every), sensors, star_every, feature_every, rng)
+
+
+def noiseless_streams(truth: TruthWorld, rel_rot: np.ndarray, star_every: int, feature_every: int) -> SensorStreams:
+    """sensor_streams without noise: the true chaser rate plus the bias on
+    every tick, and the known directions in the body frame on each sensor's
+    ticks."""
+    gyro = np.empty((len(truth.att_chaser) - 1, 3))
+    gyro[:] = truth.omega_chaser + truth.gyro_bias
+    return SensorStreams(
+        gyro,
+        STAR_DIRS @ truth.att_chaser[star_every::star_every],
+        truth.ref_dirs @ rel_rot[feature_every::feature_every],
+    )
+
+
+def add_sensor_noise(
+    streams: SensorStreams, sensors: SensorConfig, star_every: int, feature_every: int, rng: np.random.Generator
+) -> SensorStreams:
+    """The streams, noiseless on entry, with the sensors' noise added in place.
 
     The normals come from rng as one block, in the order in which
     measure_gyro, measure_star_tracker and measure_features draw them tick
     by tick: the gyro's 3, then 3 axis normals and 1 angle normal per star
     direction, then the same per feature direction; a sensor whose noise
-    level is 0 draws nothing. Row for row the streams equal those per-tick
-    calls on an identically seeded generator, bit for bit.
+    level is 0 draws nothing.
     """
-    n = len(truth.att_chaser) - 1
-    sigma = sensors.direction_noise_std
-    # the outputs come first and the block and the rotations' temporaries
-    # after them, so that those free as one region, which the run's state
-    # stacks then reuse instead of growing the heap; the gyro sum and the
-    # rotations write into the outputs
-    gyro = np.empty((n, 3))
-    dirs = [
-        STAR_DIRS @ truth.att_chaser[star_every::star_every],
-        truth.ref_dirs @ rel_rot[feature_every::feature_every],
-    ]
+    gyro, dirs = streams.gyro, [streams.star, streams.features]
+    n, sigma = len(gyro), sensors.direction_noise_std
     # a row of slots per tick: the gyro's 3, then 4 per direction of each
     # direction sensor on its ticks; the block fills the used slots row by row
     g = 3 if sensors.gyro_noise_std > 0 else 0
@@ -223,7 +266,7 @@ def sensor_streams(
         block = np.concatenate((np.delete(block, np.s_[at : at + 3]), rng.normal(size=3)))
     del block, mask
     noise = sensors.gyro_noise_std * buf[:, :3] if g else np.zeros((n, 3))
-    np.add(truth.omega_chaser + truth.gyro_bias, noise, out=gyro)
+    np.add(gyro, noise, out=gyro)
     for y, d, norm in zip(dirs, draws, norms):
         _rotate_about(y, d[..., :3] / norm[..., None], sigma * d[..., 3], out=y)
-    return SensorStreams(gyro, *dirs)
+    return streams

@@ -29,7 +29,7 @@ def input_action(g: GroupElement, gyro: np.ndarray) -> np.ndarray:
 
 def lift(xi: StageState, gyro: np.ndarray) -> AlgebraElement:
     """Algebra element whose group flow projects to the state flow."""
-    return AlgebraElement(gyro - xi.vec, -cross3(gyro, xi.vec))
+    return AlgebraElement(gyro - xi.vec, cross3(xi.vec, gyro))
 
 
 def output_map(xi: StageState) -> np.ndarray:

@@ -51,6 +51,12 @@ def input_action(g: GroupElement, inp: ExtendedInput) -> ExtendedInput:
 
 
 def lift(xi: StageState, inp: ExtendedInput) -> AlgebraElement:
+    """(u - omega + v, u x w + omega x v); with the default zero virtual
+    inputs, (u - omega, 0), the same values for finite inputs without the
+    cross products and the added zero."""
+    if inp.v is _ZERO3 and inp.w is _ZERO3:
+        rot = inp.u - xi.vec
+        return AlgebraElement(rot, np.zeros_like(rot))
     return AlgebraElement(
         inp.u - xi.vec + inp.v,
         cross3(inp.u, inp.w) + cross3(xi.vec, inp.v),

@@ -368,3 +368,15 @@ def test_one_failing_lane_fails_the_stack_and_only_itself(n_lanes, seed):
         update(FilterEstimate(x, sigma_nan), y, dirs, gains, 0.1, "test")
     tick = lambda est, dt, u, yi: update(est, yi, dirs, gains, dt, "test")  # noqa: E731
     assert _failing(tick, FilterEstimate(x, sigma_nan), 0.1, y, y) == [bad]
+
+
+def test_renormalize_projects_drifted_lanes_beside_a_non_finite_one():
+    # the stack's one drift reduction passes over NaN, so a lane holding NaN
+    # neither hides its drifted neighbours nor is projected itself
+    rng = np.random.default_rng(9)
+    x, *_ = _lane_stack(["drifted", "generic", "drifted"], rng, 2)
+    rot = x.rot.copy()
+    rot[1, 0, 0] = np.nan
+    out = renormalize_rotation(rot)
+    assert all(_same(out[i], renormalize_rotation(rot[i])) for i in range(3))
+    assert out[0].tobytes() != rot[0].tobytes() and out[1].tobytes() == rot[1].tobytes()

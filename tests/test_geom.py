@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,60 @@ class TestExpStack:
 
     def test_empty_stack(self):
         assert exp_so3(np.zeros((0, 3))).shape == (0, 3, 3)
+
+    @staticmethod
+    def _rows_match(x):
+        stack = exp_so3(x)
+        assert stack.shape == x.shape + (3,)
+        for row, xi in zip(stack, x):
+            assert row.tobytes() == exp_so3(xi).tobytes()
+        return stack
+
+    @staticmethod
+    def _generic(rng, n):
+        # angles well inside [SMALL_ANGLE, pi]: the stack's fast branch
+        return rng.uniform(0.01, math.pi, (n, 1)) * np.array([random_unit_vector(rng) for _ in range(n)])
+
+    @pytest.mark.parametrize("n", [1, 8, 50])
+    def test_signed_zero_components(self, n):
+        # each component's sign bit reaches the products it enters, so a
+        # zero's sign must survive as the single-vector call leaves it
+        rng = np.random.default_rng(n)
+        x = self._generic(rng, n)
+        x[rng.uniform(size=x.shape) < 0.5] = 0.0
+        x = np.copysign(x, rng.choice([-1.0, 1.0], size=x.shape))
+        x[0] = [-0.0, 0.0, -0.0]
+        self._rows_match(x)
+
+    @pytest.mark.parametrize("n", [1, 8, 50])
+    def test_finite_rows_whose_squares_overflow(self, n):
+        rng = np.random.default_rng(n)
+        x = self._generic(rng, n)
+        x[rng.permutation(n)[: max(1, n // 2)], rng.integers(0, 3)] = 1e160 * rng.choice([-1.0, 1.0])
+        overflowing = np.abs(x).max(axis=1) > 1e150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stack = self._rows_match(x)
+        assert np.all(np.isnan(stack[overflowing]))
+        assert np.all(np.isfinite(stack[~overflowing]))
+
+    @pytest.mark.parametrize("n", [1, 8, 50])
+    def test_stack_without_small_or_non_finite_rows_takes_the_fast_branch(self, n, monkeypatch):
+        x = self._generic(np.random.default_rng(n), n)
+        expected = [exp_so3(xi).tobytes() for xi in x]
+        # the small-angle and non-finite patches are the stack's only np.where calls
+        monkeypatch.setattr(np, "where", None)
+        assert [row.tobytes() for row in exp_so3(x)] == expected
+
+    @pytest.mark.parametrize("n", [1, 8, 50])
+    @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [SMALL_ANGLE / 2, 0.0, 0.0], [0.0, math.nan, 0.1], [math.inf, 0.0, 0.0]])
+    def test_stack_with_exactly_one_small_or_non_finite_row(self, n, row):
+        rng = np.random.default_rng(n)
+        x = self._generic(rng, n)
+        at = rng.integers(0, n)
+        x[at] = row
+        stack = self._rows_match(x)
+        assert np.all(np.isfinite(np.delete(stack, at, axis=0)))
 
 
 class TestGroupOps:

@@ -136,6 +136,27 @@ class TestPropagation:
         np.testing.assert_array_equal(traj.omega_target, w.omega_target)
         np.testing.assert_array_equal(traj.gyro_bias, w.gyro_bias)
 
+    @pytest.mark.parametrize("n_lanes", [1, 5])
+    def test_lane_stacked_trajectory_equals_each_runs_own(self, n_lanes):
+        # the harness builds a lane group's truth in one call and draws each
+        # run's streams from its lane, so every lane must be the run's own
+        # trajectory bit for bit
+        worlds = [random_world(seed) for seed in range(6, 6 + n_lanes)]
+        traj = truth_trajectory(TruthWorld.stack(worlds), 0.01, 150)
+        assert traj.att_target.shape == traj.att_chaser.shape == (151, n_lanes, 3, 3)
+        for j, w in enumerate(worlds):
+            own, lane = truth_trajectory(w, 0.01, 150), traj.lane(j)
+            for name in ("att_target", "att_chaser", "omega_target", "omega_chaser", "gyro_bias", "ref_dirs"):
+                assert np.asarray(getattr(lane, name)).tobytes() == np.asarray(getattr(own, name)).tobytes()
+            assert relative_state(lane).rot.tobytes() == relative_state(own).rot.tobytes()
+
+    def test_lane_stacked_world_checks_every_lane(self):
+        stack = TruthWorld.stack([random_world(6), random_world(7)])
+        bad = stack.att_chaser.copy()
+        bad[1] *= 2.0
+        with pytest.raises(ValueError, match="rotation"):
+            replace(stack, att_chaser=bad)
+
 
 class TestRelativeState:
     def test_equal_attitudes_give_identity(self):

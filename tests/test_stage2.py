@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eqfcascade import stage2
+from eqfcascade import filter_base, stage2
 from eqfcascade.cascade import local_error
 from eqfcascade.filter_base import ORIGIN, FilterEstimate, FilterGains, NumericalFailure, initial_estimate
 from eqfcascade.geom import (
@@ -247,6 +247,24 @@ class TestPredict:
         recovered = stage2.recover_state(est.X)
         assert rotation_angle(recovered.rot, rel_end.rot) < 1e-5
         np.testing.assert_allclose(recovered.vec, rel_end.vec, atol=1e-5)
+
+    @pytest.mark.parametrize("lanes", [(), (8,)])
+    def test_production_predict_equals_the_general_lift_bit_for_bit(self, lanes):
+        # predict's lift skips the cross products of the shared zero virtual
+        # inputs; the general lift on explicit zero arrays must give the same
+        # bits, from the initial estimate and from random ones
+        rng = np.random.default_rng(len(lanes))
+        rot = np.stack([random_rotation(rng) for _ in range(lanes[0] if lanes else 1)]).reshape(lanes + (3, 3))
+        g = gains()
+        origin = GroupElement(np.zeros(lanes + (3, 3)) + np.eye(3), np.zeros(lanes + (3,)))  # initial_estimate's
+        sigma = np.zeros(lanes + (6, 6)) + g.Sigma0
+        for x in (origin, GroupElement(rot, 0.05 * rng.normal(size=lanes + (3,)))):
+            est, rate = FilterEstimate(x, sigma), 0.2 * rng.normal(size=lanes + (3,))
+            general = stage2.ExtendedInput(rate, np.zeros(lanes + (3,)), np.zeros(lanes + (3,)))
+            want = filter_base.predict(est, stage2.lift(stage2.recover_state(x), general), x.vec, g, 0.01)
+            got = stage2.predict(est, rate, g, 0.01)
+            for a, b in ((got.X.rot, want.X.rot), (got.X.vec, want.X.vec), (got.Sigma, want.Sigma)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_dt_must_be_positive(self):
         with pytest.raises(ValueError):
