@@ -6,7 +6,9 @@
 `dump` runs a fixed corpus at seed 2026 and saves each run's series, metric
 vector and diverged flag: every run of each variant alone by run_single, under
 <variant>/<i>/, then each variant as one run_batch, under batch/<variant>/<i>/,
-and the variants of POOLED on POOL_WORKERS worker processes, under
+again without its series (no Riccati stacks and no V columns, the path that
+the Monte Carlo workloads time), under batch_noseries/<variant>/<i>/ with no
+series, and the variants of POOLED on POOL_WORKERS worker processes, under
 batch<POOL_WORKERS>/<variant>/<i>/. It also runs the CLI commands of CLI in-process into
 OUT's sibling directory OUT_cli/ and saves each output file and the captured
 stdout as bytes, under cli/<command>/. `compare` lists series whose length
@@ -68,13 +70,14 @@ def _cli_outputs(out_dir: Path) -> dict:
 
 
 def _runs(prefix: str, runs) -> dict:
-    """Each run's series, metric vector and diverged flag under prefix/<i>/."""
+    """Each run's series, if kept, metric vector and diverged flag under prefix/<i>/."""
     from eqfcascade.metrics import _metric_values
 
     arrays = {}
     for i, m in enumerate(runs):
         key = f"{prefix}/{i}"
-        arrays[f"{key}/series"] = m.series
+        if m.series is not None:
+            arrays[f"{key}/series"] = m.series
         arrays[f"{key}/metrics"] = np.array(_metric_values(m))
         arrays[f"{key}/diverged"] = np.array(m.diverged)
     return arrays
@@ -90,13 +93,14 @@ def dump(src: str, out: str) -> None:
         cfg = ScenarioConfig(seed=2026, **overrides)
         arrays.update(_runs(name, (run_single(cfg, i, keep_series=True) for i in range(n_runs))))
         arrays.update(_runs(f"batch/{name}", run_batch(cfg, n_runs, keep_series=True).runs))
+        arrays.update(_runs(f"batch_noseries/{name}", run_batch(cfg, n_runs).runs))
         if name in POOLED:
             pooled = run_batch(cfg, n_runs, keep_series=True, workers=POOL_WORKERS)
             arrays.update(_runs(f"batch{POOL_WORKERS}/{name}", pooled.runs))
-    n_runs = len(arrays) // 3
+    n_runs, n_run_arrays = sum(key.endswith("/diverged") for key in arrays), len(arrays)
     arrays.update(_cli_outputs(Path(out).with_name(Path(out).stem + "_cli")))
     np.savez(out, **arrays)
-    print(f"{n_runs} runs and {len(arrays) - 3 * n_runs} CLI outputs from {sys.modules['eqfcascade'].__file__} -> {out}")
+    print(f"{n_runs} runs and {len(arrays) - n_run_arrays} CLI outputs from {sys.modules['eqfcascade'].__file__} -> {out}")
 
 
 def compare(path_a: str, path_b: str) -> int:

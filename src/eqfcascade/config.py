@@ -217,6 +217,8 @@ def read_config(path) -> ScenarioConfig:
             key, raw = (s.strip() for s in stripped.split("=", 1))
             if key not in known:
                 raise ConfigError(f"line {line_no}: unknown field '{key}'")
+            if key in values:
+                raise ConfigError(f"line {line_no}: field '{key}' is set again")
             values[key] = _parse_value(key, raw, line_no)
     return ScenarioConfig(**values)
 

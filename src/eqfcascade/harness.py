@@ -13,18 +13,18 @@ failing one, on the gyro less stage 1's bias estimates. A pass advances
 its lanes in lockstep: the states carry a leading lane axis, () for one
 run and (R,) for R runs, and every tick is one call of the stage's tick
 function for all of them. run_batch runs a batch, or each worker's
-contiguous shard of it, as lanes; run_single is the engine on one run at
-shape (), a batch of one. Truth and measurements are whole-run stacks
-drawn first (a lane group's truth as one lane-stacked trajectory, held
-only until its noiseless streams are taken); the diagnostic series is
-computed from the stored filter states last, a run and a stage at a time,
-each run's truth built again. The Riccati stacks, and the V
-columns they feed, are stored and formed only when the series is kept. A
-run has diverged if and only if a filter step raised NumericalFailure (an
-update left a Riccati state not finite and positive definite, or a
-correction sub-step's system was singular); its series then covers only
-the ticks before the earlier failing one. V is NaN on a singular Riccati
-row; the diagnostics decide nothing.
+contiguous shard of it, as lanes; run_single is a lane group of one, run
+at shape (). Each run's world is drawn once, and truth and measurements
+are whole-run stacks made first: a lane group's truth is one lane-stacked
+trajectory, built once. The diagnostic series is computed last, a run and
+a stage at a time, from the stored filter states and the run's truth
+lane. The Riccati stacks, and the V columns they feed, are stored and
+formed only when the series is kept. A run has diverged if and only if a
+filter step raised NumericalFailure (an update left a Riccati state not
+finite and positive definite, or a correction sub-step's system was
+singular); its series then covers only the ticks before the earlier
+failing one. V is NaN on a singular Riccati row; the diagnostics decide
+nothing.
 """
 
 from __future__ import annotations
@@ -45,12 +45,11 @@ from .models import (
     add_sensor_noise,
     noiseless_streams,
     relative_state,
-    sensor_streams,
     truth_trajectory,
 )
 
 DEG2RAD = math.pi / 180.0
-LANES = 50  # runs advanced together at most; their stacks take 0.3 MB a run, 1.2 MB with the series
+LANES = 50  # runs advanced together at most; their stacks and truth take 0.55 MB a run, 1.4 MB with the series
 
 
 def run_rng(seed: int, run_index: int) -> np.random.Generator:
@@ -222,37 +221,34 @@ def _window_metrics(run_index: int, series: np.ndarray, world: TruthWorld) -> Ru
     return RunMetrics(run_index=run_index, diverged=False, **values)
 
 
-def _scenario(cfg: ScenarioConfig, run_index: int):
-    """A run's generator after its world is drawn, and its truth and relative-state stacks."""
-    rng = run_rng(cfg.seed, run_index)
-    truth = truth_trajectory(sample_world(cfg, rng), 1.0 / cfg.gyro_rate_hz, cfg.steps_per_run())
-    return rng, truth, relative_state(truth)
-
-
 def _simulate(cfg: ScenarioConfig, streams: SensorStreams, keep_sigma: bool):
-    """Both stages' passes over the runs of `streams` (leading shape () for
-    one run, (R,) for R in lockstep). Returns the stored states rot (2, ...,
-    n + 1, 3, 3), vec (2, ..., n + 1, 3) and sigma (2, ..., n + 1, 6, 6) or
-    None, and each run's rows: its earlier failing tick, or n + 1."""
-    sensors, n, lead = cfg.sensors(), cfg.steps_per_run(), streams.gyro.shape[:-2]
-    rot = np.full((2, *lead, n + 1, 3, 3), np.nan)
-    vec = np.full((2, *lead, n + 1, 3), np.nan)
-    sigma = np.full((2, *lead, n + 1, 6, 6), np.nan) if keep_sigma else None
-    sigmas = (None, None) if sigma is None else sigma
+    """Both stages' passes over the R runs of `streams`, (R, ...) stacks,
+    in lockstep. Returns the stored states rot (2, R, n + 1, 3, 3), vec
+    (2, R, n + 1, 3) and sigma (2, R, n + 1, 6, 6) or None, and each run's
+    rows (R,): its earlier failing tick, or n + 1."""
+    sensors, n, r = cfg.sensors(), cfg.steps_per_run(), len(streams.gyro)
+    rot = np.full((2, r, n + 1, 3, 3), np.nan)
+    vec = np.full((2, r, n + 1, 3), np.nan)
+    sigma = np.full((2, r, n + 1, 6, 6), np.nan) if keep_sigma else None
+    # one run goes at shape (), the kernel's one-lane path on floats
+    lanes = 0 if r == 1 else slice(None)
+    gyro, star, features = streams.gyro[lanes], streams.star[lanes], streams.features[lanes]
+    (rot1, rot2), (vec1, vec2) = rot[:, lanes], vec[:, lanes]
+    sigma1, sigma2 = (None, None) if sigma is None else sigma[:, lanes]
+    lead = gyro.shape[:-2]
     # tick k advances by k dt - (k - 1) dt, as cascade.step does between bundle times
     dts = np.diff(1.0 / sensors.gyro_rate * np.arange(n + 1)).tolist()
     # overflow inside a diverging filter is an expected, handled outcome
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        n1 = _lockstep(cascade.stage1_tick, dts, streams.gyro, cfg.star_every(), streams.star, (rot[0], vec[0], sigmas[0]),
+        n1 = _lockstep(cascade.stage1_tick, dts, gyro, cfg.star_every(), star, (rot1, vec1, sigma1),
                        np.full(lead, n + 1), cfg.stage1_gains(), 1.0 / sensors.star_rate)
-        rate = streams.gyro
         if cfg.input_mode == "unbiased_cascade":
             # in place, a lane at a time: stage 1 has read the gyro for the last time
             for j in np.ndindex(lead):
-                rate[j] -= recover_state(GroupElement(rot[0][j][1:], vec[0][j][1:])).vec
-        rows = _lockstep(cascade.stage2_tick, dts, rate, cfg.feature_every(), streams.features, (rot[1], vec[1], sigmas[1]),
+                gyro[j] -= recover_state(GroupElement(rot1[j][1:], vec1[j][1:])).vec
+        rows = _lockstep(cascade.stage2_tick, dts, gyro, cfg.feature_every(), features, (rot2, vec2, sigma2),
                          n1, cfg.stage2_gains(), cfg.ref_dirs(), 1.0 / sensors.feature_rate)
-    return rot, vec, sigma, rows
+    return rot, vec, sigma, rows.reshape(r)
 
 
 def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = False, *, lane=None) -> RunMetrics:
@@ -262,15 +258,15 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
     NumericalFailure; its series then holds the rows before the earlier
     of the two stages' failing ticks. Any other error is raised.
 
-    The engine runs on this run alone, at shape (); or lane holds the run's
-    part of run_batch's lockstep passes, _simulate's (rot, vec, sigma, rows)
-    for one run, and only the diagnostics and metrics are left.
+    Without lane the run is a lane group of one (_run_lanes). lane holds
+    the run's part of its lane group: its truth over the ticks and
+    _simulate's (rot, vec, sigma, rows) for it; only the diagnostics and
+    metrics are left.
     """
-    rng, truth, rel = _scenario(cfg, run_index)
     if lane is None:
-        streams = sensor_streams(truth, rel.rot, cfg.sensors(), cfg.star_every(), cfg.feature_every(), rng)
-        lane = _simulate(cfg, streams, keep_series)
-    rot, vec, sigma, n_rows = lane
+        return _run_lanes(cfg, range(run_index, run_index + 1), keep_series)[0]
+    truth, rot, vec, sigma, n_rows = lane
+    rel = relative_state(truth)
     # the non-finite diagnostics of a diverging filter are expected too
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # the constant bias as a per-tick view, so that both stages slice alike
@@ -283,31 +279,27 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
 
 def _run_lanes(cfg: ScenarioConfig, indices: range, keep_series: bool) -> list[RunMetrics]:
     """The runs `indices` advanced in lockstep, LANES at a time, then each
-    one's diagnostics and metrics by run_single, in run order; one run is a
-    batch of one. The lanes' truth is built once, as one lane-stacked
-    truth_trajectory, to draw each run's streams from its own generator."""
+    one's diagnostics and metrics by run_single, in run order. Each run's
+    world is drawn once from its generator, and the group's truth built
+    once, as one lane-stacked truth_trajectory; each run's streams are its
+    lane's noiseless ones plus the noise of its generator."""
     if len(indices) > LANES:
         return [m for lo in range(0, len(indices), LANES) for m in _run_lanes(cfg, indices[lo : lo + LANES], keep_series)]
-    if len(indices) == 1:
-        return [run_single(cfg, indices[0], keep_series)]
-    n, star_every, feature_every = cfg.steps_per_run(), cfg.star_every(), cfg.feature_every()
+    n, sensors, star_every, feature_every = cfg.steps_per_run(), cfg.sensors(), cfg.star_every(), cfg.feature_every()
     rngs = [run_rng(cfg.seed, i) for i in indices]
     truth = truth_trajectory(TruthWorld.stack([sample_world(cfg, rng) for rng in rngs]), 1.0 / cfg.gyro_rate_hz, n)
-    # the lane stacks take each run's noiseless streams, and the truth goes
-    # before the noise's temporaries come
+    truths = [truth.lane(j) for j in range(len(indices))]
     shapes = ((n, 3), (n // star_every, 3, 3), (n // feature_every, 2, 3))
     streams = SensorStreams(*(np.empty((len(indices), *shape)) for shape in shapes))
-    for j in range(len(indices)):
-        world = truth.lane(j)
-        clean = noiseless_streams(world, relative_state(world).rot, star_every, feature_every)
-        streams.gyro[j], streams.star[j], streams.features[j] = clean.gyro, clean.star, clean.features
-    del truth, world, clean
-    for j, rng in enumerate(rngs):
-        add_sensor_noise(SensorStreams(streams.gyro[j], streams.star[j], streams.features[j]), cfg.sensors(), star_every, feature_every, rng)
+    for j, (world, rng) in enumerate(zip(truths, rngs)):
+        lane = noiseless_streams(world, relative_state(world).rot, star_every, feature_every)
+        add_sensor_noise(lane, sensors, star_every, feature_every, rng)
+        streams.gyro[j], streams.star[j], streams.features[j] = lane.gyro, lane.star, lane.features
+    del lane
     rot, vec, sigma, rows = _simulate(cfg, streams, keep_series)
     del streams
     return [
-        run_single(cfg, i, keep_series, lane=(rot[:, j], vec[:, j], None if sigma is None else sigma[:, j], rows[j]))
+        run_single(cfg, i, keep_series, lane=(truths[j], rot[:, j], vec[:, j], None if sigma is None else sigma[:, j], rows[j]))
         for j, i in enumerate(indices)
     ]
 

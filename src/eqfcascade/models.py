@@ -189,32 +189,15 @@ class SensorStreams:
     features: np.ndarray
 
 
-def sensor_streams(
-    truth: TruthWorld,
-    rel_rot: np.ndarray,
-    sensors: SensorConfig,
-    star_every: int,
-    feature_every: int,
-    rng: np.random.Generator,
-) -> SensorStreams:
-    """Every measurement of ticks 1..n, from the truth stacks over ticks 0..n
-    (truth_trajectory, and rel_rot = relative_state(truth).rot): the
-    noiseless streams with the sensors' noise added (add_sensor_noise). The
-    star tracker reads every star_every-th tick, the features every
-    feature_every-th. Row for row the streams equal the per-tick calls of
-    measure_gyro, measure_star_tracker and measure_features on an
-    identically seeded generator, bit for bit.
-    """
-    # the outputs come first and the noise's block and the rotations'
-    # temporaries after them, so that those free as one region, which the
-    # run's state stacks then reuse instead of growing the heap
-    return add_sensor_noise(noiseless_streams(truth, rel_rot, star_every, feature_every), sensors, star_every, feature_every, rng)
-
-
 def noiseless_streams(truth: TruthWorld, rel_rot: np.ndarray, star_every: int, feature_every: int) -> SensorStreams:
-    """sensor_streams without noise: the true chaser rate plus the bias on
-    every tick, and the known directions in the body frame on each sensor's
-    ticks."""
+    """Every measurement of ticks 1..n without noise, from the truth stacks
+    over ticks 0..n (truth_trajectory, and rel_rot = relative_state(truth).rot):
+    the true chaser rate plus the bias on every tick, and the known
+    directions in the body frame on each sensor's ticks. The star tracker
+    reads every star_every-th tick, the features every feature_every-th.
+    With add_sensor_noise's noise, row for row the streams equal the
+    per-tick calls of measure_gyro, measure_star_tracker and
+    measure_features on an identically seeded generator, bit for bit."""
     gyro = np.empty((len(truth.att_chaser) - 1, 3))
     gyro[:] = truth.omega_chaser + truth.gyro_bias
     return SensorStreams(

@@ -137,8 +137,10 @@ def test_duration_without_a_gyro_tick_is_usage_error(tmp_path, capsys):
         ("omega_target_range_dps = 1e156 1e156\nduration_s = 1\n", "omega_target_range_dps"),
         # a reference direction whose length overflows once warned
         ("ref_dir_1 = 1e300 0 0\nduration_s = 1\n", "ref_dir_1"),
+        # a repeated key once kept its last value silently
+        ("seed = 1\nduration_s = 1\nseed = 2\n", "line 3: field 'seed'"),
     ],
-    ids=["update_iterations_0", "omega_target_1e200", "chaser_rate_1e200", "omega_target_1e156", "ref_dir_1e300"],
+    ids=["update_iterations_0", "omega_target_1e200", "chaser_rate_1e200", "omega_target_1e156", "ref_dir_1e300", "seed_twice"],
 )
 def test_invalid_config_file_is_one_line_usage_error(text, field, tmp_path, capsys):
     cfg_path = tmp_path / "scenario.cfg"

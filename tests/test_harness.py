@@ -10,7 +10,7 @@ from eqfcascade.filter_base import NumericalFailure
 from eqfcascade.geom import StageState
 from eqfcascade.harness import _series, run_batch, run_rng, run_single, sample_world
 from eqfcascade.metrics import SERIES_COLUMNS, _metric_values, metric_names
-from eqfcascade.models import MeasurementBundle, relative_state, sensor_streams, truth_trajectory
+from eqfcascade.models import MeasurementBundle, add_sensor_noise, noiseless_streams, relative_state, truth_trajectory
 
 
 class TestScenarioSampling:
@@ -278,7 +278,7 @@ def _step_loop_series(cfg: ScenarioConfig, run_index: int) -> np.ndarray:
     dt, star_every, feature_every = 1.0 / sensors.gyro_rate, cfg.star_every(), cfg.feature_every()
     truth = truth_trajectory(world, dt, cfg.steps_per_run())
     rel = relative_state(truth)
-    streams = sensor_streams(truth, rel.rot, sensors, star_every, feature_every, rng)
+    streams = add_sensor_noise(noiseless_streams(truth, rel.rot, star_every, feature_every), sensors, star_every, feature_every, rng)
     states = [cascade.initial_state(gains1, gains2)]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, cfg.steps_per_run() + 1):
@@ -425,15 +425,42 @@ class TestLanes:
             run_batch(ScenarioConfig(seed=0, duration_s=1.0), 3)
 
     def test_run_single_is_called_once_per_run_in_order(self, monkeypatch):
-        # each run's diagnostics and metrics come from run_single, given its lane
+        # each run's diagnostics and metrics come from one run_single call,
+        # given its lane; a single run is a lane group of one
         calls, real_single = [], harness.run_single
 
         def recording(cfg, run_index, keep_series=False, **lane):
-            calls.append((run_index, set(lane)))
+            if lane:
+                calls.append(run_index)
             return real_single(cfg, run_index, keep_series, **lane)
 
         monkeypatch.setattr(harness, "run_single", recording)
         cfg = ScenarioConfig(seed=3, duration_s=1.0)
         run_batch(cfg, 4)
         run_batch(cfg, 1)
-        assert calls == [(i, {"lane"}) for i in range(4)] + [(0, set())]
+        harness.run_single(cfg, 2)
+        assert calls == [0, 1, 2, 3, 0, 2]
+
+    @pytest.mark.parametrize(
+        "n_runs, duration_s, worlds, truths",
+        [(8, 15.0, 8, 1), (55, 2.0, 55, 2), (None, 15.0, 1, 1)],  # 55 runs: lane groups of 50 + 5
+        ids=["batch8", "batch55", "single"],
+    )
+    def test_each_run_draws_its_world_once_and_a_lane_group_builds_its_truth_once(
+        self, monkeypatch, n_runs, duration_s, worlds, truths
+    ):
+        counts = {"sample_world": 0, "truth_trajectory": 0}
+        for name in counts:
+            real = getattr(harness, name)
+
+            def counted(*args, name=name, real=real):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(harness, name, counted)
+        cfg = ScenarioConfig(seed=5, duration_s=duration_s)
+        if n_runs is None:
+            run_single(cfg)
+        else:
+            run_batch(cfg, n_runs)
+        assert counts == {"sample_world": worlds, "truth_trajectory": truths}

@@ -10,14 +10,15 @@ from eqfcascade.models import (
     MeasurementBundle,
     SensorConfig,
     TruthWorld,
+    add_sensor_noise,
     measure_features,
     measure_gyro,
     measure_star_tracker,
+    noiseless_streams,
     observed_directions,
     perturb_direction,
     propagate_truth,
     relative_state,
-    sensor_streams,
     truth_trajectory,
 )
 from oracles import rk4_matrix_ode, rotate_about_random_axis
@@ -335,7 +336,8 @@ def per_tick_streams(truth, sensors, star_every, feature_every, rng):
 
 def assert_streams_equal_reference(truth, sensors, star_every, feature_every, make_rng):
     rng_a, rng_b = make_rng(), make_rng()
-    streams = sensor_streams(truth, relative_state(truth).rot, sensors, star_every, feature_every, rng_a)
+    clean = noiseless_streams(truth, relative_state(truth).rot, star_every, feature_every)
+    streams = add_sensor_noise(clean, sensors, star_every, feature_every, rng_a)
     expected = per_tick_streams(truth, sensors, star_every, feature_every, rng_b)
     for got, want in zip((streams.gyro, streams.star, streams.features), expected):
         assert got.shape == want.shape
