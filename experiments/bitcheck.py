@@ -42,6 +42,15 @@ VARIANTS = {  # name: (ScenarioConfig overrides, runs)
     "wide_2s": ({"duration_s": 2.0}, 55),
     # shorter than one star period: the star stream is empty
     "short_0p5s": ({"duration_s": 0.5}, 4),
+    # reference directions that are not basis rows, so that a feature
+    # direction is a sum of products and its rounding depends on their order
+    "refdirs_fast": (
+        {"ref_dir_1": (2.0, 0.3, -0.5), "ref_dir_2": (0.4, 1.5, 0.7),
+         "star_rate_hz": 100.0, "feature_rate_hz": 100.0, "update_iterations": 1},
+        8,
+    ),
+    # bounded initial attitudes: the target's is drawn as a product
+    "init30": ({"attitude_init_max_deg": 30.0}, 8),
 }
 
 POOLED, POOL_WORKERS = ("default", "it1"), 2

@@ -21,7 +21,6 @@ SKEW_TOL = 1e-6  # max Frobenius norm of the symmetric part accepted by vee
 PI_BRANCH = 1e-6  # log switches to axis extraction within this of pi
 ORTHO_TOL = 1e-9  # rotation validity / renormalization threshold
 MIN_DRAW_NORM = 1e-12  # random_unit_vector redraws a normal triple of at most this norm
-_CHECK_ROWS = 4096  # is_rotation checks a stack this many matrices at a time
 
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
@@ -186,16 +185,9 @@ def _log_pi_branch(r: np.ndarray, cos_angle: np.ndarray, skew_vec: np.ndarray) -
 def is_rotation(r: np.ndarray, tol: float = ORTHO_TOL) -> bool:
     """True when r is a rotation, or a stack (..., 3, 3) of rotations."""
     r = np.asarray(r, dtype=float)
-    if r.ndim < 2 or r.shape[-2:] != (3, 3):
+    if r.ndim < 2 or r.shape[-2:] != (3, 3) or not np.all(np.isfinite(r)):
         return False
-    # a chunk at a time, so that a lane group's truth is checked without a
-    # temporary of its size
-    rs = r.reshape(-1, 3, 3)
-    return all(_rotations(rs[lo : lo + _CHECK_ROWS], tol) for lo in range(0, len(rs), _CHECK_ROWS))
-
-
-def _rotations(r: np.ndarray, tol: float) -> bool:
-    if not np.all(np.isfinite(r)) or np.max(np.abs(r.mT @ r - _EYE3)) > tol:
+    if np.max(np.abs(r.mT @ r - _EYE3)) > tol:
         return False
     det = (
         r[..., 0, 0] * (r[..., 1, 1] * r[..., 2, 2] - r[..., 1, 2] * r[..., 2, 1])

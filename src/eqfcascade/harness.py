@@ -15,10 +15,11 @@ run and (R,) for R runs, and every tick is one call of the stage's tick
 function for all of them. run_batch runs a batch, or each worker's
 contiguous shard of it, as lanes; run_single is a lane group of one, run
 at shape (). Each run's world is drawn once, and truth and measurements
-are whole-run stacks made first: a lane group's truth is one lane-stacked
-trajectory, built once. The diagnostic series is computed last, a run and
-a stage at a time, from the stored filter states and the run's truth
-lane. The Riccati stacks, and the V columns they feed, are stored and
+are whole-run stacks made first: a lane group's stage truths and noiseless
+streams are each built once, lane-stacked, and each run's noise is added
+on its lane. The diagnostic series is computed last, a run and a stage at
+a time, from the stored filter states and the run's stage-truth lanes.
+The Riccati stacks, and the V columns they feed, are stored and
 formed only when the series is kept. A run has diverged if and only if a
 filter step raised NumericalFailure (an update left a Riccati state not
 finite and positive definite, or a correction sub-step's system was
@@ -39,17 +40,10 @@ from .config import ScenarioConfig
 from .filter_base import FilterEstimate, NumericalFailure, initial_estimate, recover_state
 from .geom import GroupElement, StageState, exp_so3, random_rotation, random_unit_vector
 from .metrics import RAD2DEG, BatchSummary, RunMetrics, euler_errors, time_to_threshold
-from .models import (
-    SensorStreams,
-    TruthWorld,
-    add_sensor_noise,
-    noiseless_streams,
-    relative_state,
-    truth_trajectory,
-)
+from .models import SensorStreams, TruthWorld, add_sensor_noise, noiseless_streams, stage_truths, truth_trajectory
 
 DEG2RAD = math.pi / 180.0
-LANES = 50  # runs advanced together at most; their stacks and truth take 0.55 MB a run, 1.4 MB with the series
+LANES = 50  # runs advanced together at most; their stacks and stage truths take 0.55 MB a run, 1.4 MB with the series
 
 
 def run_rng(seed: int, run_index: int) -> np.random.Generator:
@@ -199,7 +193,7 @@ def _lockstep(tick, dts: list, inputs: np.ndarray, every: int, measured: np.ndar
         k += 1
 
 
-def _window_metrics(run_index: int, series: np.ndarray, world: TruthWorld) -> RunMetrics:
+def _window_metrics(run_index: int, series: np.ndarray, gyro_bias: np.ndarray, omega_target: np.ndarray) -> RunMetrics:
     t = series[:, 0]
     lo, hi = metrics.WINDOW
     win = series[(t >= lo) & (t <= hi)]
@@ -212,7 +206,7 @@ def _window_metrics(run_index: int, series: np.ndarray, world: TruthWorld) -> Ru
         values[f"mean_{name}_deg"] = win[:, col : col + 3].mean(axis=0)
         values[f"min_{name}_deg"] = win[:, col : col + 3].min(axis=0)
     # relative errors are undefined for zero-magnitude truth vectors
-    for name, col, truth in (("bias", 5, world.gyro_bias), ("omega", 10, world.omega_target)):
+    for name, col, truth in (("bias", 5, gyro_bias), ("omega", 10, omega_target)):
         truth_norm = float(np.linalg.norm(truth)) * RAD2DEG or math.nan
         for stat, reduce in (("mean", np.mean), ("min", np.min)):
             value = float(reduce(win[:, col]))
@@ -226,7 +220,7 @@ def _simulate(cfg: ScenarioConfig, streams: SensorStreams, keep_sigma: bool):
     in lockstep. Returns the stored states rot (2, R, n + 1, 3, 3), vec
     (2, R, n + 1, 3) and sigma (2, R, n + 1, 6, 6) or None, and each run's
     rows (R,): its earlier failing tick, or n + 1."""
-    sensors, n, r = cfg.sensors(), cfg.steps_per_run(), len(streams.gyro)
+    n, r = cfg.steps_per_run(), len(streams.gyro)
     rot = np.full((2, r, n + 1, 3, 3), np.nan)
     vec = np.full((2, r, n + 1, 3), np.nan)
     sigma = np.full((2, r, n + 1, 6, 6), np.nan) if keep_sigma else None
@@ -237,17 +231,17 @@ def _simulate(cfg: ScenarioConfig, streams: SensorStreams, keep_sigma: bool):
     sigma1, sigma2 = (None, None) if sigma is None else sigma[:, lanes]
     lead = gyro.shape[:-2]
     # tick k advances by k dt - (k - 1) dt, as cascade.step does between bundle times
-    dts = np.diff(1.0 / sensors.gyro_rate * np.arange(n + 1)).tolist()
+    dts = np.diff(1.0 / cfg.gyro_rate_hz * np.arange(n + 1)).tolist()
     # overflow inside a diverging filter is an expected, handled outcome
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         n1 = _lockstep(cascade.stage1_tick, dts, gyro, cfg.star_every(), star, (rot1, vec1, sigma1),
-                       np.full(lead, n + 1), cfg.stage1_gains(), 1.0 / sensors.star_rate)
+                       np.full(lead, n + 1), cfg.stage1_gains(), 1.0 / cfg.star_rate_hz)
         if cfg.input_mode == "unbiased_cascade":
             # in place, a lane at a time: stage 1 has read the gyro for the last time
             for j in np.ndindex(lead):
                 gyro[j] -= recover_state(GroupElement(rot1[j][1:], vec1[j][1:])).vec
         rows = _lockstep(cascade.stage2_tick, dts, gyro, cfg.feature_every(), features, (rot2, vec2, sigma2),
-                         n1, cfg.stage2_gains(), cfg.ref_dirs(), 1.0 / sensors.feature_rate)
+                         n1, cfg.stage2_gains(), cfg.ref_dirs(), 1.0 / cfg.feature_rate_hz)
     return rot, vec, sigma, rows.reshape(r)
 
 
@@ -259,47 +253,44 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
     of the two stages' failing ticks. Any other error is raised.
 
     Without lane the run is a lane group of one (_run_lanes). lane holds
-    the run's part of its lane group: its truth over the ticks and
-    _simulate's (rot, vec, sigma, rows) for it; only the diagnostics and
-    metrics are left.
+    the run's part of its lane group: its lanes of the stage truths'
+    attitudes over the ticks (truth_trajectory), its world's gyro bias and
+    target rate, and _simulate's (rot, vec, sigma, rows) for it; only the
+    diagnostics and metrics are left.
     """
     if lane is None:
         return _run_lanes(cfg, range(run_index, run_index + 1), keep_series)[0]
-    truth, rot, vec, sigma, n_rows = lane
-    rel = relative_state(truth)
+    chaser, rel, bias, omega_target, rot, vec, sigma, n_rows = lane
     # the non-finite diagnostics of a diverging filter are expected too
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        # the constant bias as a per-tick view, so that both stages slice alike
-        bias = np.broadcast_to(truth.gyro_bias, rel.vec.shape)
-        series = _series(1.0 / cfg.gyro_rate_hz, int(n_rows), (StageState(truth.att_chaser, bias), rel), rot, vec, sigma)
+        truths = stage_truths(chaser, rel, bias, omega_target)
+        series = _series(1.0 / cfg.gyro_rate_hz, int(n_rows), truths, rot, vec, sigma)
         diverged = n_rows <= cfg.steps_per_run()
-        out = metrics.failed_metrics(run_index) if diverged else _window_metrics(run_index, series, truth)
+        out = metrics.failed_metrics(run_index) if diverged else _window_metrics(run_index, series, bias, omega_target)
     return replace(out, series=series) if keep_series else out
 
 
 def _run_lanes(cfg: ScenarioConfig, indices: range, keep_series: bool) -> list[RunMetrics]:
     """The runs `indices` advanced in lockstep, LANES at a time, then each
     one's diagnostics and metrics by run_single, in run order. Each run's
-    world is drawn once from its generator, and the group's truth built
-    once, as one lane-stacked truth_trajectory; each run's streams are its
-    lane's noiseless ones plus the noise of its generator."""
+    world is drawn once from its generator; the group's stage truths and
+    noiseless streams are built once, as lane-stacked ones, and each run's
+    noise from its generator is added on its lane."""
     if len(indices) > LANES:
         return [m for lo in range(0, len(indices), LANES) for m in _run_lanes(cfg, indices[lo : lo + LANES], keep_series)]
-    n, sensors, star_every, feature_every = cfg.steps_per_run(), cfg.sensors(), cfg.star_every(), cfg.feature_every()
+    n, star_every, feature_every = cfg.steps_per_run(), cfg.star_every(), cfg.feature_every()
     rngs = [run_rng(cfg.seed, i) for i in indices]
-    truth = truth_trajectory(TruthWorld.stack([sample_world(cfg, rng) for rng in rngs]), 1.0 / cfg.gyro_rate_hz, n)
-    truths = [truth.lane(j) for j in range(len(indices))]
-    shapes = ((n, 3), (n // star_every, 3, 3), (n // feature_every, 2, 3))
-    streams = SensorStreams(*(np.empty((len(indices), *shape)) for shape in shapes))
-    for j, (world, rng) in enumerate(zip(truths, rngs)):
-        lane = noiseless_streams(world, relative_state(world).rot, star_every, feature_every)
-        add_sensor_noise(lane, sensors, star_every, feature_every, rng)
-        streams.gyro[j], streams.star[j], streams.features[j] = lane.gyro, lane.star, lane.features
-    del lane
+    world = TruthWorld.stack([sample_world(cfg, rng) for rng in rngs])
+    chaser, rel = truth_trajectory(world, 1.0 / cfg.gyro_rate_hz, n)
+    streams = noiseless_streams(world, chaser, rel, star_every, feature_every)
+    noise = cfg.gyro_noise_std, cfg.direction_noise_std
+    for j, rng in enumerate(rngs):
+        add_sensor_noise(SensorStreams(streams.gyro[j], streams.star[j], streams.features[j]), *noise, star_every, feature_every, rng)
     rot, vec, sigma, rows = _simulate(cfg, streams, keep_series)
     del streams
     return [
-        run_single(cfg, i, keep_series, lane=(truths[j], rot[:, j], vec[:, j], None if sigma is None else sigma[:, j], rows[j]))
+        run_single(cfg, i, keep_series, lane=(chaser[:, j], rel[:, j], world.gyro_bias[j], world.omega_target[j],
+                                              rot[:, j], vec[:, j], None if sigma is None else sigma[:, j], rows[j]))
         for j, i in enumerate(indices)
     ]
 

@@ -9,7 +9,7 @@ integration error never contaminates filter-accuracy numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,17 +24,16 @@ STAR_DIRS.flags.writeable = False
 
 @dataclass(frozen=True)
 class TruthWorld:
-    """Simulation ground truth.
+    """Simulation ground truth: a run's initial conditions.
 
-    att_target, att_chaser: body-to-inertial attitude matrices, or
-        (n, 3, 3) stacks of them over a run's ticks (truth_trajectory).
+    att_target, att_chaser: body-to-inertial attitude matrices at t = 0.
     omega_target: target angular velocity, target frame, rad/s (constant).
     omega_chaser: chaser angular velocity, chaser frame, rad/s.
     gyro_bias: additive gyro bias, rad/s (constant).
     ref_dirs: (2, 3) array, two non-collinear unit rows fixed in the target frame.
 
-    R runs' worlds may share one TruthWorld as lanes: attitudes (R, 3, 3),
-    or (n, R, 3, 3) over the ticks, and rates (R, 3); ref_dirs is shared.
+    R runs' worlds may share one TruthWorld as lanes: attitudes (R, 3, 3)
+    and rates (R, 3); ref_dirs is shared.
     """
 
     att_target: np.ndarray
@@ -56,22 +55,6 @@ class TruthWorld:
         """The worlds as the lanes of one; they share the first one's ref_dirs."""
         rows = [[getattr(w, f.name) for w in worlds] for f in fields(cls)[:-1]]
         return cls(*map(np.stack, rows), ref_dirs=worlds[0].ref_dirs)
-
-    def lane(self, j: int) -> "TruthWorld":
-        """Lane j of a lane-stacked world, as views. Its rows were checked
-        with the stack's, so they are not checked again."""
-        views = (
-            self.att_target[..., j, :, :],
-            self.att_chaser[..., j, :, :],
-            self.omega_target[j],
-            self.omega_chaser[j],
-            self.gyro_bias[j],
-            self.ref_dirs,
-        )
-        lane = object.__new__(TruthWorld)
-        for f, view in zip(fields(self), views):
-            object.__setattr__(lane, f.name, view)
-        return lane
 
 
 @dataclass(frozen=True)
@@ -115,15 +98,19 @@ def propagate_truth(world: TruthWorld, dt: float) -> TruthWorld:
     )
 
 
-def truth_trajectory(world: TruthWorld, dt: float, n_steps: int) -> TruthWorld:
-    """The world at t = k dt for k = 0..n_steps, as one TruthWorld whose
-    attitudes are (n_steps + 1, 3, 3) stacks; (n_steps + 1, R, 3, 3) for a
-    world of R lanes, each lane the one-lane result bit for bit.
+def truth_trajectory(world: TruthWorld, dt: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The attitudes of the two stages' truths at t = k dt for k = 0..n_steps:
+    the chaser's (stage 1), and the chaser-to-target relative one of
+    relative_state (stage 2), as (n_steps + 1, 3, 3) stacks; (n_steps + 1,
+    R, 3, 3) for a world of R lanes, each lane the one-lane result bit for
+    bit. stage_truths adds their vector parts.
 
     Row k equals k iterations of propagate_truth bit for bit: each attitude
     is right-multiplied by the same exp_so3(omega dt) every tick, computed
     once here; both attitudes of every lane advance in one stacked product
-    per tick. Every row is checked with require_rotation's tolerance.
+    per tick. The world's attitudes were checked, and the rows derived from
+    them are not checked again: products of rotations stay rotations to
+    rounding (test_models).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -132,14 +119,30 @@ def truth_trajectory(world: TruthWorld, dt: float, n_steps: int) -> TruthWorld:
     step = exp_so3(np.stack((world.omega_target, world.omega_chaser), axis=-2) * dt)
     for k in range(n_steps):
         np.matmul(out[k], step, out=out[k + 1])
-    return replace(world, att_target=out[..., 0, :, :], att_chaser=out[..., 1, :, :])
+    # the relative attitude over the target's rows, which nothing reads
+    # again; a lane at a time, so that the temporary is one lane's
+    for lane in out.reshape(n_steps + 1, -1, 2, 3, 3).swapaxes(0, 1):
+        lane[:, 0] = lane[:, 0].mT @ lane[:, 1]
+    return out[..., 1, :, :], out[..., 0, :, :]
+
+
+def stage_truths(
+    chaser: np.ndarray, rel: np.ndarray, gyro_bias: np.ndarray, omega_target: np.ndarray
+) -> tuple[StageState, StageState]:
+    """The two stages' true states at the ticks of the attitude stacks
+    chaser and rel (truth_trajectory's, or a lane of them with that lane's
+    gyro_bias and omega_target): the chaser attitude with the constant gyro
+    bias, as a per-tick view, and the relative attitude with the target rate
+    in the chaser frame."""
+    bias = np.broadcast_to(gyro_bias, chaser.shape[:-1])
+    return StageState(chaser, bias), StageState(rel, np.matvec(rel.mT, omega_target))
 
 
 def relative_state(world: TruthWorld) -> StageState:
     """Chaser-to-target relative attitude and the target rate in the chaser
     frame; stacked when the world's attitudes are."""
     rel = world.att_target.mT @ world.att_chaser
-    return StageState(rel, np.matvec(rel.mT, world.omega_target))
+    return stage_truths(world.att_chaser, rel, world.gyro_bias, world.omega_target)[1]
 
 
 def measure_gyro(world: TruthWorld, noise_std: float, rng: np.random.Generator) -> np.ndarray:
@@ -189,28 +192,32 @@ class SensorStreams:
     features: np.ndarray
 
 
-def noiseless_streams(truth: TruthWorld, rel_rot: np.ndarray, star_every: int, feature_every: int) -> SensorStreams:
-    """Every measurement of ticks 1..n without noise, from the truth stacks
-    over ticks 0..n (truth_trajectory, and rel_rot = relative_state(truth).rot):
-    the true chaser rate plus the bias on every tick, and the known
-    directions in the body frame on each sensor's ticks. The star tracker
-    reads every star_every-th tick, the features every feature_every-th.
-    With add_sensor_noise's noise, row for row the streams equal the
-    per-tick calls of measure_gyro, measure_star_tracker and
-    measure_features on an identically seeded generator, bit for bit."""
-    gyro = np.empty((len(truth.att_chaser) - 1, 3))
-    gyro[:] = truth.omega_chaser + truth.gyro_bias
-    return SensorStreams(
-        gyro,
-        STAR_DIRS @ truth.att_chaser[star_every::star_every],
-        truth.ref_dirs @ rel_rot[feature_every::feature_every],
-    )
+def noiseless_streams(world: TruthWorld, chaser: np.ndarray, rel: np.ndarray, star_every: int, feature_every: int) -> SensorStreams:
+    """Every measurement of ticks 1..n without noise, from the world and its
+    stage-truth attitudes over ticks 0..n (truth_trajectory): the true
+    chaser rate plus the bias on every tick, and the known directions in the
+    body frame on each sensor's ticks, every star_every-th tick for the star
+    tracker and every feature_every-th for the features. A world of R lanes
+    gives lane-major (R, ...) streams, each lane the one-lane result bit for
+    bit. With add_sensor_noise's noise, a run's streams equal the per-tick
+    calls of measure_gyro, measure_star_tracker and measure_features on an
+    identically seeded generator, row for row and bit for bit."""
+    n, lead = len(chaser) - 1, chaser.shape[1:-2]
+    star, features = np.empty((*lead, n // star_every, 3, 3)), np.empty((*lead, n // feature_every, 2, 3))
+    # the tick-major products go straight into the lane-major stacks: a
+    # temporary and a copy would raise the batch's peak RSS
+    np.matmul(STAR_DIRS, chaser[star_every::star_every], out=np.moveaxis(star, -3, 0))
+    np.matmul(world.ref_dirs, rel[feature_every::feature_every], out=np.moveaxis(features, -3, 0))
+    return SensorStreams(np.repeat(np.expand_dims(world.omega_chaser + world.gyro_bias, -2), n, axis=-2), star, features)
 
 
 def add_sensor_noise(
-    streams: SensorStreams, sensors: SensorConfig, star_every: int, feature_every: int, rng: np.random.Generator
+    streams: SensorStreams, gyro_noise_std: float, direction_noise_std: float, star_every: int, feature_every: int,
+    rng: np.random.Generator,
 ) -> SensorStreams:
-    """The streams, noiseless on entry, with the sensors' noise added in place.
+    """One run's streams, noiseless on entry, with the noise of the two
+    levels added in place: gyro_noise_std (rad/s) on the gyro, and the
+    perturbation angle sigma direction_noise_std (rad) on every direction.
 
     The normals come from rng as one block, in the order in which
     measure_gyro, measure_star_tracker and measure_features draw them tick
@@ -219,10 +226,10 @@ def add_sensor_noise(
     level is 0 draws nothing.
     """
     gyro, dirs = streams.gyro, [streams.star, streams.features]
-    n, sigma = len(gyro), sensors.direction_noise_std
+    n, sigma = len(gyro), direction_noise_std
     # a row of slots per tick: the gyro's 3, then 4 per direction of each
     # direction sensor on its ticks; the block fills the used slots row by row
-    g = 3 if sensors.gyro_noise_std > 0 else 0
+    g = 3 if gyro_noise_std > 0 else 0
     spans, start = [], g  # each direction sensor's (buffer rows, slot columns)
     for every, y in zip((star_every, feature_every), dirs):
         width = 4 * y.shape[-2] if sigma > 0 else 0
@@ -248,7 +255,7 @@ def add_sensor_noise(
         at = np.count_nonzero(mask.ravel()[: np.argmax(rejected)])
         block = np.concatenate((np.delete(block, np.s_[at : at + 3]), rng.normal(size=3)))
     del block, mask
-    noise = sensors.gyro_noise_std * buf[:, :3] if g else np.zeros((n, 3))
+    noise = gyro_noise_std * buf[:, :3] if g else np.zeros((n, 3))
     np.add(gyro, noise, out=gyro)
     for y, d, norm in zip(dirs, draws, norms):
         _rotate_about(y, d[..., :3] / norm[..., None], sigma * d[..., 3], out=y)

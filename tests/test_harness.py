@@ -7,10 +7,9 @@ import pytest
 from eqfcascade import cascade, harness
 from eqfcascade.config import ScenarioConfig
 from eqfcascade.filter_base import NumericalFailure
-from eqfcascade.geom import StageState
 from eqfcascade.harness import _series, run_batch, run_rng, run_single, sample_world
 from eqfcascade.metrics import SERIES_COLUMNS, _metric_values, metric_names
-from eqfcascade.models import MeasurementBundle, add_sensor_noise, noiseless_streams, relative_state, truth_trajectory
+from eqfcascade.models import MeasurementBundle, add_sensor_noise, noiseless_streams, stage_truths, truth_trajectory
 
 
 class TestScenarioSampling:
@@ -277,8 +276,8 @@ def _step_loop_series(cfg: ScenarioConfig, run_index: int) -> np.ndarray:
     gains1, gains2 = cfg.stage1_gains(), cfg.stage2_gains()
     dt, star_every, feature_every = 1.0 / sensors.gyro_rate, cfg.star_every(), cfg.feature_every()
     truth = truth_trajectory(world, dt, cfg.steps_per_run())
-    rel = relative_state(truth)
-    streams = add_sensor_noise(noiseless_streams(truth, rel.rot, star_every, feature_every), sensors, star_every, feature_every, rng)
+    noise = sensors.gyro_noise_std, sensors.direction_noise_std
+    streams = add_sensor_noise(noiseless_streams(world, *truth, star_every, feature_every), *noise, star_every, feature_every, rng)
     states = [cascade.initial_state(gains1, gains2)]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(1, cfg.steps_per_run() + 1):
@@ -298,8 +297,7 @@ def _step_loop_series(cfg: ScenarioConfig, run_index: int) -> np.ndarray:
         rot = np.array([[est.X.rot for est in stage] for stage in estimates])
         vec = np.array([[est.X.vec for est in stage] for stage in estimates])
         sigma = np.array([[est.Sigma for est in stage] for stage in estimates])
-        bias = np.broadcast_to(truth.gyro_bias, rel.vec.shape)
-        return _series(dt, len(states), (StageState(truth.att_chaser, bias), rel), rot, vec, sigma)
+        return _series(dt, len(states), stage_truths(*truth, world.gyro_bias, world.omega_target), rot, vec, sigma)
 
 
 @pytest.mark.parametrize(
@@ -449,7 +447,7 @@ class TestLanes:
     def test_each_run_draws_its_world_once_and_a_lane_group_builds_its_truth_once(
         self, monkeypatch, n_runs, duration_s, worlds, truths
     ):
-        counts = {"sample_world": 0, "truth_trajectory": 0}
+        counts = {"sample_world": 0, "truth_trajectory": 0, "noiseless_streams": 0}
         for name in counts:
             real = getattr(harness, name)
 
@@ -463,4 +461,4 @@ class TestLanes:
             run_single(cfg)
         else:
             run_batch(cfg, n_runs)
-        assert counts == {"sample_world": worlds, "truth_trajectory": truths}
+        assert counts == {"sample_world": worlds, "truth_trajectory": truths, "noiseless_streams": truths}

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eqfcascade.geom import exp_so3, random_rotation, random_unit_vector, wedge
+from eqfcascade.geom import ORTHO_TOL, exp_so3, is_rotation, random_rotation, random_unit_vector, wedge
 from eqfcascade.models import (
     STAR_DIRS,
     MeasurementBundle,
@@ -19,6 +19,7 @@ from eqfcascade.models import (
     perturb_direction,
     propagate_truth,
     relative_state,
+    stage_truths,
     truth_trajectory,
 )
 from oracles import rk4_matrix_ode, rotate_about_random_axis
@@ -123,33 +124,58 @@ class TestPropagation:
         # the harness reads the truth from these stacks in place of stepping
         # propagate_truth every tick, so the rows must match it bit for bit
         w = random_world(seed)
-        traj = truth_trajectory(w, dt, n_steps)
-        assert traj.att_target.shape == traj.att_chaser.shape == (n_steps + 1, 3, 3)
-        rel = relative_state(traj)
+        chaser, rel_rot = truth_trajectory(w, dt, n_steps)
+        assert chaser.shape == rel_rot.shape == (n_steps + 1, 3, 3)
+        truth1, rel = stage_truths(chaser, rel_rot, w.gyro_bias, w.omega_target)
         step = w
         for k in range(n_steps + 1):
-            np.testing.assert_array_equal(traj.att_target[k], step.att_target)
-            np.testing.assert_array_equal(traj.att_chaser[k], step.att_chaser)
+            np.testing.assert_array_equal(truth1.rot[k], step.att_chaser)
+            np.testing.assert_array_equal(truth1.vec[k], step.gyro_bias)
             rel_k = relative_state(step)
             np.testing.assert_array_equal(rel.rot[k], rel_k.rot)
             np.testing.assert_array_equal(rel.vec[k], rel_k.vec)
             step = propagate_truth(step, dt)
-        np.testing.assert_array_equal(traj.omega_target, w.omega_target)
-        np.testing.assert_array_equal(traj.gyro_bias, w.gyro_bias)
 
     @pytest.mark.parametrize("n_lanes", [1, 5])
     def test_lane_stacked_trajectory_equals_each_runs_own(self, n_lanes):
-        # the harness builds a lane group's truth in one call and draws each
-        # run's streams from its lane, so every lane must be the run's own
-        # trajectory bit for bit
-        worlds = [random_world(seed) for seed in range(6, 6 + n_lanes)]
-        traj = truth_trajectory(TruthWorld.stack(worlds), 0.01, 150)
-        assert traj.att_target.shape == traj.att_chaser.shape == (151, n_lanes, 3, 3)
+        # the harness builds a lane group's stage truths and noiseless
+        # streams in one call each, and hands each run its lanes, so every
+        # lane must be the run's own one-lane build bit for bit; reference
+        # directions that are not basis rows make each feature direction a
+        # sum of products
+        ref_dirs = np.array([[2.0, 0.3, -0.5], [0.4, 1.5, 0.7]])
+        ref_dirs /= np.linalg.norm(ref_dirs, axis=1, keepdims=True)
+        worlds = [replace(random_world(seed), ref_dirs=ref_dirs) for seed in range(6, 6 + n_lanes)]
+        world = TruthWorld.stack(worlds)
+        chaser, rel = truth_trajectory(world, 0.01, 150)
+        assert chaser.shape == rel.shape == (151, n_lanes, 3, 3)
+        streams = noiseless_streams(world, chaser, rel, 7, 3)
         for j, w in enumerate(worlds):
-            own, lane = truth_trajectory(w, 0.01, 150), traj.lane(j)
-            for name in ("att_target", "att_chaser", "omega_target", "omega_chaser", "gyro_bias", "ref_dirs"):
-                assert np.asarray(getattr(lane, name)).tobytes() == np.asarray(getattr(own, name)).tobytes()
-            assert relative_state(lane).rot.tobytes() == relative_state(own).rot.tobytes()
+            own = truth_trajectory(w, 0.01, 150)
+            lanes = stage_truths(chaser[:, j], rel[:, j], world.gyro_bias[j], world.omega_target[j])
+            for lane, mine in zip(lanes, stage_truths(*own, w.gyro_bias, w.omega_target)):
+                assert lane.rot.tobytes() == mine.rot.tobytes()
+                assert lane.vec.tobytes() == mine.vec.tobytes()
+            own_streams = noiseless_streams(w, *own, 7, 3)
+            for name in ("gyro", "star", "features"):
+                assert getattr(streams, name)[j].tobytes() == getattr(own_streams, name).tobytes()
+
+    @pytest.mark.parametrize("rate", ["half_turn", "random"])
+    def test_trajectory_rows_stay_rotations(self, rate):
+        # the rows are not checked when built: a tick's exp_so3 at the rate
+        # bound (half a turn a tick) or at any rate, repeated over a 15 s
+        # run at 100 Hz, keeps them rotations within ORTHO_TOL
+        rng = np.random.default_rng(31)
+        dt, lanes = 0.01, 4
+        rates = rng.normal(size=(lanes, 2, 3))
+        if rate == "half_turn":
+            rates *= math.pi / dt / np.linalg.norm(rates, axis=-1, keepdims=True)
+        worlds = [
+            make_world(omega_t=t, omega_c=c, att_t=random_rotation(rng), att_c=random_rotation(rng)) for t, c in rates
+        ]
+        chaser, rel = truth_trajectory(TruthWorld.stack(worlds), dt, 1500)
+        assert is_rotation(chaser, ORTHO_TOL)
+        assert is_rotation(rel, ORTHO_TOL)
 
     def test_lane_stacked_world_checks_every_lane(self):
         stack = TruthWorld.stack([random_world(6), random_world(7)])
@@ -321,24 +347,24 @@ class StubNormals:
         return float(out[0]) if size is None else out
 
 
-def per_tick_streams(truth, sensors, star_every, feature_every, rng):
+def per_tick_streams(world, chaser, rel, sensors, star_every, feature_every, rng):
     """The reference: each tick's measurements drawn by the per-tick functions, in tick order."""
-    rel = relative_state(truth)
     gyro, star, features = [], [], []
-    for k in range(1, len(truth.att_chaser)):
-        gyro.append(measure_gyro(truth, sensors.gyro_noise_std, rng))
+    for k in range(1, len(chaser)):
+        gyro.append(measure_gyro(world, sensors.gyro_noise_std, rng))
         if k % star_every == 0:
-            star.append(observed_directions(truth.att_chaser[k], STAR_DIRS, sensors.direction_noise_std, rng))
+            star.append(observed_directions(chaser[k], STAR_DIRS, sensors.direction_noise_std, rng))
         if k % feature_every == 0:
-            features.append(observed_directions(rel.rot[k], truth.ref_dirs, sensors.direction_noise_std, rng))
+            features.append(observed_directions(rel[k], world.ref_dirs, sensors.direction_noise_std, rng))
     return [np.array(rows).reshape(-1, *shape) for rows, shape in ((gyro, (3,)), (star, (3, 3)), (features, (2, 3)))]
 
 
-def assert_streams_equal_reference(truth, sensors, star_every, feature_every, make_rng):
+def assert_streams_equal_reference(world, truth, sensors, star_every, feature_every, make_rng):
     rng_a, rng_b = make_rng(), make_rng()
-    clean = noiseless_streams(truth, relative_state(truth).rot, star_every, feature_every)
-    streams = add_sensor_noise(clean, sensors, star_every, feature_every, rng_a)
-    expected = per_tick_streams(truth, sensors, star_every, feature_every, rng_b)
+    clean = noiseless_streams(world, *truth, star_every, feature_every)
+    noise = sensors.gyro_noise_std, sensors.direction_noise_std
+    streams = add_sensor_noise(clean, *noise, star_every, feature_every, rng_a)
+    expected = per_tick_streams(world, *truth, sensors, star_every, feature_every, rng_b)
     for got, want in zip((streams.gyro, streams.star, streams.features), expected):
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
@@ -355,9 +381,10 @@ class TestSensorStreams:
         gyro_rate, star_rate, feature_rate = rates
         sensors = SensorConfig(gyro_std, dir_std, gyro_rate, star_rate, feature_rate)
         w = random_world(20)
-        truth = truth_trajectory(replace(w, ref_dirs=np.array(w.ref_dirs)), 1.0 / gyro_rate, 250)
+        w = replace(w, ref_dirs=np.array(w.ref_dirs))
+        truth = truth_trajectory(w, 1.0 / gyro_rate, 250)
         every = round(gyro_rate / star_rate), round(gyro_rate / feature_rate)
-        assert_streams_equal_reference(truth, sensors, *every, lambda: np.random.default_rng(21))
+        assert_streams_equal_reference(w, truth, sensors, *every, lambda: np.random.default_rng(21))
 
     def test_rejected_axis_draws_keep_the_stream_order(self):
         # gyro 3 normals a tick, star every 2nd tick (3 x 4), features every
@@ -371,5 +398,6 @@ class TestSensorStreams:
         values[31:34] = 0.0
         sensors = SensorConfig(0.01, 0.01, 100.0, 50.0, 100.0 / 3.0)
         w = random_world(23)
-        truth = truth_trajectory(replace(w, ref_dirs=np.array(w.ref_dirs)), 0.01, 12)
-        assert_streams_equal_reference(truth, sensors, 2, 3, lambda: StubNormals(values))
+        w = replace(w, ref_dirs=np.array(w.ref_dirs))
+        truth = truth_trajectory(w, 0.01, 12)
+        assert_streams_equal_reference(w, truth, sensors, 2, 3, lambda: StubNormals(values))
