@@ -231,11 +231,12 @@ def c_matrix(y, y_hat, rot_hat: np.ndarray) -> np.ndarray:
 
 def predict(est: FilterEstimate, lam: AlgebraElement, w: np.ndarray, gains: FilterGains, dt: float) -> FilterEstimate:
     """Propagate the group state along the lift lam and the Riccati state
-    with the error-flow matrix a_matrix(w), both by Euler."""
+    with the error-flow matrix a_matrix(w), both by Euler. A lift whose
+    vector part is None leaves the group's vector part unchanged."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     rot = renormalize_rotation(est.X.rot @ exp_so3(dt * lam.rot))
-    vec = est.X.vec + dt * np.matvec(est.X.rot, lam.vec)
+    vec = est.X.vec if lam.vec is None else est.X.vec + dt * np.matvec(est.X.rot, lam.vec)
     sigma = riccati_predict(est.Sigma, w, gains.M, dt)
     return FilterEstimate(GroupElement(rot, vec), sigma)
 

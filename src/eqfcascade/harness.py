@@ -199,14 +199,14 @@ def _window_metrics(run_index: int, series: np.ndarray, gyro_bias: np.ndarray, o
     win = series[(t >= lo) & (t <= hi)]
     if win.shape[0] == 0:
         win = series  # short runs fall back to the full series
-    values = {}
-    # each stage's three per-axis attitude error columns
-    for name, col in (("chaser", 2), ("rel", 7)):
+    values, at = {}, metrics.SERIES_COLUMNS.index
+    # each stage's three per-axis attitude error columns, roll first
+    for name, col in (("chaser", at("err_roll_c")), ("rel", at("err_roll"))):
         values[f"t1deg_{name}"] = np.array([time_to_threshold(t, series[:, col + i], 1.0) for i in range(3)])
         values[f"mean_{name}_deg"] = win[:, col : col + 3].mean(axis=0)
         values[f"min_{name}_deg"] = win[:, col : col + 3].min(axis=0)
     # relative errors are undefined for zero-magnitude truth vectors
-    for name, col, truth in (("bias", 5, gyro_bias), ("omega", 10, omega_target)):
+    for name, col, truth in (("bias", at("err_bias_dps"), gyro_bias), ("omega", at("err_omega_dps"), omega_target)):
         truth_norm = float(np.linalg.norm(truth)) * RAD2DEG or math.nan
         for stat, reduce in (("mean", np.mean), ("min", np.min)):
             value = float(reduce(win[:, col]))

@@ -3,9 +3,10 @@ the (bias-corrected) chaser rate and two body-fixed feature directions.
 
 The state manifold is SO(3) x R^3 with points (relative attitude, target
 rate in the chaser frame). Equivariance of the rate dynamics needs two
-virtual inputs v and w alongside the physical input u; they are zero on
-every production path but are plumbed through so the symmetry can be
-exercised off-zero in tests. The group element (Q, q) acts on the right by
+virtual inputs v and w alongside the physical input u. Only the tests use
+them off zero, through ExtendedInput, input_action and lift, to exercise
+the symmetry; predict runs the physical system. The group element (Q, q)
+acts on the right by
 
     state:  (R, omega)  ->  (R Q, Q^T (omega - q))
     input:  (u, v, w)   ->  (Q^T u, Q^T (v - q), Q^T (w + q))
@@ -31,18 +32,13 @@ from .filter_base import FilterEstimate, FilterGains, c_matrix, output_action, r
 from .geom import AlgebraElement, GroupElement, StageState, cross3
 
 
-# the virtual inputs' default, shared read-only so a tick allocates no zeros
-_ZERO3 = np.zeros(3)
-_ZERO3.flags.writeable = False
-
-
 @dataclass(frozen=True)
 class ExtendedInput:
-    """Physical rate input plus the two virtual inputs (zero in production)."""
+    """Physical rate input plus the two virtual inputs (zero by default)."""
 
     u: np.ndarray
-    v: np.ndarray = field(default_factory=lambda: _ZERO3)
-    w: np.ndarray = field(default_factory=lambda: _ZERO3)
+    v: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    w: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
 
 def input_action(g: GroupElement, inp: ExtendedInput) -> ExtendedInput:
@@ -51,16 +47,8 @@ def input_action(g: GroupElement, inp: ExtendedInput) -> ExtendedInput:
 
 
 def lift(xi: StageState, inp: ExtendedInput) -> AlgebraElement:
-    """(u - omega + v, u x w + omega x v); with the default zero virtual
-    inputs, (u - omega, 0), the same values for finite inputs without the
-    cross products and the added zero."""
-    if inp.v is _ZERO3 and inp.w is _ZERO3:
-        rot = inp.u - xi.vec
-        return AlgebraElement(rot, np.zeros_like(rot))
-    return AlgebraElement(
-        inp.u - xi.vec + inp.v,
-        cross3(inp.u, inp.w) + cross3(xi.vec, inp.v),
-    )
+    """(u - omega + v, u x w + omega x v)."""
+    return AlgebraElement(inp.u - xi.vec + inp.v, cross3(inp.u, inp.w) + cross3(xi.vec, inp.v))
 
 
 def output_map(xi: StageState, ref_dirs: np.ndarray) -> np.ndarray:
@@ -74,9 +62,11 @@ def a_matrix(x: GroupElement) -> np.ndarray:
 
 
 def predict(est: FilterEstimate, rate: np.ndarray, gains: FilterGains, dt: float) -> FilterEstimate:
-    """Propagate with the physical input only (virtual inputs zero); the
-    error-flow matrix is a_matrix(est.X), passed as its rate vector X.vec."""
-    return filter_base.predict(est, lift(recover_state(est.X), ExtendedInput(rate)), est.X.vec, gains, dt)
+    """Propagate with the physical input: the lift at v = w = 0 is
+    (u - omega, 0), handed to the kernel as (u - omega, None), which leaves
+    X.vec as it is. The error-flow matrix is a_matrix(est.X), passed as its
+    rate vector X.vec."""
+    return filter_base.predict(est, AlgebraElement(rate - recover_state(est.X).vec, None), est.X.vec, gains, dt)
 
 
 def update(

@@ -1,6 +1,7 @@
 """Property tests of the shared Riccati steps: the exact contraction, its
-push-through form on the attitude block, and the block-form predict; and
-the (k, 3) direction format from the sensors to the update."""
+push-through form on the attitude block, and the block-form predict; the
+predict of a lift without a vector part; and the (k, 3) direction format
+from the sensors to the update."""
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from eqfcascade.filter_base import (
 )
 from eqfcascade.geom import (
     SMALL_ANGLE,
+    AlgebraElement,
     GroupElement,
     cross3,
     exp_so3,
@@ -152,6 +154,22 @@ def test_block_predict_equals_the_full_form(seed, log_dt):
     np.testing.assert_array_equal(out, out.T)
     full = sigma + dt * (a @ sigma + sigma @ a.T + m)
     np.testing.assert_allclose(out, full, rtol=0.0, atol=1e-14 * np.max(np.abs(full)))
+
+
+@pytest.mark.parametrize("lanes", [(), (8,)])
+def test_a_lift_without_vector_part_leaves_the_vector_part_as_it_is(lanes):
+    rng = np.random.default_rng(len(lanes))
+    n = lanes[0] if lanes else 1
+    vec = rng.normal(size=lanes + (3,))
+    vec[..., 0] = -0.0  # a sum with a zero vector part would make it +0
+    x = GroupElement(np.stack([random_rotation(rng) for _ in range(n)]).reshape(lanes + (3, 3)), vec)
+    sigma = np.stack([random_spd(rng, 6, 1e-3, 10.0) for _ in range(n)]).reshape(lanes + (6, 6))
+    est, rot_rate, w = FilterEstimate(x, sigma), rng.normal(size=lanes + (3,)), rng.normal(size=lanes + (3,))
+    gains = FilterGains.identity_scaled(6)
+    got = predict(est, AlgebraElement(rot_rate, None), w, gains, 0.01)
+    zero = predict(est, AlgebraElement(rot_rate, np.zeros(lanes + (3,))), w, gains, 0.01)
+    assert got.X.vec.tobytes() == vec.tobytes()
+    assert got.X.rot.tobytes() == zero.X.rot.tobytes() and got.Sigma.tobytes() == zero.Sigma.tobytes()
 
 
 def test_directions_are_k_by_3_arrays_and_update_accepts_tuples():
