@@ -251,35 +251,24 @@ class TestPredict:
     @pytest.mark.parametrize("lanes", [(), (8,)])
     def test_production_predict_equals_the_general_lift_bit_for_bit(self, lanes):
         # predict hands the kernel no vector part for the zero virtual inputs;
-        # the general lift on explicit zero arrays must give the same bits,
-        # from the initial estimate and from random ones
+        # the general lift at the default inputs and on explicit zero arrays
+        # must give the same bits, from the initial estimate and from random ones
         rng = np.random.default_rng(len(lanes))
-        rot = np.stack([random_rotation(rng) for _ in range(lanes[0] if lanes else 1)]).reshape(lanes + (3, 3))
-        g = gains()
-        origin = GroupElement(np.zeros(lanes + (3, 3)) + np.eye(3), np.zeros(lanes + (3,)))  # initial_estimate's
-        sigma = np.zeros(lanes + (6, 6)) + g.Sigma0
-        for x in (origin, GroupElement(rot, 0.05 * rng.normal(size=lanes + (3,)))):
-            est, rate = FilterEstimate(x, sigma), 0.2 * rng.normal(size=lanes + (3,))
-            general = stage2.ExtendedInput(rate, np.zeros(lanes + (3,)), np.zeros(lanes + (3,)))
-            want = filter_base.predict(est, stage2.lift(stage2.recover_state(x), general), x.vec, g, 0.01)
-            got = stage2.predict(est, rate, g, 0.01)
-            for a, b in ((got.X.rot, want.X.rot), (got.X.vec, want.X.vec), (got.Sigma, want.Sigma)):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
-
-    @pytest.mark.parametrize("lanes", [(), (8,)])
-    def test_predict_is_the_kernel_along_the_lift_at_default_virtual_inputs(self, lanes):
-        rng = np.random.default_rng(20 + len(lanes))
         n, g = lanes[0] if lanes else 1, gains()
+        origin = GroupElement(np.zeros(lanes + (3, 3)) + np.eye(3), np.zeros(lanes + (3,)))  # initial_estimate's
+        estimates = [FilterEstimate(origin, np.zeros(lanes + (6, 6)) + g.Sigma0)]
         for _ in range(5):
             rot = np.stack([random_rotation(rng) for _ in range(n)]).reshape(lanes + (3, 3))
             m = rng.normal(size=lanes + (6, 6))
-            est = FilterEstimate(GroupElement(rot, rng.normal(size=lanes + (3,))), m @ m.mT + np.eye(6))
+            estimates.append(FilterEstimate(GroupElement(rot, rng.normal(size=lanes + (3,))), m @ m.mT + np.eye(6)))
+        zeros = np.zeros(lanes + (3,))
+        for est in estimates:
             rate, dt = rng.normal(size=lanes + (3,)), rng.uniform(1e-3, 0.1)
-            lam = stage2.lift(stage2.recover_state(est.X), stage2.ExtendedInput(rate))
-            want = filter_base.predict(est, lam, est.X.vec, g, dt)
             got = stage2.predict(est, rate, g, dt)
-            for a, b in ((got.X.rot, want.X.rot), (got.X.vec, want.X.vec), (got.Sigma, want.Sigma)):
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            for inp in (stage2.ExtendedInput(rate), stage2.ExtendedInput(rate, zeros, zeros)):
+                want = filter_base.predict(est, stage2.lift(stage2.recover_state(est.X), inp), est.X.vec, g, dt)
+                for a, b in ((got.X.rot, want.X.rot), (got.X.vec, want.X.vec), (got.Sigma, want.Sigma)):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_dt_must_be_positive(self):
         with pytest.raises(ValueError):
