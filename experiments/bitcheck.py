@@ -51,6 +51,9 @@ VARIANTS = {  # name: (ScenarioConfig overrides, runs)
     ),
     # bounded initial attitudes: the target's is drawn as a product
     "init30": ({"attitude_init_max_deg": 30.0}, 8),
+    # 1 Hz features: runs 44 and 78 fail in their stage-2 update alone, at
+    # ticks 1200 and 1100, one in the 50-lane group and one in the 30-lane rest
+    "feat1hz": ({"feature_rate_hz": 1.0}, 80),
 }
 
 POOLED, POOL_WORKERS = ("default", "it1"), 2

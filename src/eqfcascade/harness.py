@@ -7,19 +7,22 @@ batch reproduces the single run bit for bit. Scenario quantities are drawn
 in a fixed order before any measurement noise, so batches with different
 rates or input modes see identical worlds on the same seeds.
 
-The engine keeps only the filter in its tick loops, one pass per stage:
-stage 1 over every tick, then stage 2 over the ticks before stage 1's
-failing one, on the gyro less stage 1's bias estimates. A pass advances
-its lanes in lockstep: the states carry a leading lane axis, () for one
-run and (R,) for R runs, and every tick is one call of the stage's tick
-function for all of them. run_batch runs a batch, or each worker's
-contiguous shard of it, as lanes; run_single is a lane group of one, run
-at shape (). Each run's world is drawn once, and truth and measurements
-are whole-run stacks made first: a lane group's stage truths and noiseless
+The engine keeps only the filter in its tick loops, one pass per stage
+(_lockstep), each allocating and returning its own states: stage 1 over
+every tick, then stage 2 over the ticks before stage 1's failing one, on
+the gyro less stage 1's bias estimates, which with stage 1's failing
+ticks is all stage 2 sees of stage 1. A pass advances its lanes in
+lockstep: the states carry a leading lane axis, () for one run and (R,)
+for R runs, and every tick is one call of the stage's tick function for
+all of them. _run_lanes composes the two passes and hands each run its
+two stages' states. run_batch runs a batch, or each worker's contiguous
+shard of it, as lanes; run_single is a lane group of one, run at shape
+(). Each run's world is drawn once, and truth and measurements are
+whole-run stacks made first: a lane group's stage truths and noiseless
 streams are each built once, lane-stacked, and each run's noise is added
-on its lane. The diagnostic series is computed last, a run and a stage at
-a time, from the stored filter states and the run's stage-truth lanes.
-The Riccati stacks, and the V columns they feed, are stored and
+on its lane. The diagnostic series is computed last, a run and a stage
+at a time, from the stored filter states and the run's stage-truth
+lanes. The Riccati stacks, and the V columns they feed, are stored and
 formed only when the series is kept. A run has diverged if and only if a
 filter step raised NumericalFailure (an update left a Riccati state not
 finite and positive definite, or a correction sub-step's system was
@@ -116,18 +119,17 @@ def _stage_columns(truth: StageState, x: GroupElement, sigma: np.ndarray | None)
     return errors, np.full(len(e.vec), np.nan) if sigma is None else _lyapunov_rows(eps, sigma), norms
 
 
-def _series(dt: float, n: int, truths: tuple[StageState, StageState], rot: np.ndarray, vec: np.ndarray, sigma: np.ndarray | None) -> np.ndarray:
+def _series(dt: float, n: int, truths: tuple[StageState, StageState], states) -> np.ndarray:
     """All SERIES_COLUMNS, one row for each of the first n ticks.
 
-    truths holds each stage's true state per tick; rot, vec and sigma stack
-    each stage's group state and Riccati state over the ticks, shapes
-    (2, m, 3, 3), (2, m, 3) and (2, m, 6, 6) for m >= n. Without sigma the
-    V columns are NaN.
+    truths holds each stage's true state per tick, states each stage's
+    (rot, vec, sigma): its group state and Riccati state over the ticks,
+    shapes (m, 3, 3), (m, 3) and (m, 6, 6) for m >= n. Without sigma that
+    stage's V column is NaN.
     """
-    sigma = (None, None) if sigma is None else sigma[:, :n]
     (err1, v1, norms1), (err2, v2, norms2) = (
-        _stage_columns(StageState(truth.rot[:n], truth.vec[:n]), GroupElement(rot[i, :n], vec[i, :n]), sigma[i])
-        for i, truth in enumerate(truths)
+        _stage_columns(StageState(truth.rot[:n], truth.vec[:n]), GroupElement(rot[:n], vec[:n]), None if sigma is None else sigma[:n])
+        for truth, (rot, vec, sigma) in zip(truths, states)
     )
     t = dt * np.arange(n)
     return np.column_stack([t, *err1, *err2, v1, v2, *norms1, *norms2])
@@ -148,22 +150,28 @@ def _failing(tick, est: FilterEstimate, dt: float, u: np.ndarray, y, *args) -> l
     return failing
 
 
-def _lockstep(tick, dts: list, inputs: np.ndarray, every: int, measured: np.ndarray, out, ends, gains, *params) -> np.ndarray:
+def _lockstep(tick, dt: float, inputs: np.ndarray, every: int, measured: np.ndarray, ends, keep_sigma: bool, gains, *params):
     """Run one stage's tick from the initial estimate of its gains over ticks
     1.. of each lane (leading shape () for one run, (R,) for R runs in
-    lockstep), storing its states at rows 0.. of out = (rot, vec, sigma),
-    sigma None when not kept; inputs (..., n, 3) holds each tick's input,
+    lockstep), each tick dt long; inputs (..., n, 3) holds each tick's input,
     measured (..., n_meas, k, 3) every `every`-th tick's measurement. A lane
-    stops before its tick `ends`, or at a tick that raised NumericalFailure;
-    returns each lane's rows stored, `ends` lowered to its failing tick.
+    stops before its tick `ends`, or at a tick that raised NumericalFailure.
+    Returns the states (rot, vec, sigma), (..., n + 1, ...) stacks holding
+    each lane's at rows 0.. it reached and NaN after, sigma None unless
+    kept, and `ends` lowered to each lane's failing tick.
     A lane's result does not depend on the lanes beside it, so a tick that
     raises over R lanes drops the lanes that raise on their own and is
     redone on the others. Any other error propagates.
     """
-    rot, vec, sigma = out
+    lead, n = inputs.shape[:-2], inputs.shape[-2]
+    rot = np.full((*lead, n + 1, 3, 3), np.nan)
+    vec = np.full((*lead, n + 1, 3), np.nan)
+    sigma = np.full((*lead, n + 1, 6, 6), np.nan) if keep_sigma else None
+    # tick k advances by k dt - (k - 1) dt, as cascade.step does between bundle times
+    dts = np.diff(dt * np.arange(n + 1)).tolist()
     ends = np.array(ends)
     flat, live = ends.reshape(-1), np.arange(ends.size)
-    at = (slice(None),) * ends.ndim  # where the live lanes are in out
+    at = (slice(None),) * ends.ndim  # where the live lanes are in the states
     est = initial_estimate(gains)
     if at:  # a copy for each lane
         est = _take(_take(est, np.newaxis), np.zeros_like(live))
@@ -172,7 +180,7 @@ def _lockstep(tick, dts: list, inputs: np.ndarray, every: int, measured: np.ndar
         if k >= stop:  # the lanes that end before tick k leave
             keep = flat[live] > k
             if not keep.any():
-                return ends
+                return (rot, vec, sigma), ends
             est, live = _take(est, keep), live[keep]
             at, stop = (live,), int(flat[live].min())
         if k:
@@ -215,36 +223,6 @@ def _window_metrics(run_index: int, series: np.ndarray, gyro_bias: np.ndarray, o
     return RunMetrics(run_index=run_index, diverged=False, **values)
 
 
-def _simulate(cfg: ScenarioConfig, streams: SensorStreams, keep_sigma: bool):
-    """Both stages' passes over the R runs of `streams`, (R, ...) stacks,
-    in lockstep. Returns the stored states rot (2, R, n + 1, 3, 3), vec
-    (2, R, n + 1, 3) and sigma (2, R, n + 1, 6, 6) or None, and each run's
-    rows (R,): its earlier failing tick, or n + 1."""
-    n, r = cfg.steps_per_run(), len(streams.gyro)
-    rot = np.full((2, r, n + 1, 3, 3), np.nan)
-    vec = np.full((2, r, n + 1, 3), np.nan)
-    sigma = np.full((2, r, n + 1, 6, 6), np.nan) if keep_sigma else None
-    # one run goes at shape (), the kernel's one-lane path on floats
-    lanes = 0 if r == 1 else slice(None)
-    gyro, star, features = streams.gyro[lanes], streams.star[lanes], streams.features[lanes]
-    (rot1, rot2), (vec1, vec2) = rot[:, lanes], vec[:, lanes]
-    sigma1, sigma2 = (None, None) if sigma is None else sigma[:, lanes]
-    lead = gyro.shape[:-2]
-    # tick k advances by k dt - (k - 1) dt, as cascade.step does between bundle times
-    dts = np.diff(1.0 / cfg.gyro_rate_hz * np.arange(n + 1)).tolist()
-    # overflow inside a diverging filter is an expected, handled outcome
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        n1 = _lockstep(cascade.stage1_tick, dts, gyro, cfg.star_every(), star, (rot1, vec1, sigma1),
-                       np.full(lead, n + 1), cfg.stage1_gains(), 1.0 / cfg.star_rate_hz)
-        if cfg.input_mode == "unbiased_cascade":
-            # in place, a lane at a time: stage 1 has read the gyro for the last time
-            for j in np.ndindex(lead):
-                gyro[j] -= recover_state(GroupElement(rot1[j][1:], vec1[j][1:])).vec
-        rows = _lockstep(cascade.stage2_tick, dts, gyro, cfg.feature_every(), features, (rot2, vec2, sigma2),
-                         n1, cfg.stage2_gains(), cfg.ref_dirs(), 1.0 / cfg.feature_rate_hz)
-    return rot, vec, sigma, rows.reshape(r)
-
-
 def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = False, *, lane=None) -> RunMetrics:
     """Simulate one scenario and summarize it.
 
@@ -255,16 +233,17 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
     Without lane the run is a lane group of one (_run_lanes). lane holds
     the run's part of its lane group: its lanes of the stage truths'
     attitudes over the ticks (truth_trajectory), its world's gyro bias and
-    target rate, and _simulate's (rot, vec, sigma, rows) for it; only the
-    diagnostics and metrics are left.
+    target rate, each stage's (rot, vec, sigma) from its pass (_lockstep),
+    and the rows both passes reached; only the diagnostics and metrics are
+    left.
     """
     if lane is None:
         return _run_lanes(cfg, range(run_index, run_index + 1), keep_series)[0]
-    chaser, rel, bias, omega_target, rot, vec, sigma, n_rows = lane
+    chaser, rel, bias, omega_target, states, n_rows = lane
     # the non-finite diagnostics of a diverging filter are expected too
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         truths = stage_truths(chaser, rel, bias, omega_target)
-        series = _series(1.0 / cfg.gyro_rate_hz, int(n_rows), truths, rot, vec, sigma)
+        series = _series(1.0 / cfg.gyro_rate_hz, int(n_rows), truths, states)
         diverged = n_rows <= cfg.steps_per_run()
         out = metrics.failed_metrics(run_index) if diverged else _window_metrics(run_index, series, bias, omega_target)
     return replace(out, series=series) if keep_series else out
@@ -278,20 +257,34 @@ def _run_lanes(cfg: ScenarioConfig, indices: range, keep_series: bool) -> list[R
     noise from its generator is added on its lane."""
     if len(indices) > LANES:
         return [m for lo in range(0, len(indices), LANES) for m in _run_lanes(cfg, indices[lo : lo + LANES], keep_series)]
-    n, star_every, feature_every = cfg.steps_per_run(), cfg.star_every(), cfg.feature_every()
+    n, dt, star_every, feature_every = cfg.steps_per_run(), 1.0 / cfg.gyro_rate_hz, cfg.star_every(), cfg.feature_every()
     rngs = [run_rng(cfg.seed, i) for i in indices]
     world = TruthWorld.stack([sample_world(cfg, rng) for rng in rngs])
-    chaser, rel = truth_trajectory(world, 1.0 / cfg.gyro_rate_hz, n)
+    chaser, rel = truth_trajectory(world, dt, n)
     streams = noiseless_streams(world, chaser, rel, star_every, feature_every)
     noise = cfg.gyro_noise_std, cfg.direction_noise_std
     for j, rng in enumerate(rngs):
         add_sensor_noise(SensorStreams(streams.gyro[j], streams.star[j], streams.features[j]), *noise, star_every, feature_every, rng)
-    rot, vec, sigma, rows = _simulate(cfg, streams, keep_series)
-    del streams
+    # one run goes at shape (), the kernel's one-lane path on floats
+    lanes = 0 if len(indices) == 1 else slice(None)
+    gyro, star, features = streams.gyro[lanes], streams.star[lanes], streams.features[lanes]
+    lead = gyro.shape[:-2]
+    # overflow inside a diverging filter is an expected, handled outcome
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        stage1, ends = _lockstep(cascade.stage1_tick, dt, gyro, star_every, star, np.full(lead, n + 1), keep_series,
+                                 cfg.stage1_gains(), 1.0 / cfg.star_rate_hz)
+        if cfg.input_mode == "unbiased_cascade":
+            # in place, a lane at a time: stage 1 has read the gyro for the last time
+            rot1, vec1, _ = stage1
+            for j in np.ndindex(lead):
+                gyro[j] -= recover_state(GroupElement(rot1[j][1:], vec1[j][1:])).vec
+        stage2, ends = _lockstep(cascade.stage2_tick, dt, gyro, feature_every, features, ends, keep_series,
+                                 cfg.stage2_gains(), cfg.ref_dirs(), 1.0 / cfg.feature_rate_hz)
+    del streams, gyro, star, features
     return [
         run_single(cfg, i, keep_series, lane=(chaser[:, j], rel[:, j], world.gyro_bias[j], world.omega_target[j],
-                                              rot[:, j], vec[:, j], None if sigma is None else sigma[:, j], rows[j]))
-        for j, i in enumerate(indices)
+                                              [(r[at], v[at], None if s is None else s[at]) for r, v, s in (stage1, stage2)], ends[at]))
+        for j, (i, at) in enumerate(zip(indices, np.ndindex(lead)))
     ]
 
 

@@ -293,11 +293,11 @@ def _step_loop_series(cfg: ScenarioConfig, run_index: int) -> np.ndarray:
                 )
             except NumericalFailure:
                 break
-        estimates = [[cs.s1 for cs in states], [cs.s2 for cs in states]]
-        rot = np.array([[est.X.rot for est in stage] for stage in estimates])
-        vec = np.array([[est.X.vec for est in stage] for stage in estimates])
-        sigma = np.array([[est.Sigma for est in stage] for stage in estimates])
-        return _series(dt, len(states), stage_truths(*truth, world.gyro_bias, world.omega_target), rot, vec, sigma)
+        stage_states = [
+            (np.array([est.X.rot for est in stage]), np.array([est.X.vec for est in stage]), np.array([est.Sigma for est in stage]))
+            for stage in ([cs.s1 for cs in states], [cs.s2 for cs in states])
+        ]
+        return _series(dt, len(states), stage_truths(*truth, world.gyro_bias, world.omega_target), stage_states)
 
 
 @pytest.mark.parametrize(
@@ -394,11 +394,11 @@ class TestLanes:
     def test_one_lane_fails_in_stage_2(self, monkeypatch):
         # with sigma0 = 100, lane 8 fails in its stage-2 update at tick 50,
         # while its stage-1 pass carries on to tick 200
-        ends, real_lockstep = [], harness._lockstep
-        monkeypatch.setattr(harness, "_lockstep", lambda *args: ends.append(real_lockstep(*args)) or ends[-1])
+        passes, real_lockstep = [], harness._lockstep
+        monkeypatch.setattr(harness, "_lockstep", lambda *args: passes.append(real_lockstep(*args)) or passes[-1])
         cfg = ScenarioConfig(seed=2026, update_iterations=1, sigma0=100.0)
         batch = run_batch(cfg, 9, keep_series=True)
-        (stage1_ends, stage2_ends), lane = ends, 8
+        ((_, stage1_ends), (_, stage2_ends)), lane = passes, 8
         assert stage1_ends[lane] == 200 and stage2_ends[lane] == 50
         assert batch.runs[lane].diverged and len(batch.runs[lane].series) == 50
         for i, m in enumerate(batch.runs):
