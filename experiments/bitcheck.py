@@ -1,7 +1,12 @@
 """Bit-identity check of run outputs between two source trees.
 
     python experiments/bitcheck.py dump SRC OUT.npz   # SRC holds the eqfcascade package
+    python experiments/bitcheck.py dump REV OUT.npz   # REV is a git revision, e.g. HEAD
     python experiments/bitcheck.py compare A.npz B.npz
+
+A SRC that is not a directory names a git revision of this repository, whose
+src/ is extracted with `git archive` into a temporary directory and dumped
+from there, so that no second checkout is needed.
 
 `dump` runs a fixed corpus at seed 2026 and saves each run's series, metric
 vector and diverged flag: every run of each variant alone by run_single, under
@@ -19,7 +24,10 @@ CLI output is not bit-equal.
 import contextlib
 import io
 import shutil
+import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +103,19 @@ def _runs(prefix: str, runs) -> dict:
     return arrays
 
 
+def _revision_src(revision: str, into: str) -> str:
+    """The src/ directory of the git revision, extracted under into."""
+    repo = Path(__file__).resolve().parents[1]
+    archive = subprocess.run(["git", "archive", revision, "src"], cwd=repo, check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    return str(Path(into) / "src")
+
+
 def dump(src: str, out: str) -> None:
+    if not Path(src).is_dir():
+        with tempfile.TemporaryDirectory() as tmp:
+            return dump(_revision_src(src, tmp), out)
     sys.path.insert(0, src)
     from eqfcascade.config import ScenarioConfig
     from eqfcascade.harness import run_batch, run_single

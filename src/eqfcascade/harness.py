@@ -14,21 +14,21 @@ the gyro less stage 1's bias estimates, which with stage 1's failing
 ticks is all stage 2 sees of stage 1. A pass advances its lanes in
 lockstep: the states carry a leading lane axis, () for one run and (R,)
 for R runs, and every tick is one call of the stage's tick function for
-all of them. _run_lanes composes the two passes and hands each run its
-two stages' states. run_batch runs a batch, or each worker's contiguous
-shard of it, as lanes; run_single is a lane group of one, run at shape
-(). Each run's world is drawn once, and truth and measurements are
-whole-run stacks made first: a lane group's stage truths and noiseless
-streams are each built once, lane-stacked, and each run's noise is added
-on its lane. The diagnostic series is computed last, a run and a stage
-at a time, from the stored filter states and the run's stage-truth
-lanes. The Riccati stacks, and the V columns they feed, are stored and
-formed only when the series is kept. A run has diverged if and only if a
-filter step raised NumericalFailure (an update left a Riccati state not
-finite and positive definite, or a correction sub-step's system was
-singular); its series then covers only the ticks before the earlier
-failing one. V is NaN on a singular Riccati row; the diagnostics decide
-nothing.
+all of them. _run_lanes runs one lane group: it composes the two passes
+and hands each run its two stages' states. run_batch alone cuts a batch
+into contiguous lane groups, run in turn or on a worker pool; run_single
+is a lane group of one, run at shape (). Each run's world is drawn once,
+and truth and measurements are whole-run stacks made first: a lane
+group's stage truths and noiseless streams are each built once, lane-major
+(R, ticks, ...) like the states, and each run's noise is added on its
+lane. The diagnostic series is computed last, a run and a stage at a
+time, from the stored filter states and the run's stage-truth lanes. The
+Riccati stacks, and the V columns they feed, are stored and formed only
+when the series is kept. A run has diverged if and only if a filter
+step raised NumericalFailure (an update left a Riccati state not finite
+and positive definite, or a correction sub-step's system was singular);
+its series then covers only the ticks before the earlier failing one. V
+is NaN on a singular Riccati row; the diagnostics decide nothing.
 """
 
 from __future__ import annotations
@@ -250,13 +250,11 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
 
 
 def _run_lanes(cfg: ScenarioConfig, indices: range, keep_series: bool) -> list[RunMetrics]:
-    """The runs `indices` advanced in lockstep, LANES at a time, then each
+    """The runs `indices`, one lane group, advanced in lockstep, then each
     one's diagnostics and metrics by run_single, in run order. Each run's
     world is drawn once from its generator; the group's stage truths and
-    noiseless streams are built once, as lane-stacked ones, and each run's
-    noise from its generator is added on its lane."""
-    if len(indices) > LANES:
-        return [m for lo in range(0, len(indices), LANES) for m in _run_lanes(cfg, indices[lo : lo + LANES], keep_series)]
+    noiseless streams are built once, lane-major, and each run's noise from
+    its generator is added on its lane."""
     n, dt, star_every, feature_every = cfg.steps_per_run(), 1.0 / cfg.gyro_rate_hz, cfg.star_every(), cfg.feature_every()
     rngs = [run_rng(cfg.seed, i) for i in indices]
     world = TruthWorld.stack([sample_world(cfg, rng) for rng in rngs])
@@ -282,7 +280,7 @@ def _run_lanes(cfg: ScenarioConfig, indices: range, keep_series: bool) -> list[R
                                  cfg.stage2_gains(), cfg.ref_dirs(), 1.0 / cfg.feature_rate_hz)
     del streams, gyro, star, features
     return [
-        run_single(cfg, i, keep_series, lane=(chaser[:, j], rel[:, j], world.gyro_bias[j], world.omega_target[j],
+        run_single(cfg, i, keep_series, lane=(chaser[j], rel[j], world.gyro_bias[j], world.omega_target[j],
                                               [(r[at], v[at], None if s is None else s[at]) for r, v, s in (stage1, stage2)], ends[at]))
         for j, (i, at) in enumerate(zip(indices, np.ndindex(lead)))
     ]
@@ -294,22 +292,23 @@ def run_batch(
     """n independent runs with per-run seeds derived from the master seed.
 
     Runs own their RNG streams and share no state, so they may be advanced
-    in lockstep, and split into contiguous shards across processes; a run's
-    result does not depend on its grouping, and aggregation follows run
-    order, making the result independent of worker count.
+    in lockstep: the batch is cut into contiguous lane groups of
+    min(LANES, ceil(n_runs / workers)) runs, run in turn or on the workers.
+    A run's result does not depend on its group, and aggregation follows
+    run order, making the result independent of worker count.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    workers = min(workers, n_runs)  # a pool of more workers than runs would fork idle ones
+    size = min(LANES, -(-n_runs // workers))  # 8 runs on 3 workers: 3 + 3 + 2; 55 on 1: 50 + 5
+    groups = [range(lo, min(lo + size, n_runs)) for lo in range(0, n_runs, size)]
+    workers = min(workers, len(groups))  # a pool of more workers than groups would fork idle ones
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        cuts = [-(-n_runs * w // workers) for w in range(workers + 1)]  # 8 runs on 3: 3 + 3 + 2
-        shards = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = [m for shard in pool.map(_run_lanes, [cfg] * workers, shards, [keep_series] * workers) for m in shard]
+            done = list(pool.map(_run_lanes, [cfg] * len(groups), groups, [keep_series] * len(groups)))
     else:
-        runs = _run_lanes(cfg, range(n_runs), keep_series)
-    return metrics.summarize(runs)
+        done = [_run_lanes(cfg, group, keep_series) for group in groups]
+    return metrics.summarize([m for runs in done for m in runs])

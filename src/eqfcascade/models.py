@@ -101,16 +101,18 @@ def propagate_truth(world: TruthWorld, dt: float) -> TruthWorld:
 def truth_trajectory(world: TruthWorld, dt: float, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """The attitudes of the two stages' truths at t = k dt for k = 0..n_steps:
     the chaser's (stage 1), and the chaser-to-target relative one of
-    relative_state (stage 2), as (n_steps + 1, 3, 3) stacks; (n_steps + 1,
-    R, 3, 3) for a world of R lanes, each lane the one-lane result bit for
-    bit. stage_truths adds their vector parts.
+    relative_state (stage 2), as (n_steps + 1, 3, 3) stacks; lane-major
+    (R, n_steps + 1, 3, 3) ones for a world of R lanes, like the streams,
+    each lane the one-lane result bit for bit. stage_truths adds their
+    vector parts.
 
     Row k equals k iterations of propagate_truth bit for bit: each attitude
     is right-multiplied by the same exp_so3(omega dt) every tick, computed
     once here; both attitudes of every lane advance in one stacked product
-    per tick. The world's attitudes were checked, and the rows derived from
-    them are not checked again: products of rotations stay rotations to
-    rounding (test_models).
+    per tick, into a tick-major buffer, so that each product writes whole
+    rows; the stacks are lane-major views of it. The world's attitudes were
+    checked, and the rows derived from them are not checked again: products
+    of rotations stay rotations to rounding (test_models).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -123,7 +125,7 @@ def truth_trajectory(world: TruthWorld, dt: float, n_steps: int) -> tuple[np.nda
     # again; a lane at a time, so that the temporary is one lane's
     for lane in out.reshape(n_steps + 1, -1, 2, 3, 3).swapaxes(0, 1):
         lane[:, 0] = lane[:, 0].mT @ lane[:, 1]
-    return out[..., 1, :, :], out[..., 0, :, :]
+    return np.moveaxis(out[..., 1, :, :], 0, -3), np.moveaxis(out[..., 0, :, :], 0, -3)
 
 
 def stage_truths(
@@ -194,20 +196,18 @@ class SensorStreams:
 
 def noiseless_streams(world: TruthWorld, chaser: np.ndarray, rel: np.ndarray, star_every: int, feature_every: int) -> SensorStreams:
     """Every measurement of ticks 1..n without noise, from the world and its
-    stage-truth attitudes over ticks 0..n (truth_trajectory): the true
-    chaser rate plus the bias on every tick, and the known directions in the
-    body frame on each sensor's ticks, every star_every-th tick for the star
-    tracker and every feature_every-th for the features. A world of R lanes
-    gives lane-major (R, ...) streams, each lane the one-lane result bit for
-    bit. With add_sensor_noise's noise, a run's streams equal the per-tick
-    calls of measure_gyro, measure_star_tracker and measure_features on an
+    stage-truth attitudes over ticks 0..n (truth_trajectory's (n + 1, 3, 3)
+    stacks): the true chaser rate plus the bias on every tick, and the known
+    directions in the body frame on each sensor's ticks, every star_every-th
+    tick for the star tracker and every feature_every-th for the features.
+    A world of R lanes, with (R, n + 1, 3, 3) attitudes, gives (R, ...)
+    streams, each lane the one-lane result bit for bit. With
+    add_sensor_noise's noise, a run's streams equal the per-tick calls of
+    measure_gyro, measure_star_tracker and measure_features on an
     identically seeded generator, row for row and bit for bit."""
-    n, lead = len(chaser) - 1, chaser.shape[1:-2]
-    star, features = np.empty((*lead, n // star_every, 3, 3)), np.empty((*lead, n // feature_every, 2, 3))
-    # the tick-major products go straight into the lane-major stacks: a
-    # temporary and a copy would raise the batch's peak RSS
-    np.matmul(STAR_DIRS, chaser[star_every::star_every], out=np.moveaxis(star, -3, 0))
-    np.matmul(world.ref_dirs, rel[feature_every::feature_every], out=np.moveaxis(features, -3, 0))
+    n = chaser.shape[-3] - 1
+    star = STAR_DIRS @ chaser[..., star_every::star_every, :, :]
+    features = world.ref_dirs @ rel[..., feature_every::feature_every, :, :]
     return SensorStreams(np.repeat(np.expand_dims(world.omega_chaser + world.gyro_bias, -2), n, axis=-2), star, features)
 
 

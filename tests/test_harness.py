@@ -352,7 +352,7 @@ class TestLanes:
         monkeypatch.setattr(harness, "LANES", 3)
         assert [_run_bits(m) for m in run_batch(cfg, 8, keep_series=True).runs] == ref
 
-        # the shards are contiguous and as even as they can be: 3 + 3 + 2
+        # the shards are contiguous, ⌈8 / 3⌉ = 3 runs a group: 3 + 3 + 2
         import concurrent.futures
 
         shards = []
@@ -375,6 +375,36 @@ class TestLanes:
         monkeypatch.setattr(harness, "LANES", 50)
         assert [_run_bits(m) for m in run_batch(cfg, 8, keep_series=True, workers=3).runs] == ref
         assert [list(shard) for shard in shards] == [[0, 1, 2], [3, 4, 5], [6, 7]]
+
+    def test_the_pool_maps_the_lane_groups_of_run_batch(self, monkeypatch):
+        # run_batch alone forms the lane groups, min(LANES, ⌈7 / 2⌉) = 3 runs
+        # each, and the pool maps them as they are: no worker shard is cut
+        # by LANES again
+        import concurrent.futures
+
+        sizes, groups = [], []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, *iterables):
+                groups.extend(list(group) for group in iterables[1])
+                return map(fn, *iterables)
+
+        cfg = ScenarioConfig(seed=2026, duration_s=2.0)
+        ref = [_run_bits(m) for m in run_batch(cfg, 7, keep_series=True).runs]
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(harness, "LANES", 3)
+        assert [_run_bits(m) for m in run_batch(cfg, 7, keep_series=True, workers=2).runs] == ref
+        assert sizes == [2]
+        assert groups == [[0, 1, 2], [3, 4, 5], [6]]
 
     @pytest.mark.parametrize(
         "iterations, rows",

@@ -148,11 +148,11 @@ class TestPropagation:
         worlds = [replace(random_world(seed), ref_dirs=ref_dirs) for seed in range(6, 6 + n_lanes)]
         world = TruthWorld.stack(worlds)
         chaser, rel = truth_trajectory(world, 0.01, 150)
-        assert chaser.shape == rel.shape == (151, n_lanes, 3, 3)
+        assert chaser.shape == rel.shape == (n_lanes, 151, 3, 3)
         streams = noiseless_streams(world, chaser, rel, 7, 3)
         for j, w in enumerate(worlds):
             own = truth_trajectory(w, 0.01, 150)
-            lanes = stage_truths(chaser[:, j], rel[:, j], world.gyro_bias[j], world.omega_target[j])
+            lanes = stage_truths(chaser[j], rel[j], world.gyro_bias[j], world.omega_target[j])
             for lane, mine in zip(lanes, stage_truths(*own, w.gyro_bias, w.omega_target)):
                 assert lane.rot.tobytes() == mine.rot.tobytes()
                 assert lane.vec.tobytes() == mine.vec.tobytes()
