@@ -48,6 +48,10 @@ VARIANTS = {  # name: (ScenarioConfig overrides, runs)
     "star20_feat25_it1": ({"star_rate_hz": 20.0, "feature_rate_hz": 25.0, "update_iterations": 1}, 6),
     # a batch wider than harness.LANES runs as lane groups of 50 + 5
     "wide_2s": ({"duration_s": 2.0}, 55),
+    # one lane group of exactly geom._SHORT_STACK lanes, whose kernel calls
+    # exp_so3 takes as floats, and one of a lane more, which it takes wide
+    "lanes16_2s": ({"duration_s": 2.0}, 16),
+    "lanes17_2s": ({"duration_s": 2.0}, 17),
     # shorter than one star period: the star stream is empty
     "short_0p5s": ({"duration_s": 0.5}, 4),
     # reference directions that are not basis rows, so that a feature

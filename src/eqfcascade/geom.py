@@ -33,6 +33,13 @@ _COPIES = np.zeros(3, dtype=np.intp)
 _PAIR_I, _PAIR_J, _PAIR_K = np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([2, 1, 0])
 _DIAG_J, _DIAG_K = np.array([1, 0, 0]), np.array([2, 2, 1])
 _LAYOUT = np.array([0, 3, 7, 6, 1, 5, 4, 8, 2])
+# the most rows exp_so3 builds from floats; us a call, _exp_so3_rows against
+# the loop, generic / one small-angle row, best of 9 x 2000 in two sessions:
+#   8 rows:  20-36 / 29-51  against 12-20 / 12-19
+#   16 rows: 21-26 / 29-32  against 23-27 / 22-24
+#   24 rows: 22-40 / 28-33  against 33-53 / 32-34
+#   50 rows: 44-47 / 34-37  against 105-114 / 67-69
+_SHORT_STACK = 16
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -83,13 +90,21 @@ def exp_so3(x: np.ndarray) -> np.ndarray:
     error. For a stack (..., 3) of vectors, the (..., 3, 3) stack of their
     rotations, each row equal to the single-vector call bit for bit.
 
-    A single vector is built from its three components as floats, with
-    wedge(x)^2 = x x^T - |x|^2 I, so one array is made per call.
+    A single vector and any stack of at most _SHORT_STACK rows are built
+    from their components as Python floats, into one array per call; a
+    longer stack takes the same operations as (..., 3)-wide array ones.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim > 1:
+    if x.ndim == 1:
+        return np.array(_exp_so3_entries(*x.tolist())).reshape(3, 3)
+    if x.size > 3 * _SHORT_STACK:
         return _exp_so3_rows(x)
-    x0, x1, x2 = x.tolist()
+    return np.array([_exp_so3_entries(*row) for row in x.reshape(-1, 3).tolist()]).reshape(x.shape + (3,))
+
+
+def _exp_so3_entries(x0: float, x1: float, x2: float) -> tuple:
+    # the nine entries of exp_so3(x), row-major, with
+    # wedge(x)^2 = x x^T - |x|^2 I; nine NaNs when the angle is not finite
     sq0, sq1, sq2 = x0 * x0, x1 * x1, x2 * x2
     angle = math.sqrt(sq0 + sq1 + sq2)
     if angle < SMALL_ANGLE:
@@ -99,21 +114,20 @@ def exp_so3(x: np.ndarray) -> np.ndarray:
         a = math.sin(angle) / angle
         b = (1.0 - math.cos(angle)) / (angle * angle)
     else:
-        return np.full((3, 3), math.nan)
+        return (math.nan,) * 9
     b01, b02, b12 = b * x0 * x1, b * x0 * x2, b * x1 * x2
     a0, a1, a2 = a * x0, a * x1, a * x2
-    return np.array(
-        [
-            [1.0 - b * (sq1 + sq2), b01 - a2, b02 + a1],
-            [b01 + a2, 1.0 - b * (sq0 + sq2), b12 - a0],
-            [b02 - a1, b12 + a0, 1.0 - b * (sq0 + sq1)],
-        ]
+    return (
+        1.0 - b * (sq1 + sq2), b01 - a2, b02 + a1,
+        b01 + a2, 1.0 - b * (sq0 + sq2), b12 - a0,
+        b02 - a1, b12 + a0, 1.0 - b * (sq0 + sq1),
     )
 
 
 def _exp_so3_rows(x: np.ndarray) -> np.ndarray:
-    # exp_so3's float operations, entry for entry, as (..., 3)-wide ones;
-    # np.sin and np.cos must round as math.sin and math.cos do
+    # _exp_so3_entries' float operations, entry for entry, as (..., 3)-wide
+    # ones, for the stacks longer than _SHORT_STACK rows, where the float loop
+    # loses; np.sin and np.cos must round as math.sin and math.cos do
     # (tests/test_geom.py); the small-angle and non-finite rows are patched
     # in only when present
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from eqfcascade import geom
 from eqfcascade.geom import (
     SMALL_ANGLE,
     GroupElement,
@@ -23,6 +24,9 @@ from eqfcascade.geom import (
     vee,
     wedge,
 )
+
+
+T = geom._SHORT_STACK  # the most rows exp_so3 builds from floats
 
 
 def rot_z(deg):
@@ -150,6 +154,8 @@ class TestExpStack:
         assert np.all(np.isnan(stack[~np.all(np.isfinite(x), axis=1)]))
         # any number of leading axes
         assert exp_so3(x.reshape(len(x), 1, 3)).tobytes() == stack.tobytes()
+        # the float loop of a short stack
+        assert exp_so3(x[:T]).tobytes() == stack[:T].tobytes()
 
     def test_empty_stack(self):
         assert exp_so3(np.zeros((0, 3))).shape == (0, 3, 3)
@@ -164,10 +170,10 @@ class TestExpStack:
 
     @staticmethod
     def _generic(rng, n):
-        # angles well inside [SMALL_ANGLE, pi]: the stack's fast branch
+        # angles well inside [SMALL_ANGLE, pi]: _exp_so3_rows' fast branch
         return rng.uniform(0.01, math.pi, (n, 1)) * np.array([random_unit_vector(rng) for _ in range(n)])
 
-    @pytest.mark.parametrize("n", [1, 8, 50])
+    @pytest.mark.parametrize("n", [1, 2, 8, T, T + 1, 50])
     def test_signed_zero_components(self, n):
         # each component's sign bit reaches the products it enters, so a
         # zero's sign must survive as the single-vector call leaves it
@@ -178,7 +184,7 @@ class TestExpStack:
         x[0] = [-0.0, 0.0, -0.0]
         self._rows_match(x)
 
-    @pytest.mark.parametrize("n", [1, 8, 50])
+    @pytest.mark.parametrize("n", [1, 2, 8, T, T + 1, 50])
     def test_finite_rows_whose_squares_overflow(self, n):
         rng = np.random.default_rng(n)
         x = self._generic(rng, n)
@@ -190,15 +196,17 @@ class TestExpStack:
         assert np.all(np.isnan(stack[overflowing]))
         assert np.all(np.isfinite(stack[~overflowing]))
 
-    @pytest.mark.parametrize("n", [1, 8, 50])
+    @pytest.mark.parametrize("n", [T + 1, 50])
     def test_stack_without_small_or_non_finite_rows_takes_the_fast_branch(self, n, monkeypatch):
         x = self._generic(np.random.default_rng(n), n)
         expected = [exp_so3(xi).tobytes() for xi in x]
-        # the small-angle and non-finite patches are the stack's only np.where calls
+        # the small-angle and non-finite patches are _exp_so3_rows' only
+        # np.where calls; a stack of at most T rows makes none, so it would
+        # pass vacuously and is not run
         monkeypatch.setattr(np, "where", None)
         assert [row.tobytes() for row in exp_so3(x)] == expected
 
-    @pytest.mark.parametrize("n", [1, 8, 50])
+    @pytest.mark.parametrize("n", [1, 2, 8, T, T + 1, 50])
     @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [SMALL_ANGLE / 2, 0.0, 0.0], [0.0, math.nan, 0.1], [math.inf, 0.0, 0.0]])
     def test_stack_with_exactly_one_small_or_non_finite_row(self, n, row):
         rng = np.random.default_rng(n)
@@ -207,6 +215,23 @@ class TestExpStack:
         x[at] = row
         stack = self._rows_match(x)
         assert np.all(np.isfinite(np.delete(stack, at, axis=0)))
+
+    def test_stacks_of_at_most_t_rows_take_the_float_loop(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        x = self._generic(rng, T + 1)
+        x[1] = [SMALL_ANGLE / 2, 0.0, 0.0]
+        expected = np.array([exp_so3(xi) for xi in x])
+
+        def wide(x):
+            raise AssertionError("wide path")
+
+        monkeypatch.setattr(geom, "_exp_so3_rows", wide)
+        assert exp_so3(x[:T]).tobytes() == expected[:T].tobytes()
+        pairs = exp_so3(x[:T].reshape(T // 2, 2, 3))
+        assert pairs.shape == (T // 2, 2, 3, 3)
+        assert pairs.tobytes() == expected[:T].tobytes()
+        with pytest.raises(AssertionError, match="wide path"):
+            exp_so3(x)
 
 
 class TestGroupOps:
