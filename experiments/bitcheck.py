@@ -66,6 +66,9 @@ VARIANTS = {  # name: (ScenarioConfig overrides, runs)
     # 1 Hz features: runs 44 and 78 fail in their stage-2 update alone, at
     # ticks 1200 and 1100, one in the 50-lane group and one in the 30-lane rest
     "feat1hz": ({"feature_rate_hz": 1.0}, 80),
+    # one star fix in 15 s: stage 1 predicts for 1000 ticks before it, the
+    # longest stretch of rotation products with no update to re-project them
+    "star0p1hz": ({"star_rate_hz": 0.1}, 8),
 }
 
 POOLED, POOL_WORKERS = ("default", "it1"), 2

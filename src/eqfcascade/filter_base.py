@@ -17,6 +17,7 @@ axis ((R, 3, 3), (R, 3), (R, 6, 6); inputs and measurements likewise), and
 gives each lane the one-run result bit for bit. A single gain or vector
 takes a float path inside the same functions, as exp_so3 does; a batched
 solve or Cholesky factorization that fails raises for the whole stack.
+Only update re-projects the attitude onto SO(3), once per measurement.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+# np.linalg.solve's and np.linalg.cholesky's LAPACK gufuncs, private: a numpy that moves them fails this import
+from numpy.linalg import _umath_linalg
 
 from .geom import AlgebraElement, GroupElement, StageState, cross3, exp_so3, identity_element, renormalize_rotation, wedge
 
@@ -104,6 +107,15 @@ def _is_spd(m: np.ndarray) -> bool:
         return False
 
 
+def _lapack(gufunc, *operands: np.ndarray, signature: str, error: str) -> np.ndarray:
+    """gufunc under np.linalg's error state, raising LinAlgError(error) where
+    LAPACK fails; float64 stacks of square matrices skip np.linalg's checks."""
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(error)
+    with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return gufunc(*operands, signature=signature)
+
+
 def require_spd(sigma: np.ndarray, where: str) -> None:
     """_is_spd's verdict on an exactly symmetric sigma, which riccati_correct
     returns: its symmetry test passes and its symmetrize changes no bit, so
@@ -111,7 +123,7 @@ def require_spd(sigma: np.ndarray, where: str) -> None:
     if not np.isfinite(sigma).all():
         raise NumericalFailure(f"Riccati state not positive definite after {where}")
     try:
-        np.linalg.cholesky(sigma)
+        _lapack(_umath_linalg.cholesky_lo, sigma, signature="d->d", error="Matrix is not positive definite")
     except np.linalg.LinAlgError:
         raise NumericalFailure(f"Riccati state not positive definite after {where}") from None
 
@@ -146,7 +158,8 @@ def riccati_correct(sigma: np.ndarray, info: np.ndarray, tau: float, where: str)
     left = sigma[..., :3]
     tau_info = tau * info
     try:
-        k = np.linalg.solve(_EYE3 + tau_info @ left[..., :3, :], tau_info)
+        system = _EYE3 + tau_info @ left[..., :3, :]
+        k = _lapack(_umath_linalg.solve, system, tau_info, signature="dd->d", error="Singular matrix")
     except np.linalg.LinAlgError as exc:
         # a diverged state can push the innovation system to singularity
         raise NumericalFailure(f"Riccati correction became singular in {where}: {exc}") from exc
@@ -231,11 +244,12 @@ def c_matrix(y, y_hat, rot_hat: np.ndarray) -> np.ndarray:
 
 def predict(est: FilterEstimate, lam: AlgebraElement, w: np.ndarray, gains: FilterGains, dt: float) -> FilterEstimate:
     """Propagate the group state along the lift lam and the Riccati state
-    with the error-flow matrix a_matrix(w), both by Euler. A lift whose
-    vector part is None leaves the group's vector part unchanged."""
+    with the error-flow matrix a_matrix(w), both by Euler; a lift whose vector
+    part is None leaves the group's vector part unchanged. Attitude drift past
+    ORTHO_TOL is projected at the next update, not here (renormalize_rotation)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    rot = renormalize_rotation(est.X.rot @ exp_so3(dt * lam.rot))
+    rot = est.X.rot @ exp_so3(dt * lam.rot)
     vec = est.X.vec if lam.vec is None else est.X.vec + dt * np.matvec(est.X.rot, lam.vec)
     sigma = riccati_predict(est.Sigma, w, gains.M, dt)
     return FilterEstimate(GroupElement(rot, vec), sigma)
