@@ -48,6 +48,9 @@ VARIANTS = {  # name: (ScenarioConfig overrides, runs)
     "star20_feat25_it1": ({"star_rate_hz": 20.0, "feature_rate_hz": 25.0, "update_iterations": 1}, 6),
     # a batch wider than harness.LANES runs as lane groups of 50 + 5
     "wide_2s": ({"duration_s": 2.0}, 55),
+    # many failures inside one wide group: 48 of the 50-lane group's runs
+    # fail, at 6 distinct ticks, in both stages' updates
+    "it1_wide_6s": ({"update_iterations": 1, "duration_s": 6.0}, 55),
     # one lane group of exactly geom._SHORT_STACK lanes, whose kernel calls
     # exp_so3 takes as floats, and one of a lane more, which it takes wide
     "lanes16_2s": ({"duration_s": 2.0}, 16),

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# np.linalg.solve's LAPACK gufunc, as filter_base calls it
+from numpy.linalg import _umath_linalg
 
 from . import stage1, stage2
 from .filter_base import FilterEstimate, FilterGains, initial_estimate, recover_state
@@ -125,14 +127,9 @@ def gamma_term(
 
 def lyapunov_value(eps: ErrorVector, sigma: np.ndarray) -> float | np.ndarray:
     """Quadratic error measure weighted by the inverse Riccati state; one
-    value per row for stacked errors and Riccati states.
-
-    Raises np.linalg.LinAlgError (a ValueError) when a Riccati state is
-    singular.
-    """
+    value per row for stacked errors and Riccati states, NaN on each row
+    whose Riccati state is singular (LAPACK writes NaN there)."""
     e = eps.stacked()
-    try:
-        x = np.linalg.solve(sigma, e[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError("Riccati state is singular") from exc
+    with np.errstate(invalid="ignore"):
+        x = _umath_linalg.solve(sigma, e[..., None], signature="dd->d")[..., 0]
     return np.vecdot(e, x)

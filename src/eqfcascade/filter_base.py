@@ -15,9 +15,10 @@ Corrections are integrated over the measurement interval in
 The kernel takes one run's states, or R runs' as stacks with a leading lane
 axis ((R, 3, 3), (R, 3), (R, 6, 6); inputs and measurements likewise), and
 gives each lane the one-run result bit for bit. A single gain or vector
-takes a float path inside the same functions, as exp_so3 does; a batched
-solve or Cholesky factorization that fails raises for the whole stack.
-Only update re-projects the attitude onto SO(3), once per measurement.
+takes a float path inside the same functions, as exp_so3 does. LAPACK
+writes NaN over each lane whose solve or Cholesky factorization fails, and
+the NumericalFailure that update raises names those lanes. Only update
+re-projects the attitude onto SO(3), once per measurement.
 """
 
 from __future__ import annotations
@@ -38,7 +39,12 @@ _HALF_WEDGE = np.stack([0.5 * wedge(e).ravel() for e in np.eye(3)])
 
 
 class NumericalFailure(Exception):
-    """An update left the Riccati state not finite and positive definite, or met a singular correction system."""
+    """An update left the Riccati state not finite and positive definite in
+    the lanes `lanes`, indices into the stack's lanes ([0] for one run's)."""
+
+    def __init__(self, message: str, lanes: np.ndarray):
+        super().__init__(message)
+        self.lanes = lanes
 
 
 @dataclass(frozen=True)
@@ -107,25 +113,17 @@ def _is_spd(m: np.ndarray) -> bool:
         return False
 
 
-def _lapack(gufunc, *operands: np.ndarray, signature: str, error: str) -> np.ndarray:
-    """gufunc under np.linalg's error state, raising LinAlgError(error) where
-    LAPACK fails; float64 stacks of square matrices skip np.linalg's checks."""
-    def fail(err, flag):
-        raise np.linalg.LinAlgError(error)
-    with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return gufunc(*operands, signature=signature)
-
-
 def require_spd(sigma: np.ndarray, where: str) -> None:
-    """_is_spd's verdict on an exactly symmetric sigma, which riccati_correct
-    returns: its symmetry test passes and its symmetrize changes no bit, so
-    only the finiteness test and the Cholesky factorization are left."""
-    if not np.isfinite(sigma).all():
-        raise NumericalFailure(f"Riccati state not positive definite after {where}")
-    try:
-        _lapack(_umath_linalg.cholesky_lo, sigma, signature="d->d", error="Matrix is not positive definite")
-    except np.linalg.LinAlgError:
-        raise NumericalFailure(f"Riccati state not positive definite after {where}") from None
+    """_is_spd's verdict, lane by lane, on an exactly symmetric sigma, which
+    riccati_correct returns: its symmetry test passes and its symmetrize
+    changes no bit, so only the finiteness test and the Cholesky
+    factorization are left. LAPACK writes NaN over the factor of each lane
+    it fails on; the lanes are told apart only when one has failed."""
+    factor = _umath_linalg.cholesky_lo(sigma, signature="d->d")
+    if np.isfinite(sigma).all() and np.isfinite(factor).all():
+        return
+    ok = np.isfinite(sigma).all(axis=(-2, -1)) & np.isfinite(factor).all(axis=(-2, -1))
+    raise NumericalFailure(f"Riccati state not positive definite after {where}", np.flatnonzero(~ok))
 
 
 def riccati_predict(sigma: np.ndarray, w: np.ndarray, m: np.ndarray, dt: float) -> np.ndarray:
@@ -141,7 +139,7 @@ def riccati_predict(sigma: np.ndarray, w: np.ndarray, m: np.ndarray, dt: float) 
     return sigma + dt * (a_sigma + a_sigma.mT + m)
 
 
-def riccati_correct(sigma: np.ndarray, info: np.ndarray, tau: float, where: str) -> np.ndarray:
+def riccati_correct(sigma: np.ndarray, info: np.ndarray, tau: float) -> np.ndarray:
     """Contraction sub-step of the Riccati flow with the measurement held.
 
     Integrates d(Sigma)/dt = -Sigma C^T N^-1 C Sigma exactly over tau (C
@@ -153,16 +151,16 @@ def riccati_correct(sigma: np.ndarray, info: np.ndarray, tau: float, where: str)
     matrix info = Ca^T N^-1 Ca of the attitude block Ca enters, and by the
     push-through identity the update is
     Sigma[:, :3] (I + tau info Sigma[:3, :3])^-1 tau info Sigma[:3, :].
-    `where` names the stage in the error raised when that system is singular.
+
+    A singular system leaves its lane NaN and no other lane changed. For a
+    positive definite S = Sigma[:3, :3] and the positive semidefinite info,
+    I + tau info S is similar to I + tau S^1/2 info S^1/2, whose eigenvalues
+    are all >= 1: a singular system means Sigma had already lost positive
+    definiteness, and require_spd rejects that lane in the same update.
     """
     left = sigma[..., :3]
     tau_info = tau * info
-    try:
-        system = _EYE3 + tau_info @ left[..., :3, :]
-        k = _lapack(_umath_linalg.solve, system, tau_info, signature="dd->d", error="Singular matrix")
-    except np.linalg.LinAlgError as exc:
-        # a diverged state can push the innovation system to singularity
-        raise NumericalFailure(f"Riccati correction became singular in {where}: {exc}") from exc
+    k = _umath_linalg.solve(_EYE3 + tau_info @ left[..., :3, :], tau_info, signature="dd->d")
     # the result is exactly symmetric, which require_spd relies on
     return symmetrize(sigma - left @ k @ sigma[..., :3, :])
 
@@ -264,8 +262,8 @@ def update(est: FilterEstimate, y, dirs, gains: FilterGains, dt_update: float, w
     Only the attitude block Ca of the output matrix is non-zero, so the
     gain is Sigma[:, :3] Ca^T N^-1 r for the residual r and the
     contraction needs the 3x3 information Ca^T N^-1 Ca alone. `where`
-    names the stage in the errors raised when the Riccati state loses
-    positive-definiteness or its correction becomes singular.
+    names the stage in the error raised, for the lanes whose Riccati state
+    is not finite and positive definite after the last sub-step.
     """
     if dt_update <= 0:
         raise ValueError("dt_update must be positive")
@@ -273,13 +271,15 @@ def update(est: FilterEstimate, y, dirs, gains: FilterGains, dt_update: float, w
     x, sigma = est.X, est.Sigma
     y, dirs = np.asarray(y), np.asarray(dirs)
     n_inv, residual = gains.n_inv, y.shape[:-2] + (-1,)  # the residual's shape: one row per lane
-    for _ in range(gains.update_iterations):
-        # the state estimate recover_state(x) has the attitude x.rot
-        y_hat = output_map(x, dirs)
-        ca = c_block(y, y_hat, x.rot)
-        ca_t_ninv = ca.mT @ n_inv
-        gain = np.matvec(sigma[..., :3], np.matvec(ca_t_ninv, (y - y_hat).reshape(residual)))
-        x = apply_correction(x, gain, tau)
-        sigma = riccati_correct(sigma, ca_t_ninv @ ca, tau, where)
-    require_spd(sigma, where)
+    # a failed LAPACK call's NaN, and what it reaches, stays in its lane
+    with np.errstate(invalid="ignore"):
+        for _ in range(gains.update_iterations):
+            # the state estimate recover_state(x) has the attitude x.rot
+            y_hat = output_map(x, dirs)
+            ca = c_block(y, y_hat, x.rot)
+            ca_t_ninv = ca.mT @ n_inv
+            gain = np.matvec(sigma[..., :3], np.matvec(ca_t_ninv, (y - y_hat).reshape(residual)))
+            x = apply_correction(x, gain, tau)
+            sigma = riccati_correct(sigma, ca_t_ninv @ ca, tau)
+        require_spd(sigma, where)
     return FilterEstimate(GroupElement(renormalize_rotation(x.rot), x.vec), sigma)

@@ -26,9 +26,9 @@ time, from the stored filter states and the run's stage-truth lanes. The
 Riccati stacks, and the V columns they feed, are stored and formed only
 when the series is kept. A run has diverged if and only if a filter
 step raised NumericalFailure (an update left a Riccati state not finite
-and positive definite, or a correction sub-step's system was singular);
-its series then covers only the ticks before the earlier failing one. V
-is NaN on a singular Riccati row; the diagnostics decide nothing.
+and positive definite; the failure names the lanes); its series then
+covers only the ticks before the earlier failing one. V is NaN on a
+singular Riccati row; the diagnostics decide nothing.
 """
 
 from __future__ import annotations
@@ -91,17 +91,6 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
-def _lyapunov_rows(eps: cascade.ErrorVector, sigma: np.ndarray) -> np.ndarray:
-    """V per row; NaN on each row whose Riccati state is singular."""
-    try:
-        return cascade.lyapunov_value(eps, sigma)
-    except np.linalg.LinAlgError:
-        # the batched solve names no row; slogdet's zero sign marks exactly
-        # the rows it fails on (det would also read 0 when it underflows)
-        singular = np.linalg.slogdet(sigma).sign == 0
-        return cascade.lyapunov_value(eps, np.where(singular[:, None, None], np.nan, sigma))
-
-
 def _stage_columns(truth: StageState, x: GroupElement, sigma: np.ndarray | None):
     """One stage's series columns, row by row over the ticks: the errors
     (geodesic angle, per-axis Euler angles in deg, vector state in deg/s),
@@ -116,7 +105,7 @@ def _stage_columns(truth: StageState, x: GroupElement, sigma: np.ndarray | None)
         _norm(st.vec - truth.vec) * RAD2DEG,
     )
     norms = (_norm((e.rot - _EYE3).reshape(-1, 9)), _norm(e.vec))
-    return errors, np.full(len(e.vec), np.nan) if sigma is None else _lyapunov_rows(eps, sigma), norms
+    return errors, np.full(len(e.vec), np.nan) if sigma is None else cascade.lyapunov_value(eps, sigma), norms
 
 
 def _series(dt: float, n: int, truths: tuple[StageState, StageState], states) -> np.ndarray:
@@ -139,17 +128,6 @@ def _take(est: FilterEstimate, lanes) -> FilterEstimate:
     return FilterEstimate(GroupElement(est.X.rot[lanes], est.X.vec[lanes]), est.Sigma[lanes])
 
 
-def _failing(tick, est: FilterEstimate, dt: float, u: np.ndarray, y, *args) -> list[int]:
-    """The lanes of a tick that failed over R lanes that fail on their own, each redone at shape ()."""
-    failing = []
-    for j in range(len(u)):
-        try:
-            tick(_take(est, j), dt, u[j], None if y is None else y[j], *args)
-        except NumericalFailure:
-            failing.append(j)
-    return failing
-
-
 def _lockstep(tick, dt: float, inputs: np.ndarray, every: int, measured: np.ndarray, ends, keep_sigma: bool, gains, *params):
     """Run one stage's tick from the initial estimate of its gains over ticks
     1.. of each lane (leading shape () for one run, (R,) for R runs in
@@ -160,8 +138,8 @@ def _lockstep(tick, dt: float, inputs: np.ndarray, every: int, measured: np.ndar
     each lane's at rows 0.. it reached and NaN after, sigma None unless
     kept, and `ends` lowered to each lane's failing tick.
     A lane's result does not depend on the lanes beside it, so a tick that
-    raises over R lanes drops the lanes that raise on their own and is
-    redone on the others. Any other error propagates.
+    raises NumericalFailure drops the lanes it names and is redone on the
+    others. Any other error propagates.
     """
     lead, n = inputs.shape[:-2], inputs.shape[-2]
     rot = np.full((*lead, n + 1, 3, 3), np.nan)
@@ -188,11 +166,8 @@ def _lockstep(tick, dt: float, inputs: np.ndarray, every: int, measured: np.ndar
             u = inputs[(*at, k - 1)]
             try:
                 est = tick(est, dts[k - 1], u, y, gains, *params)
-            except NumericalFailure:
-                failing = _failing(tick, est, dts[k - 1], u, y, gains, *params) if at else [0]
-                if not failing:
-                    raise
-                flat[live[failing]] = stop = k
+            except NumericalFailure as exc:
+                flat[live[exc.lanes]] = stop = k
                 continue
         row = (*at, k)
         rot[row], vec[row] = est.X.rot, est.X.vec

@@ -171,10 +171,13 @@ class TestLyapunov:
         eps = cascade.ErrorVector(np.array([0.1, 0.0, 0.0]), np.zeros(3))
         assert abs(cascade.lyapunov_value(eps, np.eye(6)) - 0.01) < 1e-15
 
-    def test_singular_sigma_rejected(self):
+    def test_singular_sigma_reads_nan(self):
+        # on its own, and as one row of a stack, which leaves the others
         eps = cascade.ErrorVector(np.array([0.1, 0.0, 0.0]), np.zeros(3))
-        with pytest.raises(ValueError, match="singular"):
-            cascade.lyapunov_value(eps, np.zeros((6, 6)))
+        assert np.isnan(cascade.lyapunov_value(eps, np.zeros((6, 6))))
+        rows = cascade.ErrorVector(np.tile(eps.rot, (3, 1)), np.zeros((3, 3)))
+        values = cascade.lyapunov_value(rows, np.stack([np.eye(6), np.zeros((6, 6)), np.eye(6)]))
+        assert np.isnan(values[1]) and values[0] == values[2] == cascade.lyapunov_value(eps, np.eye(6))
 
     def test_positive_for_nonzero_error(self):
         rng = np.random.default_rng(7)

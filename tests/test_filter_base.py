@@ -5,7 +5,6 @@ from the sensors to the update; the direct LAPACK calls; and where the
 attitude is re-projected onto SO(3)."""
 
 import importlib
-import re
 import sys
 
 import numpy as np
@@ -19,7 +18,6 @@ from eqfcascade.filter_base import (
     FilterGains,
     NumericalFailure,
     _is_spd,
-    _lapack,
     _umath_linalg,
     a_matrix,
     apply_correction,
@@ -49,8 +47,9 @@ from eqfcascade.geom import (
     renormalize_rotation,
     wedge,
 )
+from eqfcascade import filter_base, stage1
+from eqfcascade.cascade import ErrorVector, lyapunov_value
 from eqfcascade.config import ScenarioConfig
-from eqfcascade.harness import _failing
 from eqfcascade.models import STAR_DIRS, TruthWorld, measure_features, measure_star_tracker, observed_directions
 from oracles import rk4_matrix_ode
 
@@ -107,7 +106,7 @@ def test_riccati_correct_is_the_exact_contraction(seed, k, log_tau):
     c = c_matrix(y, y_hat, random_rotation(rng))
     assert c.shape == (3 * k, 6)
 
-    out = riccati_correct(sigma, information(c, n), tau, "test")
+    out = riccati_correct(sigma, information(c, n), tau)
 
     scale = np.max(np.abs(sigma))
     np.testing.assert_array_equal(out, out.T)
@@ -135,7 +134,7 @@ def test_push_through_contraction_equals_the_full_form(seed, k, log_tau):
     np.testing.assert_array_equal(c[:, :3], c_block(np.array(y), np.array(y_hat), rot))
     assert not np.any(c[:, 3:])
 
-    out = riccati_correct(sigma, information(c, n), tau, "test")
+    out = riccati_correct(sigma, information(c, n), tau)
 
     cs = c @ sigma
     full = sigma - cs.T @ np.linalg.solve(cs @ c.T + n / tau, cs)
@@ -143,11 +142,18 @@ def test_push_through_contraction_equals_the_full_form(seed, k, log_tau):
 
 
 def test_singular_contraction_names_the_stage():
-    # I + tau info Sigma[:3, :3] is exactly singular here
-    sigma = np.eye(6)
-    info = -np.eye(3)
-    with pytest.raises(NumericalFailure, match="singular in stage-1 update"):
-        riccati_correct(sigma, info, 1.0, "stage-1 update")
+    # at the identity with a noiseless star fix, N = I/8 and one sub-step of
+    # length 1, info = 16 I, and I + tau info Sigma[:3, :3] is exactly
+    # singular for Sigma[:3, :3] = -I/16: the contraction reads NaN, and the
+    # update that meets it fails naming its stage
+    sigma = np.diag([-1 / 16] * 3 + [1.0] * 3)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(riccati_correct(sigma, 16.0 * np.eye(3), 1.0)).all()
+    gains = FilterGains.identity_scaled(9, output_gain=0.125, update_iterations=1)
+    est = FilterEstimate(GroupElement(np.eye(3), np.zeros(3)), sigma)
+    with pytest.raises(NumericalFailure, match="^Riccati state not positive definite after stage-1 update$") as failure:
+        stage1.update(est, STAR_DIRS, gains, 1.0)
+    assert failure.value.lanes.tolist() == [0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -237,7 +243,7 @@ def test_require_spd_gives_the_full_check_verdict_on_symmetric_matrices(seed, ki
     if _is_spd(m):
         require_spd(m, "test")
     else:
-        with pytest.raises(NumericalFailure, match="after test"):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure, match="after test"):
             require_spd(m, "test")
     if kind in ("spd", "spd_1e300"):
         assert _is_spd(m)
@@ -251,7 +257,7 @@ def test_riccati_correct_output_is_exactly_symmetric(seed, log_tau):
     rng = np.random.default_rng(seed)
     sigma = random_spd(rng, 6, 1e-2, 10.0)
     ca = rng.normal(size=(9, 3))
-    out = riccati_correct(sigma, ca.T @ ca, 10.0**log_tau, "test")
+    out = riccati_correct(sigma, ca.T @ ca, 10.0**log_tau)
     assert out.tobytes() == out.T.copy().tobytes()
 
 
@@ -304,6 +310,17 @@ def _same(a, b) -> bool:
     return a.tobytes() == b.tobytes()
 
 
+def _failing_alone(call, lanes) -> list[int]:
+    """The lanes i whose one-lane call(i) raises NumericalFailure."""
+    failing = []
+    for i in lanes:
+        try:
+            call(i)
+        except NumericalFailure:
+            failing.append(i)
+    return failing
+
+
 def _lane_stack(kinds, rng, k):
     """States, Riccati matrices, correction gains and measurements for one
     lane of each kind."""
@@ -352,8 +369,8 @@ def test_kernel_on_lane_stacks_equals_the_per_lane_calls(kinds, seed, k, log_tau
 
     ca = rng.normal(size=(len(kinds), 3 * k, 3))
     info = ca.mT @ ca
-    out = riccati_correct(sigma, info, tau, "test")
-    assert all(_same(out[i], riccati_correct(sigma[i], info[i], tau, "test")) for i in lanes)
+    out = riccati_correct(sigma, info, tau)
+    assert all(_same(out[i], riccati_correct(sigma[i], info[i], tau)) for i in lanes)
 
     lam = GroupElement(rng.normal(size=(len(kinds), 3)), rng.normal(size=(len(kinds), 3)))
     w = rng.normal(size=(len(kinds), 3))
@@ -364,10 +381,9 @@ def test_kernel_on_lane_stacks_equals_the_per_lane_calls(kinds, seed, k, log_tau
     for lane_dirs in (dirs, np.broadcast_to(dirs, y.shape)):
         try:
             out = update(est, y, lane_dirs, gains, tau, "test")
-        except NumericalFailure:
-            # then the lanes that fail alone are the ones the stack failed for
-            tick = lambda e, dt, u, yi, d: update(e, yi, d, gains, dt, "test")  # noqa: E731
-            assert _failing(tick, est, tau, y, y, dirs)
+        except NumericalFailure as exc:
+            # then the lanes it names are the ones that fail alone
+            assert exc.lanes.tolist() == _failing_alone(lambda i: update(_lane(est, i), y[i], dirs, gains, tau, "test"), lanes)
             continue
         assert all(_same(_lane(out, i), update(_lane(est, i), y[i], dirs, gains, tau, "test")) for i in lanes)
 
@@ -375,9 +391,10 @@ def test_kernel_on_lane_stacks_equals_the_per_lane_calls(kinds, seed, k, log_tau
 @settings(max_examples=20, deadline=None)
 @given(n_lanes=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
 def test_one_failing_lane_fails_the_stack_and_only_itself(n_lanes, seed):
-    # a singular correction system, and a non-finite Riccati state, in one
-    # lane: the call on the stack raises, and redone lane by lane it raises
-    # for that lane alone
+    # a singular correction system in one lane reads NaN there and leaves
+    # every other lane its one-lane result; a non-finite Riccati state in one
+    # lane fails the update on the stack, which names that lane alone, the
+    # one lane whose one-lane call raises
     rng = np.random.default_rng(seed)
     bad = int(rng.integers(n_lanes))
     x, sigma, _, dirs, y = _lane_stack(["generic"] * n_lanes, rng, 3)
@@ -385,18 +402,44 @@ def test_one_failing_lane_fails_the_stack_and_only_itself(n_lanes, seed):
     sigma_singular, info_singular = sigma.copy(), info.copy()
     # I + tau info Sigma[:3, :3] is exactly singular here
     sigma_singular[bad], info_singular[bad] = np.eye(6), -np.eye(3)
-    with pytest.raises(NumericalFailure, match="singular in test"):
-        riccati_correct(sigma_singular, info_singular, 1.0, "test")
-    correct = lambda est, tau, u, y: riccati_correct(est.Sigma, u, tau, "test")  # noqa: E731
-    assert _failing(correct, FilterEstimate(x, sigma_singular), 1.0, info_singular, None) == [bad]
+    with np.errstate(invalid="ignore"):
+        out = riccati_correct(sigma_singular, info_singular, 1.0)
+    assert np.isnan(out[bad]).all()
+    assert all(_same(out[i], riccati_correct(sigma[i], info[i], 1.0)) for i in range(n_lanes) if i != bad)
 
     sigma_nan = sigma.copy()
     sigma_nan[bad, 4, 4] = np.nan
-    gains = FilterGains.identity_scaled(9, update_iterations=3)
-    with pytest.raises(NumericalFailure, match="not positive definite after test"):
-        update(FilterEstimate(x, sigma_nan), y, dirs, gains, 0.1, "test")
-    tick = lambda est, dt, u, yi: update(est, yi, dirs, gains, dt, "test")  # noqa: E731
-    assert _failing(tick, FilterEstimate(x, sigma_nan), 0.1, y, y) == [bad]
+    est, gains = FilterEstimate(x, sigma_nan), FilterGains.identity_scaled(9, update_iterations=3)
+    with pytest.raises(NumericalFailure, match="not positive definite after test") as failure:
+        update(est, y, dirs, gains, 0.1, "test")
+    alone = _failing_alone(lambda i: update(_lane(est, i), y[i], dirs, gains, 0.1, "test"), range(n_lanes))
+    assert failure.value.lanes.tolist() == alone == [bad]
+
+
+def test_an_update_names_every_failing_lane_at_once(monkeypatch):
+    # zero residuals leave every lane at the identity, so with N = I/8 and
+    # tau = 1 the information is 16 I at each sub-step. Lane a's attitude
+    # block goes -I/32 -> -I/16, exactly, and its system is singular at
+    # sub-step 2 of 3; lane b's vector block is not positive definite and
+    # its systems are regular. One failure after the last sub-step names both.
+    rng = np.random.default_rng(5)
+    a, b = 2, 6
+    sigma = np.stack([random_spd(rng, 6, 1e-2, 10.0) for _ in range(8)])
+    sigma[a], sigma[b] = np.diag([-1 / 32] * 3 + [1.0] * 3), np.diag([1.0] * 5 + [-1.0])
+    est = FilterEstimate(GroupElement(np.tile(np.eye(3), (8, 1, 1)), np.zeros((8, 3))), sigma)
+    gains = FilterGains.identity_scaled(9, output_gain=0.125, update_iterations=3)
+    nan_lanes, correct = [], filter_base.riccati_correct
+
+    def recording(*args):
+        out = correct(*args)
+        nan_lanes.append(np.flatnonzero(np.isnan(out).all(axis=(1, 2))).tolist())
+        return out
+
+    monkeypatch.setattr(filter_base, "riccati_correct", recording)
+    with pytest.raises(NumericalFailure, match="^Riccati state not positive definite after stage-1 update$") as failure:
+        stage1.update(est, np.tile(STAR_DIRS, (8, 1, 1)), gains, 3.0)
+    assert nan_lanes == [[], [a], [a]]
+    assert failure.value.lanes.tolist() == [a, b]
 
 
 def test_renormalize_projects_drifted_lanes_beside_a_non_finite_one():
@@ -432,9 +475,9 @@ def test_direct_lapack_calls_equal_np_linalg_bit_for_bit(lanes):
     n = lanes[0] if lanes else 1
     sigma = np.stack([random_spd(rng, 6, 1e-3, 10.0) for _ in range(n)]).reshape(lanes + (6, 6))
     a, b = rng.normal(size=lanes + (3, 3)), rng.normal(size=lanes + (3, 3))
-    solved = _lapack(_umath_linalg.solve, a, b, signature="dd->d", error="Singular matrix")
+    solved = _umath_linalg.solve(a, b, signature="dd->d")
     assert solved.tobytes() == np.linalg.solve(a, b).tobytes()
-    factor = _lapack(_umath_linalg.cholesky_lo, sigma, signature="d->d", error="Matrix is not positive definite")
+    factor = _umath_linalg.cholesky_lo(sigma, signature="d->d")
     assert factor.tobytes() == np.linalg.cholesky(sigma).tobytes()
     # and the contraction equals its np.linalg.solve form
     info = rng.normal(size=lanes + (9, 3))
@@ -442,28 +485,35 @@ def test_direct_lapack_calls_equal_np_linalg_bit_for_bit(lanes):
     tau_info = 0.1 * info
     k = np.linalg.solve(np.eye(3) + tau_info @ sigma[..., :3, :3], tau_info)
     ref = symmetrize(sigma - sigma[..., :3] @ k @ sigma[..., :3, :])
-    assert riccati_correct(sigma, info, 0.1, "test").tobytes() == ref.tobytes()
+    assert riccati_correct(sigma, info, 0.1).tobytes() == ref.tobytes()
+    # and V equals its np.linalg.solve form
+    eps = ErrorVector(rng.normal(size=lanes + (3,)), rng.normal(size=lanes + (3,)))
+    e = eps.stacked()
+    assert lyapunov_value(eps, sigma).tobytes() == np.vecdot(e, np.linalg.solve(sigma, e[..., None])[..., 0]).tobytes()
 
 
 @pytest.mark.parametrize("lanes", [(), (8,)])
-def test_a_failing_lane_raises_the_messages_of_np_linalg(lanes):
+def test_a_failing_lane_is_named(lanes):
     rng = np.random.default_rng(3)
     n = lanes[0] if lanes else 1
     bad = (n - 1,) if lanes else ()
     sigma = np.stack([random_spd(rng, 6, 1e-2, 10.0) for _ in range(n)]).reshape(lanes + (6, 6))
     info = np.broadcast_to(np.eye(3), lanes + (3, 3)).copy()
-    # I + tau info Sigma[:3, :3] is exactly singular in the bad lane
+    # I + tau info Sigma[:3, :3] is exactly singular in the bad lane, which
+    # reads NaN, and the Riccati check names it
     sigma_singular, info_singular = sigma.copy(), info.copy()
     sigma_singular[bad], info_singular[bad] = np.eye(6), -np.eye(3)
-    message = "Riccati correction became singular in test: Singular matrix"
-    with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$") as failure:
-        riccati_correct(sigma_singular, info_singular, 1.0, "test")
-    assert isinstance(failure.value.__cause__, np.linalg.LinAlgError)
+    with np.errstate(invalid="ignore"):
+        out = riccati_correct(sigma_singular, info_singular, 1.0)
+    assert np.isnan(out[bad]).all() and np.isfinite(np.delete(out.reshape(-1, 6, 6), n - 1, axis=0)).all()
     # finite and symmetric, with one negative eigenvalue in the bad lane
     sigma_indefinite = sigma.copy()
     sigma_indefinite[bad] = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0])
-    with pytest.raises(NumericalFailure, match="^Riccati state not positive definite after test$"):
-        require_spd(sigma_indefinite, "test")
+    message = "^Riccati state not positive definite after test$"
+    for failing in (out, sigma_indefinite):
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure, match=message) as failure:
+            require_spd(failing, "test")
+        assert failure.value.lanes.tolist() == [n - 1]
     require_spd(sigma, "test")
 
 

@@ -435,22 +435,31 @@ class TestLanes:
             assert len(m.series) == min(stage1_ends[i], stage2_ends[i])
             assert _run_bits(m) == _run_bits(run_single(cfg, i, keep_series=True))
 
-    @pytest.mark.parametrize("on_lanes", [True, False], ids=["batched_tick", "redone_lane"])
-    def test_value_error_inside_a_lane_tick_propagates(self, monkeypatch, on_lanes):
-        # a programming error is raised from run_batch, whether it comes from
-        # the tick over all lanes or from a lane redone after a numerical failure
-        stage2_tick = cascade.stage2_tick
-
+    def test_value_error_inside_a_lane_tick_propagates(self, monkeypatch):
+        # a programming error in the tick over all lanes is raised from run_batch
         def broken_tick(est, *args):
-            if (est.Sigma.ndim == 3) == on_lanes:
-                raise ValueError("not a numerical failure")
-            if on_lanes:
-                return stage2_tick(est, *args)
-            raise NumericalFailure("stage-2 update")
+            raise ValueError("not a numerical failure")
 
         monkeypatch.setattr(cascade, "stage2_tick", broken_tick)
         with pytest.raises(ValueError, match="not a numerical failure"):
             run_batch(ScenarioConfig(seed=0, duration_s=1.0), 3)
+
+    @pytest.mark.parametrize("sigma0, n_runs", [(1.0, 8), (100.0, 9)], ids=["stage1_fails", "stage2_fails_too"])
+    def test_a_failing_tick_is_called_once_more_and_never_per_lane(self, monkeypatch, sigma0, n_runs):
+        # the failure names its lanes: each pass calls its tick once per tick
+        # it advances, and once more per tick that fails, always on the stack
+        # (with sigma0 = 100, lane 8 fails in its stage-2 update at tick 50)
+        passes, real_lockstep, ndims = [], harness._lockstep, []
+        monkeypatch.setattr(harness, "_lockstep", lambda *args: passes.append(real_lockstep(*args)) or passes[-1])
+        for name in ("stage1_tick", "stage2_tick"):
+            tick = getattr(cascade, name)
+            monkeypatch.setattr(cascade, name, lambda est, *args, tick=tick: ndims.append(est.Sigma.ndim) or tick(est, *args))
+        cfg = ScenarioConfig(seed=2026, update_iterations=1, sigma0=sigma0)
+        run_batch(cfg, n_runs)
+        (_, ends1), (_, ends2) = passes
+        failing = len(set(ends1[ends1 <= cfg.steps_per_run()])) + len(set(ends2[ends2 < ends1]))
+        assert failing > 2 and set(ndims) == {3}
+        assert len(ndims) == ends1.max() - 1 + ends2.max() - 1 + failing
 
     def test_run_single_is_called_once_per_run_in_order(self, monkeypatch):
         # each run's diagnostics and metrics come from one run_single call,
