@@ -14,11 +14,11 @@ Corrections are integrated over the measurement interval in
 
 The kernel takes one run's states, or R runs' as stacks with a leading lane
 axis ((R, 3, 3), (R, 3), (R, 6, 6); inputs and measurements likewise), and
-gives each lane the one-run result bit for bit. A single gain or vector
-takes a float path inside the same functions, as exp_so3 does. LAPACK
-writes NaN over each lane whose solve or Cholesky factorization fails, and
-the NumericalFailure that update raises names those lanes. Only update
-re-projects the attitude onto SO(3), once per measurement.
+gives each lane the one-run result bit for bit. A single gain or vector,
+and up to geom._SHORT_STACK gains, take a float path inside the same
+functions, as exp_so3 does. LAPACK writes NaN over each lane whose solve or
+Cholesky factorization fails, and update's NumericalFailure names those
+lanes. Only update re-projects the attitude onto SO(3), once a measurement.
 """
 
 from __future__ import annotations
@@ -30,12 +30,12 @@ import numpy as np
 # np.linalg.solve's and np.linalg.cholesky's LAPACK gufuncs, private: a numpy that moves them fails this import
 from numpy.linalg import _umath_linalg
 
-from .geom import AlgebraElement, GroupElement, StageState, cross3, exp_so3, identity_element, renormalize_rotation, wedge
+from .geom import _SHORT_STACK, _WEDGE, AlgebraElement, GroupElement, StageState, _exp_so3_entries, cross3, exp_so3, identity_element, renormalize_rotation, wedge
 
 ORIGIN = StageState(np.eye(3), np.zeros(3))
 _EYE3 = np.eye(3)
-# half the wedge map as a matrix: 0.5 wedge(x).ravel() == x @ _HALF_WEDGE
-_HALF_WEDGE = np.stack([0.5 * wedge(e).ravel() for e in np.eye(3)])
+# half the wedge map as a matrix, exactly: 0.5 wedge(x).ravel() == x @ _HALF_WEDGE
+_HALF_WEDGE = 0.5 * _WEDGE
 
 
 class NumericalFailure(Exception):
@@ -173,23 +173,24 @@ def apply_correction(x: GroupElement, gain: np.ndarray, tau: float) -> GroupElem
     algebra element Delta = (w, s) = (gain[:3], -gain[3:]).
 
     The vector part, x.vec + tau * (cross3(gain[:3], x.vec) - gain[3:]), row
-    by row for (R, 6) gains, is formed from floats for one gain in that
-    order; float64 array operations round as Python floats do.
+    by row for (R, 6) gains, is formed from floats lane by lane in that order
+    for up to _SHORT_STACK gains; float64 array operations round alike.
     """
-    if gain.ndim > 1:
+    if gain.size > 6 * _SHORT_STACK:
         w = gain[..., :3]
         return GroupElement(exp_so3(w * tau) @ x.rot, x.vec + tau * (cross3(w, x.vec) - gain[..., 3:]))
-    w0, w1, w2, s0, s1, s2 = gain.tolist()
-    v0, v1, v2 = x.vec.tolist()
-    rot = exp_so3((w0 * tau, w1 * tau, w2 * tau)) @ x.rot
-    vec = np.array(
-        [
+    single = gain.ndim == 1
+    lanes = ((gain.tolist(), x.vec.tolist()),) if single else zip(gain.tolist(), x.vec.tolist())
+    rot, vec = [], []
+    for (w0, w1, w2, s0, s1, s2), (v0, v1, v2) in lanes:
+        rot += _exp_so3_entries(w0 * tau, w1 * tau, w2 * tau)
+        vec += (
             v0 + tau * ((w1 * v2 - w2 * v1) - s0),
             v1 + tau * ((w2 * v0 - w0 * v2) - s1),
             v2 + tau * ((w0 * v1 - w1 * v0) - s2),
-        ]
-    )
-    return GroupElement(rot, vec)
+        )
+    vec = np.array(vec)  # a single gain's vector needs no reshape
+    return GroupElement(np.array(rot).reshape(x.rot.shape) @ x.rot, vec if single else vec.reshape(x.vec.shape))
 
 
 def state_action(g: GroupElement, xi: StageState) -> StageState:

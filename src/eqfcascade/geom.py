@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, starmap
 
 import numpy as np
 
@@ -33,12 +34,11 @@ _COPIES = np.zeros(3, dtype=np.intp)
 _PAIR_I, _PAIR_J, _PAIR_K = np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([2, 1, 0])
 _DIAG_J, _DIAG_K = np.array([1, 0, 0]), np.array([2, 2, 1])
 _LAYOUT = np.array([0, 3, 7, 6, 1, 5, 4, 8, 2])
-# the most rows exp_so3 builds from floats; us a call, _exp_so3_rows against
-# the loop, generic / one small-angle row, best of 9 x 2000 in two sessions:
-#   8 rows:  20-36 / 29-51  against 12-20 / 12-19
-#   16 rows: 21-26 / 29-32  against 23-27 / 22-24
-#   24 rows: 22-40 / 28-33  against 33-53 / 32-34
-#   50 rows: 44-47 / 34-37  against 105-114 / 67-69
+# the most rows exp_so3 and apply_correction read as floats; us a call at
+# 8 / 12 / 16 / 20 / 24 / 32 rows, float loop against array path, best of
+# 2 x 9 x 2000, generic rows (the array path with one small-angle row):
+#   exp_so3:           8 12 16 19 23 31 against 17 18 18 18 19 20 (24 25 25 26 26 26)
+#   apply_correction: 16 24 29 36 42 56 against 27 28 28 29 30 32 (34 35 35 36 37 39)
 _SHORT_STACK = 16
 
 
@@ -56,20 +56,17 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def wedge(x: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix of x, so that wedge(x) @ y == cross(x, y); the
-    (..., 3, 3) stack of them for a stack (..., 3)."""
+    (..., 3, 3) stack of them for a stack (..., 3), as one product with the
+    0 / +-1 map _WEDGE: a finite row equals the single-vector call in value,
+    a zero's sign aside, and a non-finite component gives NaN at _WEDGE's zeros."""
     x = np.asarray(x, dtype=float)
     if x.ndim > 1:
-        out = np.zeros(x.shape + (3,))
-        out[..., _AFTER, _NEXT], out[..., _NEXT, _AFTER] = x, -x
-        return out
+        return (x @ _WEDGE).reshape(x.shape + (3,))
     x0, x1, x2 = x.tolist()
-    return np.array(
-        [
-            [0.0, -x2, x1],
-            [x2, 0.0, -x0],
-            [-x1, x0, 0.0],
-        ]
-    )
+    return np.array([[0.0, -x2, x1], [x2, 0.0, -x0], [-x1, x0, 0.0]])
+
+
+_WEDGE = np.stack([wedge(e).ravel() for e in _EYE3])  # wedge(x).ravel() == x @ _WEDGE
 
 
 def vee(m: np.ndarray) -> np.ndarray:
@@ -99,7 +96,8 @@ def exp_so3(x: np.ndarray) -> np.ndarray:
         return np.array(_exp_so3_entries(*x.tolist())).reshape(3, 3)
     if x.size > 3 * _SHORT_STACK:
         return _exp_so3_rows(x)
-    return np.array([_exp_so3_entries(*row) for row in x.reshape(-1, 3).tolist()]).reshape(x.shape + (3,))
+    rows = starmap(_exp_so3_entries, x.reshape(-1, 3).tolist())
+    return np.fromiter(chain.from_iterable(rows), float, 3 * x.size).reshape(x.shape + (3,))
 
 
 def _exp_so3_entries(x0: float, x1: float, x2: float) -> tuple:

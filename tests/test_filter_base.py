@@ -39,6 +39,7 @@ from eqfcascade.geom import (
     SMALL_ANGLE,
     AlgebraElement,
     GroupElement,
+    _exp_so3_rows,
     cross3,
     exp_so3,
     is_rotation,
@@ -47,7 +48,7 @@ from eqfcascade.geom import (
     renormalize_rotation,
     wedge,
 )
-from eqfcascade import filter_base, stage1
+from eqfcascade import filter_base, geom, stage1
 from eqfcascade.cascade import ErrorVector, lyapunov_value
 from eqfcascade.config import ScenarioConfig
 from eqfcascade.models import STAR_DIRS, TruthWorld, measure_features, measure_star_tracker, observed_directions
@@ -287,6 +288,59 @@ def test_kernel_steps_equal_their_reference_forms_bit_for_bit(seed, log_dt, n):
     w = rng.normal(scale=0.1, size=3)
     a = np.concatenate((-sigma[3:], wedge(w) @ sigma[3:]))
     np.testing.assert_array_equal(riccati_predict(sigma, w, m, dt), sigma + dt * (a + a.T + m))
+
+
+def _correction_stack(rng, n, tau):
+    """n states and gains: a generic lane, a lane whose correction turns by
+    less than SMALL_ANGLE over tau, and a lane of NaN gains, then generic ones."""
+    x = GroupElement(np.stack([random_rotation(rng) for _ in range(n)]), rng.normal(size=(n, 3)))
+    gain = rng.normal(size=(n, 6))
+    if n > 1:
+        gain[1, :3] = random_unit_vector(rng) * SMALL_ANGLE * rng.uniform(0.0, 1.0) / tau
+    if n > 2:
+        gain[2] = np.nan
+    return x, gain
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, filter_base._SHORT_STACK])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_short_correction_stacks_equal_the_array_expressions_bit_for_bit(n, seed):
+    # the float loop, against the array path that longer stacks take
+    rng = np.random.default_rng(seed)
+    tau = 0.05
+    x, gain = _correction_stack(rng, n, tau)
+    w = gain[:, :3]
+    ref = GroupElement(_exp_so3_rows(w * tau) @ x.rot, x.vec + tau * (cross3(w, x.vec) - gain[:, 3:]))
+    with np.errstate(invalid="ignore"):
+        got = apply_correction(x, gain, tau)
+    assert got.rot.shape == (n, 3, 3) and got.vec.shape == (n, 3)
+    assert got.rot.tobytes() == ref.rot.tobytes() and got.vec.tobytes() == ref.vec.tobytes()
+    if n > 2:
+        assert np.isnan(got.rot[2]).all() and np.isnan(got.vec[2]).all()
+
+
+@pytest.mark.parametrize("n", [None, 1, 8, filter_base._SHORT_STACK, filter_base._SHORT_STACK + 1])
+def test_corrections_read_as_floats_up_to_the_short_stack(n, monkeypatch):
+    # one float Rodrigues call a lane up to _SHORT_STACK lanes, none past it
+    rng = np.random.default_rng(4)
+    x, gain = _correction_stack(rng, 1 if n is None else n, 0.05)
+    if n is None:
+        x, gain = _lane(x, 0), gain[0]
+    calls, entries = [], filter_base._exp_so3_entries
+
+    def counting(*row):
+        calls.append(row)
+        return entries(*row)
+
+    monkeypatch.setattr(filter_base, "_exp_so3_entries", counting)
+    monkeypatch.setattr(geom, "_exp_so3_entries", counting)
+    with np.errstate(invalid="ignore"):
+        apply_correction(x, gain, 0.05)
+    assert len(calls) == (1 if n is None else n if n <= filter_base._SHORT_STACK else 0)
+
+
+def test_half_wedge_is_half_the_wedge_map_bit_for_bit():
+    assert filter_base._HALF_WEDGE.tobytes() == (0.5 * geom._WEDGE).tobytes()
 
 
 # the kinds of lane in a stack: a generic one, a correction below

@@ -47,6 +47,28 @@ class TestWedgeVee:
             x, y = rng.normal(size=3), rng.normal(size=3)
             np.testing.assert_allclose(wedge(x) @ y, np.cross(x, y), atol=1e-14)
 
+    @pytest.mark.parametrize("shape", [(1,), (8,), (4, 5)])
+    def test_stacked_wedge_equals_the_single_calls_in_value(self, shape):
+        # entries are exact either way; only a zero's sign may differ
+        rng = np.random.default_rng(len(shape))
+        x = rng.normal(size=shape + (3,))
+        x[rng.uniform(size=x.shape) < 0.2] = 0.0
+        x.reshape(-1, 3)[0] = [-1.0, -2.0, -3.0]
+        stack = wedge(x)
+        assert stack.shape == shape + (3, 3)
+        for row, xi in zip(stack.reshape(-1, 3, 3), x.reshape(-1, 3)):
+            np.testing.assert_array_equal(row, wedge(xi))
+        # wedge(x) @ y == cross3(x, y): integer components make every product
+        # and sum exact, whatever order the product takes them in
+        x, y = rng.integers(-1000, 1000, size=(2,) + shape + (3,)).astype(float)
+        np.testing.assert_array_equal(np.matvec(wedge(x), y), geom.cross3(x, y))
+        x, y = rng.normal(size=(2,) + shape + (3,))
+        np.testing.assert_allclose(np.matvec(wedge(x), y), geom.cross3(x, y), rtol=0.0, atol=1e-14)
+
+    def test_wedge_map_is_built_from_the_single_calls(self):
+        assert geom._WEDGE.tobytes() == np.stack([wedge(e).ravel() for e in np.eye(3)]).tobytes()
+        assert wedge(np.zeros((0, 3))).shape == (0, 3, 3)
+
     def test_vee_example(self):
         m = np.array([[0, -3, 2], [3, 0, -1], [-2, 1, 0]], dtype=float)
         np.testing.assert_allclose(vee(m), [1.0, 2.0, 3.0])
