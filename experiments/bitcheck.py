@@ -72,6 +72,9 @@ VARIANTS = {  # name: (ScenarioConfig overrides, runs)
     # one star fix in 15 s: stage 1 predicts for 1000 ticks before it, the
     # longest stretch of rotation products with no update to re-project them
     "star0p1hz": ({"star_rate_hz": 0.1}, 8),
+    # n = 155 ends between measurements: stage 1 predicts alone over ticks
+    # 101-155 after its last star fix, stage 2 over ticks 151-155
+    "tail_1p55s": ({"duration_s": 1.55}, 8),
 }
 
 POOLED, POOL_WORKERS = ("default", "it1"), 2

@@ -1,7 +1,8 @@
 """The EqF kernel shared by both filter stages: estimate/gain containers,
 the state action and origin, the output model and A-matrix form, the
-Riccati steps, and one predict and one update that take a stage's lift,
-A-matrix rate vector and known directions as arguments.
+Riccati steps, and one predict (on estimates, or on bare arrays for the
+stages' steps) and one update that take a stage's lift, A-matrix rate
+vector and known directions as arguments.
 
 Both stages keep a group element (attitude estimate plus a transported
 3-vector) and a 6x6 Riccati matrix, act on their SO(3) x R^3 state
@@ -126,16 +127,16 @@ def require_spd(sigma: np.ndarray, where: str) -> None:
     raise NumericalFailure(f"Riccati state not positive definite after {where}", np.flatnonzero(~ok))
 
 
-def riccati_predict(sigma: np.ndarray, w: np.ndarray, m: np.ndarray, dt: float) -> np.ndarray:
+def riccati_predict(sigma: np.ndarray, w_hat: np.ndarray, m: np.ndarray, dt: float) -> np.ndarray:
     """Euler step of the propagation part, Sigma + (A Sigma + Sigma A^T + M) dt,
-    for A = a_matrix(w).
+    for A = a_matrix(w), given its block w_hat = wedge(w).
 
-    A Sigma is built by blocks, [-Sigma[3:]; wedge(w) Sigma[3:]], in one
+    A Sigma is built by blocks, [-Sigma[3:]; w_hat Sigma[3:]], in one
     buffer, and the sum X + X^T + M is exactly symmetric when Sigma and M are.
     """
     lower, a_sigma = sigma[..., 3:, :], np.empty_like(sigma)
     np.negative(lower, out=a_sigma[..., :3, :])
-    np.matmul(wedge(w), lower, out=a_sigma[..., 3:, :])
+    np.matmul(w_hat, lower, out=a_sigma[..., 3:, :])
     return sigma + dt * (a_sigma + a_sigma.mT + m)
 
 
@@ -246,12 +247,16 @@ def predict(est: FilterEstimate, lam: AlgebraElement, w: np.ndarray, gains: Filt
     with the error-flow matrix a_matrix(w), both by Euler; a lift whose vector
     part is None leaves the group's vector part unchanged. Attitude drift past
     ORTHO_TOL is projected at the next update, not here (renormalize_rotation)."""
+    rot, vec, sigma = predict_arrays(est.X.rot, est.X.vec, est.Sigma, lam.rot, lam.vec, wedge(w), gains.M, dt)
+    return FilterEstimate(GroupElement(rot, vec), sigma)
+
+
+def predict_arrays(rot, vec, sigma, lam_rot, lam_vec, w_hat, m, dt):
+    """predict on the bare states (rot, vec, sigma), given w_hat = wedge(w) and M; vec stays for a lam_vec of None."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    rot = est.X.rot @ exp_so3(dt * lam.rot)
-    vec = est.X.vec if lam.vec is None else est.X.vec + dt * np.matvec(est.X.rot, lam.vec)
-    sigma = riccati_predict(est.Sigma, w, gains.M, dt)
-    return FilterEstimate(GroupElement(rot, vec), sigma)
+    vec = vec if lam_vec is None else vec + dt * np.matvec(rot, lam_vec)
+    return rot @ exp_so3(dt * lam_rot), vec, riccati_predict(sigma, w_hat, m, dt)
 
 
 def update(est: FilterEstimate, y, dirs, gains: FilterGains, dt_update: float, where: str) -> FilterEstimate:

@@ -13,8 +13,9 @@ every tick, then stage 2 over the ticks before stage 1's failing one, on
 the gyro less stage 1's bias estimates, which with stage 1's failing
 ticks is all stage 2 sees of stage 1. A pass advances its lanes in
 lockstep: the states carry a leading lane axis, () for one run and (R,)
-for R runs, and every tick is one call of the stage's tick function for
-all of them. _run_lanes runs one lane group: it composes the two passes
+for R runs; a tick with a measurement is one call of the stage's tick
+function for all of them, on their FilterEstimate, and the ticks between
+two are one call of its predict span, on bare arrays. _run_lanes runs one lane group: it composes the two passes
 and hands each run its two stages' states. run_batch alone cuts a batch
 into contiguous lane groups, run in turn or on a worker pool; run_single
 is a lane group of one, run at shape (). Each run's world is drawn once,
@@ -38,7 +39,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import cascade, metrics
+from . import cascade, metrics, stage1, stage2
 from .config import ScenarioConfig
 from .filter_base import FilterEstimate, NumericalFailure, initial_estimate, recover_state
 from .geom import GroupElement, StageState, exp_so3, random_rotation, random_unit_vector
@@ -128,18 +129,20 @@ def _take(est: FilterEstimate, lanes) -> FilterEstimate:
     return FilterEstimate(GroupElement(est.X.rot[lanes], est.X.vec[lanes]), est.Sigma[lanes])
 
 
-def _lockstep(tick, dt: float, inputs: np.ndarray, every: int, measured: np.ndarray, ends, keep_sigma: bool, gains, *params):
-    """Run one stage's tick from the initial estimate of its gains over ticks
-    1.. of each lane (leading shape () for one run, (R,) for R runs in
+def _lockstep(tick, span, dt: float, inputs: np.ndarray, every: int, measured: np.ndarray, ends, keep_sigma: bool, gains, *params):
+    """Run one stage from the initial estimate of its gains over ticks 1..
+    of each lane (leading shape () for one run, (R,) for R runs in
     lockstep), each tick dt long; inputs (..., n, 3) holds each tick's input,
-    measured (..., n_meas, k, 3) every `every`-th tick's measurement. A lane
-    stops before its tick `ends`, or at a tick that raised NumericalFailure.
-    Returns the states (rot, vec, sigma), (..., n + 1, ...) stacks holding
-    each lane's at rows 0.. it reached and NaN after, sigma None unless
-    kept, and `ends` lowered to each lane's failing tick.
+    measured (..., n_meas, k, 3) every `every`-th tick's measurement. Each
+    such tick is one call of the stage's tick, and the ticks up to the next
+    one, or to a lane's stop, one call of its predict span, which writes their
+    states. A lane stops before its tick `ends`, or at a tick that raised
+    NumericalFailure. Returns the states (rot, vec, sigma), (..., n + 1, ...)
+    stacks holding each lane's at rows 0.. it reached and NaN after, sigma
+    None unless kept, and `ends` lowered to each lane's failing tick.
     A lane's result does not depend on the lanes beside it, so a tick that
-    raises NumericalFailure drops the lanes it names and is redone on the
-    others. Any other error propagates.
+    raises NumericalFailure (a predict never does) drops the lanes it names
+    and is redone on the others. Any other error propagates.
     """
     lead, n = inputs.shape[:-2], inputs.shape[-2]
     rot = np.full((*lead, n + 1, 3, 3), np.nan)
@@ -161,11 +164,15 @@ def _lockstep(tick, dt: float, inputs: np.ndarray, every: int, measured: np.ndar
                 return (rot, vec, sigma), ends
             est, live = _take(est, keep), live[keep]
             at, stop = (live,), int(flat[live].min())
+        if k % every:
+            end = min(k - k % every + every, stop)
+            x = span(est.X.rot, est.X.vec, est.Sigma, inputs[(*at, slice(k - 1, end - 1))], dts[k - 1 : end - 1], gains,
+                     (rot, vec, sigma), at, k)
+            est, k = FilterEstimate(GroupElement(*x[:2]), x[2]), end
+            continue
         if k:
-            y = measured[(*at, k // every - 1)] if k % every == 0 else None
-            u = inputs[(*at, k - 1)]
             try:
-                est = tick(est, dts[k - 1], u, y, gains, *params)
+                est = tick(est, dts[k - 1], inputs[(*at, k - 1)], measured[(*at, k // every - 1)], gains, *params)
             except NumericalFailure as exc:
                 flat[live[exc.lanes]] = stop = k
                 continue
@@ -244,19 +251,19 @@ def _run_lanes(cfg: ScenarioConfig, indices: range, keep_series: bool) -> list[R
     lead = gyro.shape[:-2]
     # overflow inside a diverging filter is an expected, handled outcome
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        stage1, ends = _lockstep(cascade.stage1_tick, dt, gyro, star_every, star, np.full(lead, n + 1), keep_series,
-                                 cfg.stage1_gains(), 1.0 / cfg.star_rate_hz)
+        states1, ends = _lockstep(cascade.stage1_tick, stage1.predict_span, dt, gyro, star_every, star, np.full(lead, n + 1), keep_series,
+                                  cfg.stage1_gains(), 1.0 / cfg.star_rate_hz)
         if cfg.input_mode == "unbiased_cascade":
             # in place, a lane at a time: stage 1 has read the gyro for the last time
-            rot1, vec1, _ = stage1
+            rot1, vec1, _ = states1
             for j in np.ndindex(lead):
                 gyro[j] -= recover_state(GroupElement(rot1[j][1:], vec1[j][1:])).vec
-        stage2, ends = _lockstep(cascade.stage2_tick, dt, gyro, feature_every, features, ends, keep_series,
-                                 cfg.stage2_gains(), cfg.ref_dirs(), 1.0 / cfg.feature_rate_hz)
+        states2, ends = _lockstep(cascade.stage2_tick, stage2.predict_span, dt, gyro, feature_every, features, ends, keep_series,
+                                  cfg.stage2_gains(), cfg.ref_dirs(), 1.0 / cfg.feature_rate_hz)
     del streams, gyro, star, features
     return [
         run_single(cfg, i, keep_series, lane=(chaser[j], rel[j], world.gyro_bias[j], world.omega_target[j],
-                                              [(r[at], v[at], None if s is None else s[at]) for r, v, s in (stage1, stage2)], ends[at]))
+                                              [(r[at], v[at], None if s is None else s[at]) for r, v, s in (states1, states2)], ends[at]))
         for j, (i, at) in enumerate(zip(indices, np.ndindex(lead)))
     ]
 

@@ -168,9 +168,11 @@ def summarize(runs: list[RunMetrics]) -> BatchSummary:
 
 
 def write_series_csv(path, series: np.ndarray) -> None:
-    """SERIES_COLUMNS header, then one row per tick in %.9g, CRLF line ends."""
+    """SERIES_COLUMNS header, then one row per tick in %.9g, CRLF line ends:
+    np.savetxt's text, from one % format over all the rows."""
+    row = ",".join(["%.9g"] * series.shape[1]) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        np.savetxt(fh, series, fmt="%.9g", delimiter=",", newline="\r\n", header=",".join(SERIES_COLUMNS), comments="")
+        fh.write(",".join(SERIES_COLUMNS) + "\r\n" + (row * len(series)) % tuple(series.ravel().tolist()))
 
 
 def write_batch_csv(path, summary: BatchSummary) -> None:

@@ -29,7 +29,7 @@ import numpy as np
 from . import filter_base
 # the shared state action, output action and output matrix are part of this stage's model
 from .filter_base import FilterEstimate, FilterGains, c_matrix, output_action, recover_state, state_action  # noqa: F401
-from .geom import AlgebraElement, GroupElement, StageState, cross3
+from .geom import AlgebraElement, GroupElement, StageState, cross3, wedge
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,30 @@ def predict(est: FilterEstimate, rate: np.ndarray, gains: FilterGains, dt: float
     """Propagate with the physical input: the lift at v = w = 0 is
     (u - omega, 0), handed to the kernel as (u - omega, None), which leaves
     X.vec as it is. The error-flow matrix is a_matrix(est.X), passed as its
-    rate vector X.vec."""
-    return filter_base.predict(est, AlgebraElement(rate - recover_state(est.X).vec, None), est.X.vec, gains, dt)
+    block wedge(X.vec). predict_span takes the same step."""
+    vec = est.X.vec
+    rot, _, sigma = _predict_step(est.X.rot, vec, est.Sigma, rate, 0.0 - vec, wedge(vec), gains.M, dt)
+    return FilterEstimate(GroupElement(rot, vec), sigma)
+
+
+def _predict_step(rot, vec, sigma, rate, neg_vec, w_hat, m, dt):
+    # given the X.vec that it keeps as 0.0 - X.vec, recover_state's
+    # ORIGIN.vec - X.vec (-X.vec would turn a +0.0 into -0.0), and as w_hat
+    return filter_base.predict_arrays(rot, vec, sigma, rate - np.matvec(rot.mT, neg_vec), None, w_hat, m, dt)
+
+
+def predict_span(rot, vec, sigma, rate, dts, gains: FilterGains, states, at, first: int):
+    """stage1.predict_span on the rate input. X.vec stays as it is, so its
+    two forms are made once and its rows written in one store."""
+    rots, vecs, sigmas = states
+    neg_vec, w_hat = 0.0 - vec, wedge(vec)
+    vecs[(*at, slice(first, first + len(dts)))] = vec[..., None, :]
+    for tick, u, dt in zip(range(first, first + len(dts)), np.moveaxis(rate, -2, 0), dts):
+        rot, _, sigma = _predict_step(rot, vec, sigma, u, neg_vec, w_hat, gains.M, dt)
+        rots[(*at, tick)] = rot
+        if sigmas is not None:
+            sigmas[(*at, tick)] = sigma
+    return rot, vec, sigma
 
 
 def update(

@@ -305,6 +305,17 @@ class TestCsv:
         )
         assert path.read_bytes() == expected.encode("ascii")
 
+    @pytest.mark.parametrize("rows", [0, 1, 1501])
+    def test_series_csv_is_the_text_of_savetxt(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        series = rng.normal(size=(rows, len(SERIES_COLUMNS))) * 10.0 ** rng.integers(-12, 12, size=(rows, len(SERIES_COLUMNS)))
+        specials = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1e300, -1e-300, 5e-324]
+        series.ravel()[rng.choice(series.size, size=min(series.size, 200), replace=False)] = np.resize(specials, min(series.size, 200))
+        write_series_csv(tmp_path / "series.csv", series)
+        with open(tmp_path / "savetxt.csv", "w", encoding="utf-8", newline="") as fh:
+            np.savetxt(fh, series, fmt="%.9g", delimiter=",", newline="\r\n", header=",".join(SERIES_COLUMNS), comments="")
+        assert (tmp_path / "series.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
     def test_batch_csv_rows(self, tmp_path):
         from eqfcascade.config import ScenarioConfig
         from eqfcascade.harness import run_single

@@ -167,7 +167,7 @@ def test_block_predict_equals_the_full_form(seed, log_dt):
     w = rng.normal(scale=0.1, size=3)
     a = a_matrix(w)
 
-    out = riccati_predict(sigma, w, m, dt)
+    out = riccati_predict(sigma, wedge(w), m, dt)
 
     np.testing.assert_array_equal(out, out.T)
     full = sigma + dt * (a @ sigma + sigma @ a.T + m)
@@ -287,7 +287,7 @@ def test_kernel_steps_equal_their_reference_forms_bit_for_bit(seed, log_dt, n):
     m = random_spd(rng, 6, 1e-3, 1.0)
     w = rng.normal(scale=0.1, size=3)
     a = np.concatenate((-sigma[3:], wedge(w) @ sigma[3:]))
-    np.testing.assert_array_equal(riccati_predict(sigma, w, m, dt), sigma + dt * (a + a.T + m))
+    np.testing.assert_array_equal(riccati_predict(sigma, wedge(w), m, dt), sigma + dt * (a + a.T + m))
 
 
 def _correction_stack(rng, n, tau):

@@ -4,12 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eqfcascade import cascade, harness
+from eqfcascade import cascade, harness, stage1, stage2
 from eqfcascade.config import ScenarioConfig
-from eqfcascade.filter_base import NumericalFailure
+from eqfcascade.filter_base import FilterEstimate, NumericalFailure
+from eqfcascade.geom import GroupElement, random_rotation
 from eqfcascade.harness import _series, run_batch, run_rng, run_single, sample_world
 from eqfcascade.metrics import SERIES_COLUMNS, _metric_values, metric_names
-from eqfcascade.models import MeasurementBundle, add_sensor_noise, noiseless_streams, stage_truths, truth_trajectory
+from eqfcascade.models import MeasurementBundle, TruthWorld, add_sensor_noise, noiseless_streams, stage_truths, truth_trajectory
 
 
 class TestScenarioSampling:
@@ -175,8 +176,10 @@ class TestRunSingle:
         # a series ends before the tick whose filter step raised
         # NumericalFailure: runs 0-3 in a stage-1 update, and run 8 with
         # sigma0 = 100 in a stage-2 update; the rows before it keep their
-        # values, and only V can be non-finite there
-        calls, failures = {}, []
+        # values, and only V can be non-finite there. A pass calls its tick
+        # function at its measurement ticks only, so a stage's c-th call is
+        # at tick c * every
+        calls, failures, every = {}, [], {}
 
         def recording(name):
             tick = getattr(cascade, name)
@@ -186,7 +189,7 @@ class TestRunSingle:
                 try:
                     return tick(*args)
                 except NumericalFailure as exc:
-                    failures.append((calls[name], str(exc)))
+                    failures.append((calls[name] * every[name], str(exc)))
                     raise
 
             monkeypatch.setattr(cascade, name, recording_tick)
@@ -198,6 +201,7 @@ class TestRunSingle:
         kept = [i for i, name in enumerate(SERIES_COLUMNS) if name not in ("V1", "V2")]
         for overrides, i, rows, stage in cases:
             cfg = ScenarioConfig(seed=2026, update_iterations=1, **overrides)
+            every.update(stage1_tick=cfg.star_every(), stage2_tick=cfg.feature_every())
             calls.clear()
             failures.clear()
             m = run_single(cfg, i, keep_series=True)
@@ -213,20 +217,28 @@ class TestRunSingle:
     def test_singular_riccati_row_is_a_value_not_a_verdict(self, monkeypatch):
         # a stored stage-1 Riccati state of zero at one tick, while the
         # filter itself carries on with its true state, leaves V1 NaN on
-        # that row only and changes nothing else
+        # that row only and changes nothing else; the tick is the star fix
+        # at tick 100, and the predict span after it starts from the true state
         cfg = ScenarioConfig(seed=5, duration_s=2.0)
         ref = run_single(cfg, keep_series=True)
-        tick, stage1_tick, calls, true_state = 37, cascade.stage1_tick, [], {}
+        tick, stage1_tick, predict_span, calls, true_state = 100, cascade.stage1_tick, stage1.predict_span, [], {}
 
         def tick_with_singular_row(s1, *args):
             calls.append(None)
             out = stage1_tick(true_state.pop("s1", s1), *args)
-            if len(calls) != tick:
+            if len(calls) * cfg.star_every() != tick:
                 return out
             true_state["s1"] = out
             return replace(out, Sigma=np.zeros((6, 6)))
 
+        def span_from_true_state(rot, vec, sigma, *args):
+            if "s1" in true_state:
+                s1 = true_state.pop("s1")
+                rot, vec, sigma = s1.X.rot, s1.X.vec, s1.Sigma
+            return predict_span(rot, vec, sigma, *args)
+
         monkeypatch.setattr(cascade, "stage1_tick", tick_with_singular_row)
+        monkeypatch.setattr(stage1, "predict_span", span_from_true_state)
         m = run_single(cfg, keep_series=True)
         v1 = SERIES_COLUMNS.index("V1")
         assert not m.diverged and m.series.shape == ref.series.shape == (cfg.steps_per_run() + 1, len(SERIES_COLUMNS))
@@ -270,6 +282,14 @@ def _step_loop_series(cfg: ScenarioConfig, run_index: int) -> np.ndarray:
     """run_single's series with both stages advanced together, one
     cascade.step per tick on a MeasurementBundle of the run's sensor streams,
     up to the tick whose step raised NumericalFailure."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dt, truths, stage_states = _step_loop(cfg, run_index)
+        return _series(dt, len(stage_states[0][0]), truths, stage_states)
+
+
+def _step_loop(cfg: ScenarioConfig, run_index: int):
+    """_step_loop_series' tick length, stage truths and each stage's
+    (rot, vec, sigma) stacks over the ticks it reached."""
     rng = run_rng(cfg.seed, run_index)
     world = sample_world(cfg, rng)
     sensors = cfg.sensors()
@@ -293,11 +313,11 @@ def _step_loop_series(cfg: ScenarioConfig, run_index: int) -> np.ndarray:
                 )
             except NumericalFailure:
                 break
-        stage_states = [
-            (np.array([est.X.rot for est in stage]), np.array([est.X.vec for est in stage]), np.array([est.Sigma for est in stage]))
-            for stage in ([cs.s1 for cs in states], [cs.s2 for cs in states])
-        ]
-        return _series(dt, len(states), stage_truths(*truth, world.gyro_bias, world.omega_target), stage_states)
+    stage_states = [
+        (np.array([est.X.rot for est in stage]), np.array([est.X.vec for est in stage]), np.array([est.Sigma for est in stage]))
+        for stage in ([cs.s1 for cs in states], [cs.s2 for cs in states])
+    ]
+    return dt, stage_truths(*truth, world.gyro_bias, world.omega_target), stage_states
 
 
 @pytest.mark.parametrize(
@@ -320,6 +340,28 @@ def test_two_pass_run_equals_the_step_loop(overrides, run_index, rows):
     assert m.series.shape == ref.shape == (rows, len(SERIES_COLUMNS))
     assert m.series.tobytes() == ref.tobytes()
     assert m.diverged == (rows <= cfg.steps_per_run())
+
+
+@pytest.mark.parametrize(
+    "overrides, run_index, rows",
+    [
+        ({"duration_s": 1.55}, 0, 156),  # both stages end on predict-only ticks
+        ({"update_iterations": 1, "sigma0": 100.0}, 8, 50),  # stage 2 fails at tick 50
+    ],
+    ids=["tail_1p55s", "stage2_fails"],
+)
+def test_riccati_rows_inside_the_predict_spans_equal_the_step_loop(monkeypatch, overrides, run_index, rows):
+    # the passes' stored states, the Riccati stacks among them, on the ticks
+    # that their predict spans write and on the measurement ticks alike
+    passes, real_lockstep = [], harness._lockstep
+    monkeypatch.setattr(harness, "_lockstep", lambda *args: passes.append(real_lockstep(*args)) or passes[-1])
+    cfg = ScenarioConfig(seed=2026, **overrides)
+    run_single(cfg, run_index, keep_series=True)
+    _, _, ref = _step_loop(cfg, run_index)
+    assert len(ref[0][0]) == rows
+    for ((rot, vec, sigma), _), want in zip(passes, ref):
+        for got, ref_stack in zip((rot, vec, sigma), want):
+            assert got[:rows].tobytes() == ref_stack.tobytes()
 
 
 def _run_bits(m) -> bytes:
@@ -435,6 +477,53 @@ class TestLanes:
             assert len(m.series) == min(stage1_ends[i], stage2_ends[i])
             assert _run_bits(m) == _run_bits(run_single(cfg, i, keep_series=True))
 
+    @pytest.mark.parametrize("stage", [stage1, stage2], ids=["stage1", "stage2"])
+    @pytest.mark.parametrize("at", [(), (slice(None),), (np.array([0, 2, 3]),)], ids=["one", "all", "live"])
+    def test_a_predict_span_writes_the_per_tick_predicts(self, stage, at):
+        # a span over 7 ticks from tick 4 writes rows (*at, 4..10) of each
+        # stack with the states of 7 predict calls, and leaves the others
+        rng, cfg = np.random.default_rng(7), ScenarioConfig(seed=2026)
+        gains = cfg.stage1_gains() if stage is stage1 else cfg.stage2_gains()
+        lead, lanes = ((), ()) if at == () else ((4,), np.zeros(4)[at].shape)  # the stacks' and the live lanes'
+        rot = np.stack([random_rotation(rng) for _ in range(math.prod(lanes))]).reshape(lanes + (3, 3))
+        est = FilterEstimate(GroupElement(rot, rng.normal(size=lanes + (3,))), np.zeros(lanes + (6, 6)) + gains.Sigma0)
+        inputs, dts = rng.normal(size=lanes + (7, 3)), rng.uniform(1e-3, 0.1, 7).tolist()
+        stacks, want = ([np.full(lead + (12,) + shape, np.nan) for shape in ((3, 3), (3,), (6, 6))] for _ in range(2))
+        last = stage.predict_span(est.X.rot, est.X.vec, est.Sigma, inputs, dts, gains, stacks, at, 4)
+        for i, dt in enumerate(dts):
+            est = stage.predict(est, inputs[..., i, :], gains, dt)
+            for stack, value in zip(want, (est.X.rot, est.X.vec, est.Sigma)):
+                stack[(*at, 4 + i)] = value
+        for got, ref, value in zip(stacks, want, last):
+            assert got.tobytes() == ref.tobytes()
+            assert value.tobytes() == ref[(*at, 10)].tobytes()
+
+    def test_lanes_that_stop_between_measurements_equal_their_one_lane_passes(self):
+        # stage 2's pass with lanes leaving at ticks 37 and 55, inside its
+        # 10-tick feature intervals, beside a lane that runs to the end: a
+        # predict span stops where a lane leaves, each lane equals its
+        # one-lane pass bit for bit, and a lane's rows before its end are
+        # those of its pass to the end, NaN after
+        cfg = ScenarioConfig(seed=2026, duration_s=1.0)
+        n, dt, every = cfg.steps_per_run(), 1.0 / cfg.gyro_rate_hz, cfg.feature_every()
+        world = TruthWorld.stack([sample_world(cfg, run_rng(cfg.seed, i)) for i in range(3)])
+        streams = noiseless_streams(world, *truth_trajectory(world, dt, n), cfg.star_every(), every)
+        ends = np.array([37, 55, n + 1])
+        args = cfg.stage2_gains(), cfg.ref_dirs(), 1.0 / cfg.feature_rate_hz
+
+        def stage2_pass(gyro, features, ends):
+            return harness._lockstep(cascade.stage2_tick, stage2.predict_span, dt, gyro, every, features, ends, True, *args)
+
+        states, got_ends = stage2_pass(streams.gyro, streams.features, ends)
+        assert got_ends.tolist() == ends.tolist()
+        for j, end in enumerate(ends):
+            alone, alone_end = stage2_pass(streams.gyro[j], streams.features[j], end)
+            full, _ = stage2_pass(streams.gyro[j], streams.features[j], n + 1)
+            assert alone_end == end
+            for lanes, one, whole in zip(states, alone, full):
+                assert lanes[j].tobytes() == one.tobytes()
+                assert one[:end].tobytes() == whole[:end].tobytes() and np.isnan(one[end:]).all()
+
     def test_value_error_inside_a_lane_tick_propagates(self, monkeypatch):
         # a programming error in the tick over all lanes is raised from run_batch
         def broken_tick(est, *args):
@@ -446,8 +535,9 @@ class TestLanes:
 
     @pytest.mark.parametrize("sigma0, n_runs", [(1.0, 8), (100.0, 9)], ids=["stage1_fails", "stage2_fails_too"])
     def test_a_failing_tick_is_called_once_more_and_never_per_lane(self, monkeypatch, sigma0, n_runs):
-        # the failure names its lanes: each pass calls its tick once per tick
-        # it advances, and once more per tick that fails, always on the stack
+        # the failure names its lanes: each pass calls its tick once per
+        # measurement tick it advances, and once more per tick that fails,
+        # always on the stack
         # (with sigma0 = 100, lane 8 fails in its stage-2 update at tick 50)
         passes, real_lockstep, ndims = [], harness._lockstep, []
         monkeypatch.setattr(harness, "_lockstep", lambda *args: passes.append(real_lockstep(*args)) or passes[-1])
@@ -459,7 +549,9 @@ class TestLanes:
         (_, ends1), (_, ends2) = passes
         failing = len(set(ends1[ends1 <= cfg.steps_per_run()])) + len(set(ends2[ends2 < ends1]))
         assert failing > 2 and set(ndims) == {3}
-        assert len(ndims) == ends1.max() - 1 + ends2.max() - 1 + failing
+        # the tick function is called at the measurement ticks only
+        advanced = (ends1.max() - 1) // cfg.star_every() + (ends2.max() - 1) // cfg.feature_every()
+        assert len(ndims) == advanced + failing
 
     def test_run_single_is_called_once_per_run_in_order(self, monkeypatch):
         # each run's diagnostics and metrics come from one run_single call,

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from eqfcascade import stage1
+from eqfcascade import filter_base, stage1
 from eqfcascade.cascade import local_error
 from eqfcascade.filter_base import ORIGIN, FilterEstimate, FilterGains, initial_estimate
 from eqfcascade.geom import (
@@ -230,6 +230,22 @@ class TestPredict:
     def test_dt_must_be_positive(self):
         with pytest.raises(ValueError):
             stage1.predict(initial_estimate(gains()), np.zeros(3), gains(), 0.0)
+
+    @pytest.mark.parametrize("lanes", [(), (8,)])
+    def test_predict_is_the_kernel_on_the_lift_and_rate_bit_for_bit(self, lanes):
+        # predict's step on bare arrays, which predict_span takes too, gives
+        # the kernel's predict on the model's lift and A-matrix rate vector
+        rng = np.random.default_rng(len(lanes))
+        n, g = lanes[0] if lanes else 1, gains()
+        for _ in range(5):
+            rot = np.stack([random_rotation(rng) for _ in range(n)]).reshape(lanes + (3, 3))
+            m = rng.normal(size=lanes + (6, 6))
+            est = FilterEstimate(GroupElement(rot, rng.normal(size=lanes + (3,))), m @ m.mT + np.eye(6))
+            gyro, dt = rng.normal(size=lanes + (3,)), rng.uniform(1e-3, 0.1)
+            got = stage1.predict(est, gyro, g, dt)
+            want = filter_base.predict(est, stage1.lift(stage1.recover_state(est.X), gyro), stage1.a_rate(est.X.rot, est.X.vec, gyro), g, dt)
+            for a, b in ((got.X.rot, want.X.rot), (got.X.vec, want.X.vec), (got.Sigma, want.Sigma)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_sigma_growth_rate(self):
         est = initial_estimate(gains())
