@@ -1,10 +1,10 @@
 """Wiring of the two filter stages plus the truth-referenced error maps.
 
-The cascade is one-way: each stage advances by its own tick function
-(predict, then its iterated update when a measurement is due), on one
-run's estimate or on R runs' stacked in lanes, and stage 2 reads stage 1
-only through the bias estimate after stage 1's tick, subtracted from the
-gyro for its rate input; `step` composes the two.
+The cascade is one-way: `step` advances each stage by one tick (predict,
+then its iterated update when a measurement is due), and stage 2 reads
+stage 1 only through the bias estimate after stage 1's tick, subtracted
+from the gyro for its rate input. It is the per-tick reference that the
+harness's stage passes reproduce bit for bit.
 Truth is only ever read by the error maps, never by the estimation path;
 they take one state or a whole run's stacked states, as the harness
 diagnostics do.
@@ -70,27 +70,12 @@ def step(
     if bundle.t < cs.t:
         raise ValueError(f"non-monotone timestamp: {bundle.t} < {cs.t}")
     dt = bundle.t - cs.t
-    s1 = stage1_tick(cs.s1, dt, bundle.gyro, bundle.star, gains1, star_period)
+    s1 = stage1.predict(cs.s1, bundle.gyro, gains1, dt) if dt > 0 else cs.s1
+    s1 = s1 if bundle.star is None else stage1.update(s1, bundle.star, gains1, star_period)
     rate = bundle.gyro - recover_state(s1.X).vec if subtract_bias else bundle.gyro
-    s2 = stage2_tick(cs.s2, dt, rate, bundle.features, gains2, ref_dirs, feature_period)
+    s2 = stage2.predict(cs.s2, rate, gains2, dt) if dt > 0 else cs.s2
+    s2 = s2 if bundle.features is None else stage2.update(s2, bundle.features, ref_dirs, gains2, feature_period)
     return CascadeState(s1, s2, bundle.t)
-
-
-def stage1_tick(
-    s1: FilterEstimate, dt: float, gyro: np.ndarray, star: np.ndarray | None, gains: FilterGains, star_period: float
-) -> FilterEstimate:
-    """Advance stage 1 by dt on the gyro, then apply the star fix if one is due."""
-    s1 = stage1.predict(s1, gyro, gains, dt) if dt > 0 else s1
-    return s1 if star is None else stage1.update(s1, star, gains, star_period)
-
-
-def stage2_tick(
-    s2: FilterEstimate, dt: float, rate: np.ndarray, features: np.ndarray | None, gains: FilterGains,
-    ref_dirs: np.ndarray, feature_period: float,
-) -> FilterEstimate:
-    """Advance stage 2 by dt on its rate input, then apply the features if due."""
-    s2 = stage2.predict(s2, rate, gains, dt) if dt > 0 else s2
-    return s2 if features is None else stage2.update(s2, features, ref_dirs, gains, feature_period)
 
 
 def _group_element_of(state: StageState) -> GroupElement:

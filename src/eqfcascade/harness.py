@@ -10,25 +10,24 @@ rates or input modes see identical worlds on the same seeds.
 The engine keeps only the filter in its tick loops, one pass per stage
 (_lockstep), each allocating and returning its own states: stage 1 over
 every tick, then stage 2 over the ticks before stage 1's failing one, on
-the gyro less stage 1's bias estimates, which with stage 1's failing
-ticks is all stage 2 sees of stage 1. A pass advances its lanes in
-lockstep: the states carry a leading lane axis, () for one run and (R,)
-for R runs; a tick with a measurement is one call of the stage's tick
-function for all of them, on their FilterEstimate, and the ticks between
-two are one call of its predict span, on bare arrays. _run_lanes runs one lane group: it composes the two passes
-and hands each run its two stages' states. run_batch alone cuts a batch
-into contiguous lane groups, run in turn or on a worker pool; run_single
-is a lane group of one, run at shape (). Each run's world is drawn once,
-and truth and measurements are whole-run stacks made first: a lane
-group's stage truths and noiseless streams are each built once, lane-major
-(R, ticks, ...) like the states, and each run's noise is added on its
-lane. The diagnostic series is computed last, a run and a stage at a
-time, from the stored filter states and the run's stage-truth lanes. The
-Riccati stacks, and the V columns they feed, are stored and formed only
-when the series is kept. A run has diverged if and only if a filter
-step raised NumericalFailure (an update left a Riccati state not finite
-and positive definite; the failure names the lanes); its series then
-covers only the ticks before the earlier failing one. V is NaN on a
+the gyro less stage 1's bias estimates, which with stage 1's failing ticks
+is all stage 2 sees of stage 1. A pass advances its lanes in lockstep,
+their states bare arrays with a leading lane axis, () for one run and (R,)
+for R runs: one call of the stage's predict span up to each measurement
+tick, and there one call of its update. _run_lanes runs one lane group: it
+composes the two passes and hands each run its two stages' states.
+run_batch alone cuts a batch into contiguous lane groups, run in turn or
+on a worker pool; run_single is a lane group of one, run at shape (). Each
+run's world is drawn once, and truth and measurements are whole-run stacks
+made first: a lane group's stage truths and noiseless streams are each
+built once, lane-major (R, ticks, ...) like the states, and each run's
+noise is added on its lane. The diagnostic series is computed last, a run
+and a stage at a time, from the stored filter states and the run's
+stage-truth lanes. The Riccati stacks, and the V columns they feed, are
+stored and formed only when the series is kept. A run has diverged if and
+only if an update raised NumericalFailure (it left a Riccati state not
+finite and positive definite; the failure names the lanes); its series
+then covers only the ticks before the earlier failing one. V is NaN on a
 singular Riccati row; the diagnostics decide nothing.
 """
 
@@ -125,62 +124,55 @@ def _series(dt: float, n: int, truths: tuple[StageState, StageState], states) ->
     return np.column_stack([t, *err1, *err2, v1, v2, *norms1, *norms2])
 
 
-def _take(est: FilterEstimate, lanes) -> FilterEstimate:
-    return FilterEstimate(GroupElement(est.X.rot[lanes], est.X.vec[lanes]), est.Sigma[lanes])
-
-
-def _lockstep(tick, span, dt: float, inputs: np.ndarray, every: int, measured: np.ndarray, ends, keep_sigma: bool, gains, *params):
+def _lockstep(span, update, dt: float, inputs: np.ndarray, every: int, measured: np.ndarray, ends, keep_sigma: bool, gains, *params):
     """Run one stage from the initial estimate of its gains over ticks 1..
     of each lane (leading shape () for one run, (R,) for R runs in
     lockstep), each tick dt long; inputs (..., n, 3) holds each tick's input,
-    measured (..., n_meas, k, 3) every `every`-th tick's measurement. Each
-    such tick is one call of the stage's tick, and the ticks up to the next
-    one, or to a lane's stop, one call of its predict span, which writes their
-    states. A lane stops before its tick `ends`, or at a tick that raised
-    NumericalFailure. Returns the states (rot, vec, sigma), (..., n + 1, ...)
-    stacks holding each lane's at rows 0.. it reached and NaN after, sigma
-    None unless kept, and `ends` lowered to each lane's failing tick.
-    A lane's result does not depend on the lanes beside it, so a tick that
-    raises NumericalFailure (a predict never does) drops the lanes it names
-    and is redone on the others. Any other error propagates.
+    measured (..., n_meas, k, 3) every `every`-th tick's measurement. From
+    tick k, one call of span takes the live lanes' bare (rot, vec, sigma)
+    to the next measurement tick, a lane's stop or tick n, writing the rows
+    between; at a measurement tick update(estimate, measurement, *params)
+    follows. A lane stops before its tick `ends`, or at a tick whose update
+    raised NumericalFailure. Returns the states (rot, vec, sigma), (...,
+    n + 1, ...) stacks holding each lane's at rows 0.. it reached and NaN
+    after, sigma None unless kept, and `ends` lowered to each lane's failing
+    tick. A lane's result does not depend on the lanes beside it, so an
+    update that raises NumericalFailure (a predict never does) drops the
+    lanes it names and is redone on the others. Any other error propagates.
     """
     lead, n = inputs.shape[:-2], inputs.shape[-2]
-    rot = np.full((*lead, n + 1, 3, 3), np.nan)
-    vec = np.full((*lead, n + 1, 3), np.nan)
-    sigma = np.full((*lead, n + 1, 6, 6), np.nan) if keep_sigma else None
+    stacks = rots, vecs, sigmas = (np.full((*lead, n + 1, 3, 3), np.nan), np.full((*lead, n + 1, 3), np.nan),
+                                   np.full((*lead, n + 1, 6, 6), np.nan) if keep_sigma else None)
     # tick k advances by k dt - (k - 1) dt, as cascade.step does between bundle times
     dts = np.diff(dt * np.arange(n + 1)).tolist()
     ends = np.array(ends)
     flat, live = ends.reshape(-1), np.arange(ends.size)
     at = (slice(None),) * ends.ndim  # where the live lanes are in the states
-    est = initial_estimate(gains)
-    if at:  # a copy for each lane
-        est = _take(_take(est, np.newaxis), np.zeros_like(live))
+    est = initial_estimate(gains)  # a copy for each lane, in C order: the kernel's bits depend on the layout
+    rot, vec, sigma = (np.broadcast_to(a, (*lead, *a.shape)).copy() for a in (est.X.rot, est.X.vec, est.Sigma))
     k, stop = 0, int(flat.min())
     while True:
-        if k >= stop:  # the lanes that end before tick k leave
+        if k >= stop:  # the lanes that end at tick k leave
             keep = flat[live] > k
             if not keep.any():
-                return (rot, vec, sigma), ends
-            est, live = _take(est, keep), live[keep]
+                return stacks, ends
+            rot, vec, sigma, live = rot[keep], vec[keep], sigma[keep], live[keep]
             at, stop = (live,), int(flat[live].min())
-        if k % every:
-            end = min(k - k % every + every, stop)
-            x = span(est.X.rot, est.X.vec, est.Sigma, inputs[(*at, slice(k - 1, end - 1))], dts[k - 1 : end - 1], gains,
-                     (rot, vec, sigma), at, k)
-            est, k = FilterEstimate(GroupElement(*x[:2]), x[2]), end
-            continue
-        if k:
+        if k and not k % every:
             try:
-                est = tick(est, dts[k - 1], inputs[(*at, k - 1)], measured[(*at, k // every - 1)], gains, *params)
+                est = update(FilterEstimate(GroupElement(rot, vec), sigma), measured[(*at, k // every - 1)], *params)
             except NumericalFailure as exc:
                 flat[live[exc.lanes]] = stop = k
                 continue
+            rot, vec, sigma = est.X.rot, est.X.vec, est.Sigma
         row = (*at, k)
-        rot[row], vec[row] = est.X.rot, est.X.vec
-        if sigma is not None:
-            sigma[row] = est.Sigma
-        k += 1
+        rots[row], vecs[row] = rot, vec
+        if sigmas is not None:
+            sigmas[row] = sigma
+        if k == n:
+            return stacks, ends
+        end = min(k - k % every + every, stop, n)
+        (rot, vec, sigma), k = span(rot, vec, sigma, inputs, dts, gains, stacks, at, k, end), end
 
 
 def _window_metrics(run_index: int, series: np.ndarray, gyro_bias: np.ndarray, omega_target: np.ndarray) -> RunMetrics:
@@ -251,15 +243,17 @@ def _run_lanes(cfg: ScenarioConfig, indices: range, keep_series: bool) -> list[R
     lead = gyro.shape[:-2]
     # overflow inside a diverging filter is an expected, handled outcome
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        states1, ends = _lockstep(cascade.stage1_tick, stage1.predict_span, dt, gyro, star_every, star, np.full(lead, n + 1), keep_series,
-                                  cfg.stage1_gains(), 1.0 / cfg.star_rate_hz)
+        gains = cfg.stage1_gains()
+        states1, ends = _lockstep(stage1.predict_span, stage1.update, dt, gyro, star_every, star, np.full(lead, n + 1), keep_series,
+                                  gains, gains, 1.0 / cfg.star_rate_hz)
         if cfg.input_mode == "unbiased_cascade":
             # in place, a lane at a time: stage 1 has read the gyro for the last time
             rot1, vec1, _ = states1
             for j in np.ndindex(lead):
                 gyro[j] -= recover_state(GroupElement(rot1[j][1:], vec1[j][1:])).vec
-        states2, ends = _lockstep(cascade.stage2_tick, stage2.predict_span, dt, gyro, feature_every, features, ends, keep_series,
-                                  cfg.stage2_gains(), cfg.ref_dirs(), 1.0 / cfg.feature_rate_hz)
+        gains = cfg.stage2_gains()
+        states2, ends = _lockstep(stage2.predict_span, stage2.update, dt, gyro, feature_every, features, ends, keep_series,
+                                  gains, cfg.ref_dirs(), gains, 1.0 / cfg.feature_rate_hz)
     del streams, gyro, star, features
     return [
         run_single(cfg, i, keep_series, lane=(chaser[j], rel[j], world.gyro_bias[j], world.omega_target[j],

@@ -59,17 +59,17 @@ def _predict_step(rot, vec, sigma, gyro, m, dt):
     return filter_base.predict_arrays(rot, vec, sigma, gyro - bias, cross3(bias, gyro), wedge(a_rate(rot, vec, gyro)), m, dt)
 
 
-def predict_span(rot, vec, sigma, gyro, dts, gains: FilterGains, states, at, first: int):
-    """predict from the bare states (rot, vec, sigma) over the ticks first + i, dts[i] long, on gyro[..., i, :];
-    writes each tick's states into the stacks states = (rots, vecs, sigmas or None) at row (*at, tick) and
-    returns the last ones."""
+def predict_span(rot, vec, sigma, gyro, dts, gains: FilterGains, states, at, k: int, end: int):
+    """predict from the bare states (rot, vec, sigma) at tick k over ticks t = k + 1..end, dts[t - 1] long,
+    on gyro[(*at, t - 1)]; writes the states of ticks k + 1..end - 1 into the stacks states = (rots, vecs,
+    sigmas or None) at row (*at, t) and returns tick end's."""
     rots, vecs, sigmas = states
-    for tick, u, dt in zip(range(first, first + len(dts)), np.moveaxis(gyro, -2, 0), dts):
-        rot, vec, sigma = _predict_step(rot, vec, sigma, u, gains.M, dt)
-        rots[(*at, tick)], vecs[(*at, tick)] = rot, vec
+    for t in range(k + 1, end):
+        rot, vec, sigma = _predict_step(rot, vec, sigma, gyro[(*at, t - 1)], gains.M, dts[t - 1])
+        rots[(*at, t)], vecs[(*at, t)] = rot, vec
         if sigmas is not None:
-            sigmas[(*at, tick)] = sigma
-    return rot, vec, sigma
+            sigmas[(*at, t)] = sigma
+    return _predict_step(rot, vec, sigma, gyro[(*at, end - 1)], gains.M, dts[end - 1])
 
 
 def update(est: FilterEstimate, y: np.ndarray, gains: FilterGains, dt_update: float) -> FilterEstimate:

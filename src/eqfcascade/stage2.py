@@ -77,18 +77,17 @@ def _predict_step(rot, vec, sigma, rate, neg_vec, w_hat, m, dt):
     return filter_base.predict_arrays(rot, vec, sigma, rate - np.matvec(rot.mT, neg_vec), None, w_hat, m, dt)
 
 
-def predict_span(rot, vec, sigma, rate, dts, gains: FilterGains, states, at, first: int):
+def predict_span(rot, vec, sigma, rate, dts, gains: FilterGains, states, at, k: int, end: int):
     """stage1.predict_span on the rate input. X.vec stays as it is, so its
-    two forms are made once and its rows written in one store."""
+    two forms are made once a span."""
     rots, vecs, sigmas = states
     neg_vec, w_hat = 0.0 - vec, wedge(vec)
-    vecs[(*at, slice(first, first + len(dts)))] = vec[..., None, :]
-    for tick, u, dt in zip(range(first, first + len(dts)), np.moveaxis(rate, -2, 0), dts):
-        rot, _, sigma = _predict_step(rot, vec, sigma, u, neg_vec, w_hat, gains.M, dt)
-        rots[(*at, tick)] = rot
+    for t in range(k + 1, end):
+        rot, _, sigma = _predict_step(rot, vec, sigma, rate[(*at, t - 1)], neg_vec, w_hat, gains.M, dts[t - 1])
+        rots[(*at, t)], vecs[(*at, t)] = rot, vec
         if sigmas is not None:
-            sigmas[(*at, tick)] = sigma
-    return rot, vec, sigma
+            sigmas[(*at, t)] = sigma
+    return _predict_step(rot, vec, sigma, rate[(*at, end - 1)], neg_vec, w_hat, gains.M, dts[end - 1])
 
 
 def update(

@@ -305,7 +305,7 @@ class TestCsv:
         )
         assert path.read_bytes() == expected.encode("ascii")
 
-    @pytest.mark.parametrize("rows", [0, 1, 1501])
+    @pytest.mark.parametrize("rows", [0, 1, 257, 1501])  # 257 rows: one past the first 256-row chunk
     def test_series_csv_is_the_text_of_savetxt(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
         series = rng.normal(size=(rows, len(SERIES_COLUMNS))) * 10.0 ** rng.integers(-12, 12, size=(rows, len(SERIES_COLUMNS)))

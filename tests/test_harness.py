@@ -176,32 +176,32 @@ class TestRunSingle:
         # a series ends before the tick whose filter step raised
         # NumericalFailure: runs 0-3 in a stage-1 update, and run 8 with
         # sigma0 = 100 in a stage-2 update; the rows before it keep their
-        # values, and only V can be non-finite there. A pass calls its tick
-        # function at its measurement ticks only, so a stage's c-th call is
-        # at tick c * every
+        # values, and only V can be non-finite there. A pass calls its
+        # stage's update at its measurement ticks only, so a stage's c-th
+        # call is at tick c * every
         calls, failures, every = {}, [], {}
 
-        def recording(name):
-            tick = getattr(cascade, name)
+        def recording(stage):
+            update = stage.update
 
-            def recording_tick(*args):
-                calls[name] = calls.get(name, 0) + 1
+            def recording_update(*args):
+                calls[stage] = calls.get(stage, 0) + 1
                 try:
-                    return tick(*args)
+                    return update(*args)
                 except NumericalFailure as exc:
-                    failures.append((calls[name] * every[name], str(exc)))
+                    failures.append((calls[stage] * every[stage], str(exc)))
                     raise
 
-            monkeypatch.setattr(cascade, name, recording_tick)
+            monkeypatch.setattr(stage, "update", recording_update)
 
-        recording("stage1_tick")
-        recording("stage2_tick")
+        recording(stage1)
+        recording(stage2)
         cases = [({}, i, rows, "stage-1") for i, rows in enumerate((400, 200, 500, 500))]
         cases.append(({"sigma0": 100.0}, 8, 50, "stage-2"))
         kept = [i for i, name in enumerate(SERIES_COLUMNS) if name not in ("V1", "V2")]
         for overrides, i, rows, stage in cases:
             cfg = ScenarioConfig(seed=2026, update_iterations=1, **overrides)
-            every.update(stage1_tick=cfg.star_every(), stage2_tick=cfg.feature_every())
+            every.update({stage1: cfg.star_every(), stage2: cfg.feature_every()})
             calls.clear()
             failures.clear()
             m = run_single(cfg, i, keep_series=True)
@@ -221,11 +221,11 @@ class TestRunSingle:
         # at tick 100, and the predict span after it starts from the true state
         cfg = ScenarioConfig(seed=5, duration_s=2.0)
         ref = run_single(cfg, keep_series=True)
-        tick, stage1_tick, predict_span, calls, true_state = 100, cascade.stage1_tick, stage1.predict_span, [], {}
+        tick, update, predict_span, calls, true_state = 100, stage1.update, stage1.predict_span, [], {}
 
-        def tick_with_singular_row(s1, *args):
+        def update_with_singular_row(*args):
             calls.append(None)
-            out = stage1_tick(true_state.pop("s1", s1), *args)
+            out = update(*args)
             if len(calls) * cfg.star_every() != tick:
                 return out
             true_state["s1"] = out
@@ -237,7 +237,7 @@ class TestRunSingle:
                 rot, vec, sigma = s1.X.rot, s1.X.vec, s1.Sigma
             return predict_span(rot, vec, sigma, *args)
 
-        monkeypatch.setattr(cascade, "stage1_tick", tick_with_singular_row)
+        monkeypatch.setattr(stage1, "update", update_with_singular_row)
         monkeypatch.setattr(stage1, "predict_span", span_from_true_state)
         m = run_single(cfg, keep_series=True)
         v1 = SERIES_COLUMNS.index("V1")
@@ -265,15 +265,15 @@ class TestRunSingle:
             assert m.diverged and rows == [400, 400]
         assert m.series is None
 
-    @pytest.mark.parametrize("tick", ["stage1_tick", "stage2_tick"])
+    @pytest.mark.parametrize("stage", [stage1, stage2], ids=["stage1_tick", "stage2_tick"])
     @pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError])
-    def test_value_error_inside_step_is_raised_not_diverged(self, monkeypatch, error, tick):
+    def test_value_error_inside_step_is_raised_not_diverged(self, monkeypatch, error, stage):
         # only numerical failure counts as divergence; a programming error
-        # in either stage's tick must surface
-        def broken_tick(*args, **kwargs):
+        # in either stage's update must surface
+        def broken_update(*args, **kwargs):
             raise error("not a numerical failure")
 
-        monkeypatch.setattr(cascade, tick, broken_tick)
+        monkeypatch.setattr(stage, "update", broken_update)
         with pytest.raises(error, match="not a numerical failure"):
             run_single(ScenarioConfig(seed=0, duration_s=1.0))
 
@@ -477,26 +477,54 @@ class TestLanes:
             assert len(m.series) == min(stage1_ends[i], stage2_ends[i])
             assert _run_bits(m) == _run_bits(run_single(cfg, i, keep_series=True))
 
+    @pytest.mark.parametrize(
+        "sigma0, n_runs, failed",
+        [
+            (1.0, 8, [(0, j, tick) for j, tick in enumerate([400, 200, 500, 500, 400, 400, 400, 300])]),  # stage-1 updates
+            (100.0, 9, [(1, 8, 50)]),  # lane 8's stage-2 update
+        ],
+        ids=["stage1_fails", "stage2_fails"],
+    )
+    def test_failing_lanes_are_nan_from_their_failing_tick_on(self, monkeypatch, sigma0, n_runs, failed):
+        # in the pass where a lane's update fails, each of its stacks is NaN
+        # from the failing tick on, as from the end that a pass is given
+        passes, real_lockstep = [], harness._lockstep
+        monkeypatch.setattr(harness, "_lockstep", lambda *args: passes.append(real_lockstep(*args)) or passes[-1])
+        cfg = ScenarioConfig(seed=2026, update_iterations=1, sigma0=sigma0)
+        run_batch(cfg, n_runs, keep_series=True)
+        given = [np.full(n_runs, cfg.steps_per_run() + 1), passes[0][1]]
+        for stage, lane, tick in failed:
+            assert passes[stage][1][lane] == tick < given[stage][lane]
+        for states, ends in passes:
+            for stack in states:
+                for j, end in enumerate(ends):
+                    assert np.isnan(stack[j, end:]).all()
+
     @pytest.mark.parametrize("stage", [stage1, stage2], ids=["stage1", "stage2"])
     @pytest.mark.parametrize("at", [(), (slice(None),), (np.array([0, 2, 3]),)], ids=["one", "all", "live"])
     def test_a_predict_span_writes_the_per_tick_predicts(self, stage, at):
-        # a span over 7 ticks from tick 4 writes rows (*at, 4..10) of each
-        # stack with the states of 7 predict calls, and leaves the others
+        # a span from tick 3 to tick 10 makes 7 predict calls, on the inputs
+        # and tick lengths of ticks 4..10, writes rows (*at, 4..9) of each
+        # stack with the states of the first 6, returns the 7th's and leaves
+        # every other row; a one-tick span writes no row
         rng, cfg = np.random.default_rng(7), ScenarioConfig(seed=2026)
         gains = cfg.stage1_gains() if stage is stage1 else cfg.stage2_gains()
         lead, lanes = ((), ()) if at == () else ((4,), np.zeros(4)[at].shape)  # the stacks' and the live lanes'
         rot = np.stack([random_rotation(rng) for _ in range(math.prod(lanes))]).reshape(lanes + (3, 3))
         est = FilterEstimate(GroupElement(rot, rng.normal(size=lanes + (3,))), np.zeros(lanes + (6, 6)) + gains.Sigma0)
-        inputs, dts = rng.normal(size=lanes + (7, 3)), rng.uniform(1e-3, 0.1, 7).tolist()
+        inputs, dts = rng.normal(size=lead + (11, 3)), rng.uniform(1e-3, 0.1, 11).tolist()
         stacks, want = ([np.full(lead + (12,) + shape, np.nan) for shape in ((3, 3), (3,), (6, 6))] for _ in range(2))
-        last = stage.predict_span(est.X.rot, est.X.vec, est.Sigma, inputs, dts, gains, stacks, at, 4)
-        for i, dt in enumerate(dts):
-            est = stage.predict(est, inputs[..., i, :], gains, dt)
-            for stack, value in zip(want, (est.X.rot, est.X.vec, est.Sigma)):
-                stack[(*at, 4 + i)] = value
-        for got, ref, value in zip(stacks, want, last):
-            assert got.tobytes() == ref.tobytes()
-            assert value.tobytes() == ref[(*at, 10)].tobytes()
+        ref = {3: (est.X.rot, est.X.vec, est.Sigma)}
+        for t in range(4, 12):
+            est = stage.predict(est, inputs[(*at, t - 1)], gains, dts[t - 1])
+            ref[t] = est.X.rot, est.X.vec, est.Sigma
+        for t in range(4, 10):
+            for stack, value in zip(want, ref[t]):
+                stack[(*at, t)] = value
+        for k, end in ((3, 10), (10, 11)):
+            last = stage.predict_span(*ref[k], inputs, dts, gains, stacks, at, k, end)
+            assert [value.tobytes() for value in last] == [value.tobytes() for value in ref[end]]
+            assert [stack.tobytes() for stack in stacks] == [stack.tobytes() for stack in want]
 
     def test_lanes_that_stop_between_measurements_equal_their_one_lane_passes(self):
         # stage 2's pass with lanes leaving at ticks 37 and 55, inside its
@@ -509,10 +537,11 @@ class TestLanes:
         world = TruthWorld.stack([sample_world(cfg, run_rng(cfg.seed, i)) for i in range(3)])
         streams = noiseless_streams(world, *truth_trajectory(world, dt, n), cfg.star_every(), every)
         ends = np.array([37, 55, n + 1])
-        args = cfg.stage2_gains(), cfg.ref_dirs(), 1.0 / cfg.feature_rate_hz
+        gains = cfg.stage2_gains()
+        args = gains, cfg.ref_dirs(), gains, 1.0 / cfg.feature_rate_hz
 
         def stage2_pass(gyro, features, ends):
-            return harness._lockstep(cascade.stage2_tick, stage2.predict_span, dt, gyro, every, features, ends, True, *args)
+            return harness._lockstep(stage2.predict_span, stage2.update, dt, gyro, every, features, ends, True, *args)
 
         states, got_ends = stage2_pass(streams.gyro, streams.features, ends)
         assert got_ends.tolist() == ends.tolist()
@@ -525,31 +554,30 @@ class TestLanes:
                 assert one[:end].tobytes() == whole[:end].tobytes() and np.isnan(one[end:]).all()
 
     def test_value_error_inside_a_lane_tick_propagates(self, monkeypatch):
-        # a programming error in the tick over all lanes is raised from run_batch
-        def broken_tick(est, *args):
+        # a programming error in the update over all lanes is raised from run_batch
+        def broken_update(est, *args):
             raise ValueError("not a numerical failure")
 
-        monkeypatch.setattr(cascade, "stage2_tick", broken_tick)
+        monkeypatch.setattr(stage2, "update", broken_update)
         with pytest.raises(ValueError, match="not a numerical failure"):
             run_batch(ScenarioConfig(seed=0, duration_s=1.0), 3)
 
     @pytest.mark.parametrize("sigma0, n_runs", [(1.0, 8), (100.0, 9)], ids=["stage1_fails", "stage2_fails_too"])
     def test_a_failing_tick_is_called_once_more_and_never_per_lane(self, monkeypatch, sigma0, n_runs):
-        # the failure names its lanes: each pass calls its tick once per
+        # the failure names its lanes: each pass calls its update once per
         # measurement tick it advances, and once more per tick that fails,
         # always on the stack
         # (with sigma0 = 100, lane 8 fails in its stage-2 update at tick 50)
         passes, real_lockstep, ndims = [], harness._lockstep, []
         monkeypatch.setattr(harness, "_lockstep", lambda *args: passes.append(real_lockstep(*args)) or passes[-1])
-        for name in ("stage1_tick", "stage2_tick"):
-            tick = getattr(cascade, name)
-            monkeypatch.setattr(cascade, name, lambda est, *args, tick=tick: ndims.append(est.Sigma.ndim) or tick(est, *args))
+        for stage in (stage1, stage2):
+            monkeypatch.setattr(stage, "update", lambda est, *args, update=stage.update: ndims.append(est.Sigma.ndim) or update(est, *args))
         cfg = ScenarioConfig(seed=2026, update_iterations=1, sigma0=sigma0)
         run_batch(cfg, n_runs)
         (_, ends1), (_, ends2) = passes
         failing = len(set(ends1[ends1 <= cfg.steps_per_run()])) + len(set(ends2[ends2 < ends1]))
         assert failing > 2 and set(ndims) == {3}
-        # the tick function is called at the measurement ticks only
+        # the update is called at the measurement ticks only
         advanced = (ends1.max() - 1) // cfg.star_every() + (ends2.max() - 1) // cfg.feature_every()
         assert len(ndims) == advanced + failing
 
