@@ -16,9 +16,10 @@ the Monte Carlo workloads time), under batch_noseries/<variant>/<i>/ with no
 series, and the variants of POOLED on POOL_WORKERS worker processes, under
 batch<POOL_WORKERS>/<variant>/<i>/. It also runs the CLI commands of CLI in-process into
 OUT's sibling directory OUT_cli/ and saves each output file and the captured
-stdout as bytes, under cli/<command>/. `compare` lists series whose length
-changed with the shorter a bit-exact prefix, and exits 1 if any other array or
-CLI output is not bit-equal.
+stdout as bytes, under cli/<command>/, and the running BLAS (golden.blas(),
+which names the OpenBLAS kernel) under blas. `compare` prints both files' BLAS,
+lists series whose length changed with the shorter a bit-exact prefix, and
+exits 1 if any other array or CLI output is not bit-equal.
 """
 
 import contextlib
@@ -31,6 +32,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from golden import blas
 
 VARIANTS = {  # name: (ScenarioConfig overrides, runs)
     "default": ({}, 8),
@@ -148,16 +150,19 @@ def dump(src: str, out: str) -> None:
             arrays.update(_runs(f"batch{POOL_WORKERS}/{name}", pooled.runs))
     n_runs, n_run_arrays = sum(key.endswith("/diverged") for key in arrays), len(arrays)
     arrays.update(_cli_outputs(Path(out).with_name(Path(out).stem + "_cli")))
-    np.savez(out, **arrays)
+    np.savez(out, **arrays, blas=np.frombuffer(blas().encode(), dtype=np.uint8))
     print(f"{n_runs} runs and {len(arrays) - n_run_arrays} CLI outputs from {sys.modules['eqfcascade'].__file__} -> {out}")
 
 
 def compare(path_a: str, path_b: str) -> int:
     a, b = np.load(path_a), np.load(path_b)
-    bad = sorted(set(a.files) ^ set(b.files))
+    for name, dumped in (("A", a), ("B", b)):  # a dump made before the kernel was recorded has no blas
+        print(f"BLAS of {name}: {dumped['blas'].tobytes().decode() if 'blas' in dumped.files else 'not recorded'}")
+    files_a, files_b = set(a.files) - {"blas"}, set(b.files) - {"blas"}
+    bad = sorted(files_a ^ files_b)
     print("".join(f"{key}: in one file only\n" for key in bad), end="")
     equal = prefix = cli = 0
-    for key in sorted(set(a.files) & set(b.files)):
+    for key in sorted(files_a & files_b):
         x, y = a[key], b[key]
         if x.shape == y.shape and x.tobytes() == y.tobytes():
             if key.startswith("cli/"):

@@ -8,10 +8,12 @@ with one sub-step, which diverge), one run with its series kept, a 55-run
 batch of 2 s runs (lane groups of 50 + 5) and an 8-run batch of 2 s runs
 on 2 workers. The record holds each run's metric vector as float.hex and
 its diverged flag, a sha256 of the kept series, and the numpy version and
-BLAS that produced them. tests/test_golden.py recomputes the corpus and
-compares it with the file exactly; only this script rewrites the file.
+the running BLAS, kernel included (blas()), that produced them.
+tests/test_golden.py recomputes the corpus and compares it with the file
+exactly; only this script rewrites the file.
 """
 
+import ctypes
 import hashlib
 import json
 import sys
@@ -35,6 +37,13 @@ VARIANTS = {  # name: (ScenarioConfig overrides, runs, workers)
 
 
 def blas() -> str:
+    """The BLAS that runs: the configuration string of numpy's bundled OpenBLAS, which names
+    the kernel picked for this CPU at run time; the build's BLAS where that call is missing."""
+    for lib in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas64_-*.so"):
+        get_config = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_config64_", None)
+        if get_config is not None:
+            get_config.argtypes, get_config.restype = [], ctypes.c_char_p
+            return get_config().decode()
     info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return f"{info['name']} {info['version']}"
 

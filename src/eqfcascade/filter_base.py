@@ -1,8 +1,9 @@
 """The EqF kernel shared by both filter stages: estimate/gain containers,
 the state action and origin, the output model and A-matrix form, the
 Riccati steps, and one predict (on estimates, or on bare arrays for the
-stages' steps) and one update that take a stage's lift, A-matrix rate
-vector and known directions as arguments.
+stages' predict steps, which the stage passes call once a tick) and one
+update that take a stage's lift, A-matrix rate vector and known directions
+as arguments.
 
 Both stages keep a group element (attitude estimate plus a transported
 3-vector) and a 6x6 Riccati matrix, act on their SO(3) x R^3 state

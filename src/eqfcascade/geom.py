@@ -209,8 +209,8 @@ def is_rotation(r: np.ndarray, tol: float = ORTHO_TOL) -> bool:
     return bool(np.all(np.abs(det - 1.0) <= tol))
 
 
-def require_rotation(r: np.ndarray, tol: float = ORTHO_TOL) -> None:
-    if not is_rotation(r, tol):
+def require_rotation(r: np.ndarray) -> None:
+    if not is_rotation(r):
         raise ValueError("matrix is not a valid rotation (orthonormal, det +1)")
 
 
@@ -221,18 +221,18 @@ def project_so3(m: np.ndarray) -> np.ndarray:
     return u @ np.diag([1.0, 1.0, d]) @ vt
 
 
-def renormalize_rotation(r: np.ndarray, tol: float = ORTHO_TOL) -> np.ndarray:
-    """Re-project onto SO(3) once orthonormality drift exceeds tol; row by row for a stack.
+def renormalize_rotation(r: np.ndarray) -> np.ndarray:
+    """Re-project onto SO(3) once orthonormality drift exceeds ORTHO_TOL; row by row for a stack.
 
     filter_base.update is the one caller, once per measurement: drift grows
     1e-16 to 1.3e-15 a rotation product, and 15 s runs at seed 2026 read at
-    most 2.1e-14. Drift that predicts push past tol is projected at the next update.
+    most 2.1e-14. Drift that predicts push past ORTHO_TOL is projected at the next update.
     """
     drift = np.abs(r.mT @ r - _EYE3)
     if r.ndim == 2:
-        return project_so3(r) if drift.max() > tol else r
+        return project_so3(r) if drift.max() > ORTHO_TOL else r
     # fmax passes over NaN, so a non-finite row leaves its drifted neighbours projected
-    return np.array([renormalize_rotation(m, tol) for m in r]) if np.fmax.reduce(drift, None, initial=0.0) > tol else r
+    return np.array([renormalize_rotation(m) for m in r]) if np.fmax.reduce(drift, None, initial=0.0) > ORTHO_TOL else r
 
 
 def random_rotation(rng: np.random.Generator) -> np.ndarray:

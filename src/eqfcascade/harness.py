@@ -13,8 +13,9 @@ every tick, then stage 2 over the ticks before stage 1's failing one, on
 the gyro less stage 1's bias estimates, which with stage 1's failing ticks
 is all stage 2 sees of stage 1. A pass advances its lanes in lockstep,
 their states bare arrays with a leading lane axis, () for one run and (R,)
-for R runs: one call of the stage's predict span up to each measurement
-tick, and there one call of its update. _run_lanes runs one lane group: it
+for R runs, and is the only loop over the ticks: at a measurement tick one
+call of the stage's update, then the tick's row written, then one call of
+its predict step to the next tick. _run_lanes runs one lane group: it
 composes the two passes and hands each run its two stages' states.
 run_batch alone cuts a batch into contiguous lane groups, run in turn or
 on a worker pool; run_single is a lane group of one, run at shape (). Each
@@ -124,21 +125,23 @@ def _series(dt: float, n: int, truths: tuple[StageState, StageState], states) ->
     return np.column_stack([t, *err1, *err2, v1, v2, *norms1, *norms2])
 
 
-def _lockstep(span, update, dt: float, inputs: np.ndarray, every: int, measured: np.ndarray, ends, keep_sigma: bool, gains, *params):
+def _lockstep(step, constants, update, dt: float, inputs: np.ndarray, every: int, measured: np.ndarray, ends, keep_sigma: bool,
+              gains, *params):
     """Run one stage from the initial estimate of its gains over ticks 1..
     of each lane (leading shape () for one run, (R,) for R runs in
     lockstep), each tick dt long; inputs (..., n, 3) holds each tick's input,
-    measured (..., n_meas, k, 3) every `every`-th tick's measurement. From
-    tick k, one call of span takes the live lanes' bare (rot, vec, sigma)
-    to the next measurement tick, a lane's stop or tick n, writing the rows
-    between; at a measurement tick update(estimate, measurement, *params)
-    follows. A lane stops before its tick `ends`, or at a tick whose update
-    raised NumericalFailure. Returns the states (rot, vec, sigma), (...,
-    n + 1, ...) stacks holding each lane's at rows 0.. it reached and NaN
-    after, sigma None unless kept, and `ends` lowered to each lane's failing
-    tick. A lane's result does not depend on the lanes beside it, so an
-    update that raises NumericalFailure (a predict never does) drops the
-    lanes it names and is redone on the others. Any other error propagates.
+    measured (..., n_meas, k, 3) every `every`-th tick's measurement. Tick k
+    + 1 is one call step(rot, vec, sigma, input, M, dt, *constants(vec)) on
+    the live lanes' bare states at tick k, constants formed anew only where
+    vec changes: after an update and when lanes leave. At a measurement tick
+    update(estimate, measurement, *params) comes first. A lane stops before
+    its tick `ends`, or at a tick whose update raised NumericalFailure.
+    Returns the states (rot, vec, sigma), (..., n + 1, ...) stacks holding
+    each lane's at rows 0.. it reached and NaN after, sigma None unless
+    kept, and `ends` lowered to each lane's failing tick. A lane's result
+    does not depend on the lanes beside it, so an update that raises
+    NumericalFailure (a predict never does) drops the lanes it names and is
+    redone on the others. Any other error propagates.
     """
     lead, n = inputs.shape[:-2], inputs.shape[-2]
     stacks = rots, vecs, sigmas = (np.full((*lead, n + 1, 3, 3), np.nan), np.full((*lead, n + 1, 3), np.nan),
@@ -150,6 +153,7 @@ def _lockstep(span, update, dt: float, inputs: np.ndarray, every: int, measured:
     at = (slice(None),) * ends.ndim  # where the live lanes are in the states
     est = initial_estimate(gains)  # a copy for each lane, in C order: the kernel's bits depend on the layout
     rot, vec, sigma = (np.broadcast_to(a, (*lead, *a.shape)).copy() for a in (est.X.rot, est.X.vec, est.Sigma))
+    m, consts = gains.M, constants(vec)
     k, stop = 0, int(flat.min())
     while True:
         if k >= stop:  # the lanes that end at tick k leave
@@ -157,22 +161,21 @@ def _lockstep(span, update, dt: float, inputs: np.ndarray, every: int, measured:
             if not keep.any():
                 return stacks, ends
             rot, vec, sigma, live = rot[keep], vec[keep], sigma[keep], live[keep]
-            at, stop = (live,), int(flat[live].min())
+            at, stop, consts = (live,), int(flat[live].min()), constants(vec)
         if k and not k % every:
             try:
                 est = update(FilterEstimate(GroupElement(rot, vec), sigma), measured[(*at, k // every - 1)], *params)
             except NumericalFailure as exc:
                 flat[live[exc.lanes]] = stop = k
                 continue
-            rot, vec, sigma = est.X.rot, est.X.vec, est.Sigma
+            rot, vec, sigma, consts = est.X.rot, est.X.vec, est.Sigma, constants(est.X.vec)
         row = (*at, k)
         rots[row], vecs[row] = rot, vec
         if sigmas is not None:
             sigmas[row] = sigma
         if k == n:
             return stacks, ends
-        end = min(k - k % every + every, stop, n)
-        (rot, vec, sigma), k = span(rot, vec, sigma, inputs, dts, gains, stacks, at, k, end), end
+        (rot, vec, sigma), k = step(rot, vec, sigma, inputs[row], m, dts[k], *consts), k + 1
 
 
 def _window_metrics(run_index: int, series: np.ndarray, gyro_bias: np.ndarray, omega_target: np.ndarray) -> RunMetrics:
@@ -244,16 +247,16 @@ def _run_lanes(cfg: ScenarioConfig, indices: range, keep_series: bool) -> list[R
     # overflow inside a diverging filter is an expected, handled outcome
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         gains = cfg.stage1_gains()
-        states1, ends = _lockstep(stage1.predict_span, stage1.update, dt, gyro, star_every, star, np.full(lead, n + 1), keep_series,
-                                  gains, gains, 1.0 / cfg.star_rate_hz)
+        states1, ends = _lockstep(stage1.predict_step, stage1.predict_constants, stage1.update, dt, gyro, star_every, star,
+                                  np.full(lead, n + 1), keep_series, gains, gains, 1.0 / cfg.star_rate_hz)
         if cfg.input_mode == "unbiased_cascade":
             # in place, a lane at a time: stage 1 has read the gyro for the last time
             rot1, vec1, _ = states1
             for j in np.ndindex(lead):
                 gyro[j] -= recover_state(GroupElement(rot1[j][1:], vec1[j][1:])).vec
         gains = cfg.stage2_gains()
-        states2, ends = _lockstep(stage2.predict_span, stage2.update, dt, gyro, feature_every, features, ends, keep_series,
-                                  gains, cfg.ref_dirs(), gains, 1.0 / cfg.feature_rate_hz)
+        states2, ends = _lockstep(stage2.predict_step, stage2.predict_constants, stage2.update, dt, gyro, feature_every, features,
+                                  ends, keep_series, gains, cfg.ref_dirs(), gains, 1.0 / cfg.feature_rate_hz)
     del streams, gyro, star, features
     return [
         run_single(cfg, i, keep_series, lane=(chaser[j], rel[j], world.gyro_bias[j], world.omega_target[j],

@@ -48,28 +48,21 @@ def a_matrix(x: GroupElement, gyro: np.ndarray) -> np.ndarray:
 
 
 def predict(est: FilterEstimate, gyro: np.ndarray, gains: FilterGains, dt: float) -> FilterEstimate:
-    """Propagate the group state along the lift and the Riccati state by Euler, as predict_span does."""
-    rot, vec, sigma = _predict_step(est.X.rot, est.X.vec, est.Sigma, gyro, gains.M, dt)
+    """Propagate the group state along the lift and the Riccati state by Euler (predict_step)."""
+    rot, vec, sigma = predict_step(est.X.rot, est.X.vec, est.Sigma, gyro, gains.M, dt)
     return FilterEstimate(GroupElement(rot, vec), sigma)
 
 
-def _predict_step(rot, vec, sigma, gyro, m, dt):
-    # lift(recover_state(X), gyro), recover_state's bias being X.rot^T (ORIGIN.vec - X.vec)
+def predict_constants(vec) -> tuple:
+    """predict_step's arguments after dt that hold while X.vec does: none."""
+    return ()
+
+
+def predict_step(rot, vec, sigma, gyro, m, dt):
+    """predict on the bare states (rot, vec, sigma), given the state gain M; the lift is
+    lift(recover_state(X), gyro), recover_state's bias being X.rot^T (ORIGIN.vec - X.vec)."""
     bias = np.matvec(rot.mT, ORIGIN.vec - vec)
     return filter_base.predict_arrays(rot, vec, sigma, gyro - bias, cross3(bias, gyro), wedge(a_rate(rot, vec, gyro)), m, dt)
-
-
-def predict_span(rot, vec, sigma, gyro, dts, gains: FilterGains, states, at, k: int, end: int):
-    """predict from the bare states (rot, vec, sigma) at tick k over ticks t = k + 1..end, dts[t - 1] long,
-    on gyro[(*at, t - 1)]; writes the states of ticks k + 1..end - 1 into the stacks states = (rots, vecs,
-    sigmas or None) at row (*at, t) and returns tick end's."""
-    rots, vecs, sigmas = states
-    for t in range(k + 1, end):
-        rot, vec, sigma = _predict_step(rot, vec, sigma, gyro[(*at, t - 1)], gains.M, dts[t - 1])
-        rots[(*at, t)], vecs[(*at, t)] = rot, vec
-        if sigmas is not None:
-            sigmas[(*at, t)] = sigma
-    return _predict_step(rot, vec, sigma, gyro[(*at, end - 1)], gains.M, dts[end - 1])
 
 
 def update(est: FilterEstimate, y: np.ndarray, gains: FilterGains, dt_update: float) -> FilterEstimate:

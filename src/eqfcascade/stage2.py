@@ -65,29 +65,22 @@ def predict(est: FilterEstimate, rate: np.ndarray, gains: FilterGains, dt: float
     """Propagate with the physical input: the lift at v = w = 0 is
     (u - omega, 0), handed to the kernel as (u - omega, None), which leaves
     X.vec as it is. The error-flow matrix is a_matrix(est.X), passed as its
-    block wedge(X.vec). predict_span takes the same step."""
+    block wedge(X.vec). One predict_step."""
     vec = est.X.vec
-    rot, _, sigma = _predict_step(est.X.rot, vec, est.Sigma, rate, 0.0 - vec, wedge(vec), gains.M, dt)
+    rot, _, sigma = predict_step(est.X.rot, vec, est.Sigma, rate, gains.M, dt, *predict_constants(vec))
     return FilterEstimate(GroupElement(rot, vec), sigma)
 
 
-def _predict_step(rot, vec, sigma, rate, neg_vec, w_hat, m, dt):
-    # given the X.vec that it keeps as 0.0 - X.vec, recover_state's
-    # ORIGIN.vec - X.vec (-X.vec would turn a +0.0 into -0.0), and as w_hat
+def predict_constants(vec) -> tuple:
+    """predict_step's arguments after dt, which hold while X.vec does: 0.0 - X.vec, recover_state's
+    ORIGIN.vec - X.vec (-X.vec would turn a +0.0 into -0.0), and wedge(X.vec)."""
+    return 0.0 - vec, wedge(vec)
+
+
+def predict_step(rot, vec, sigma, rate, m, dt, neg_vec, w_hat):
+    """predict on the bare states (rot, vec, sigma), given the state gain M and
+    predict_constants(vec); the returned vec is vec."""
     return filter_base.predict_arrays(rot, vec, sigma, rate - np.matvec(rot.mT, neg_vec), None, w_hat, m, dt)
-
-
-def predict_span(rot, vec, sigma, rate, dts, gains: FilterGains, states, at, k: int, end: int):
-    """stage1.predict_span on the rate input. X.vec stays as it is, so its
-    two forms are made once a span."""
-    rots, vecs, sigmas = states
-    neg_vec, w_hat = 0.0 - vec, wedge(vec)
-    for t in range(k + 1, end):
-        rot, _, sigma = _predict_step(rot, vec, sigma, rate[(*at, t - 1)], neg_vec, w_hat, gains.M, dts[t - 1])
-        rots[(*at, t)], vecs[(*at, t)] = rot, vec
-        if sigmas is not None:
-            sigmas[(*at, t)] = sigma
-    return _predict_step(rot, vec, sigma, rate[(*at, end - 1)], neg_vec, w_hat, gains.M, dts[end - 1])
 
 
 def update(

@@ -3,9 +3,12 @@
 experiments/golden.py defines the corpus and wrote tests/golden_outputs.json
 from it. A change that moves any metric of any run by one ulp, flips a
 diverged flag or changes a bit of the kept series fails here; a change
-meant to move the numbers regenerates the file with that script. A failure
-on another numpy or BLAS than the recorded one is a finding about
-reproducibility, not a reason to loosen the comparison.
+meant to move the numbers regenerates the file with that script. The bits
+hold for one numpy, OpenBLAS and OpenBLAS kernel: the record names the
+kernel that OpenBLAS picked for its CPU at run time, and a failure message
+names the recorded and the running one. A failure on another numpy, BLAS or
+kernel than the recorded one is a finding about reproducibility, not a
+reason to loosen the comparison.
 """
 
 import importlib.util
@@ -49,5 +52,6 @@ def test_corpus_outputs_equal_the_golden_record():
     got = golden.record()
     diff = first_difference(want, got)
     assert diff is None, (
-        f"{diff}; recorded with numpy {want['numpy']} and {want['blas']}, recomputed with numpy {got['numpy']} and {got['blas']}"
+        f"{diff}; recorded with numpy {want['numpy']} and BLAS {want['blas']!r}, recomputed with numpy {got['numpy']} and the running "
+        f"BLAS {got['blas']!r}"
     )

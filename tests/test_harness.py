@@ -6,8 +6,8 @@ import pytest
 
 from eqfcascade import cascade, harness, stage1, stage2
 from eqfcascade.config import ScenarioConfig
-from eqfcascade.filter_base import FilterEstimate, NumericalFailure
-from eqfcascade.geom import GroupElement, random_rotation
+from eqfcascade.filter_base import FilterEstimate, NumericalFailure, initial_estimate
+from eqfcascade.geom import GroupElement
 from eqfcascade.harness import _series, run_batch, run_rng, run_single, sample_world
 from eqfcascade.metrics import SERIES_COLUMNS, _metric_values, metric_names
 from eqfcascade.models import MeasurementBundle, TruthWorld, add_sensor_noise, noiseless_streams, stage_truths, truth_trajectory
@@ -218,10 +218,10 @@ class TestRunSingle:
         # a stored stage-1 Riccati state of zero at one tick, while the
         # filter itself carries on with its true state, leaves V1 NaN on
         # that row only and changes nothing else; the tick is the star fix
-        # at tick 100, and the predict span after it starts from the true state
+        # at tick 100, and the predict step after it starts from the true state
         cfg = ScenarioConfig(seed=5, duration_s=2.0)
         ref = run_single(cfg, keep_series=True)
-        tick, update, predict_span, calls, true_state = 100, stage1.update, stage1.predict_span, [], {}
+        tick, update, predict_step, calls, true_state = 100, stage1.update, stage1.predict_step, [], {}
 
         def update_with_singular_row(*args):
             calls.append(None)
@@ -231,14 +231,14 @@ class TestRunSingle:
             true_state["s1"] = out
             return replace(out, Sigma=np.zeros((6, 6)))
 
-        def span_from_true_state(rot, vec, sigma, *args):
+        def step_from_true_state(rot, vec, sigma, *args):
             if "s1" in true_state:
                 s1 = true_state.pop("s1")
                 rot, vec, sigma = s1.X.rot, s1.X.vec, s1.Sigma
-            return predict_span(rot, vec, sigma, *args)
+            return predict_step(rot, vec, sigma, *args)
 
         monkeypatch.setattr(stage1, "update", update_with_singular_row)
-        monkeypatch.setattr(stage1, "predict_span", span_from_true_state)
+        monkeypatch.setattr(stage1, "predict_step", step_from_true_state)
         m = run_single(cfg, keep_series=True)
         v1 = SERIES_COLUMNS.index("V1")
         assert not m.diverged and m.series.shape == ref.series.shape == (cfg.steps_per_run() + 1, len(SERIES_COLUMNS))
@@ -350,9 +350,9 @@ def test_two_pass_run_equals_the_step_loop(overrides, run_index, rows):
     ],
     ids=["tail_1p55s", "stage2_fails"],
 )
-def test_riccati_rows_inside_the_predict_spans_equal_the_step_loop(monkeypatch, overrides, run_index, rows):
-    # the passes' stored states, the Riccati stacks among them, on the ticks
-    # that their predict spans write and on the measurement ticks alike
+def test_riccati_rows_between_measurements_equal_the_step_loop(monkeypatch, overrides, run_index, rows):
+    # the passes' stored states, the Riccati stacks among them, on the
+    # predict-only ticks and on the measurement ticks alike
     passes, real_lockstep = [], harness._lockstep
     monkeypatch.setattr(harness, "_lockstep", lambda *args: passes.append(real_lockstep(*args)) or passes[-1])
     cfg = ScenarioConfig(seed=2026, **overrides)
@@ -501,35 +501,86 @@ class TestLanes:
                     assert np.isnan(stack[j, end:]).all()
 
     @pytest.mark.parametrize("stage", [stage1, stage2], ids=["stage1", "stage2"])
-    @pytest.mark.parametrize("at", [(), (slice(None),), (np.array([0, 2, 3]),)], ids=["one", "all", "live"])
-    def test_a_predict_span_writes_the_per_tick_predicts(self, stage, at):
-        # a span from tick 3 to tick 10 makes 7 predict calls, on the inputs
-        # and tick lengths of ticks 4..10, writes rows (*at, 4..9) of each
-        # stack with the states of the first 6, returns the 7th's and leaves
-        # every other row; a one-tick span writes no row
-        rng, cfg = np.random.default_rng(7), ScenarioConfig(seed=2026)
-        gains = cfg.stage1_gains() if stage is stage1 else cfg.stage2_gains()
-        lead, lanes = ((), ()) if at == () else ((4,), np.zeros(4)[at].shape)  # the stacks' and the live lanes'
-        rot = np.stack([random_rotation(rng) for _ in range(math.prod(lanes))]).reshape(lanes + (3, 3))
-        est = FilterEstimate(GroupElement(rot, rng.normal(size=lanes + (3,))), np.zeros(lanes + (6, 6)) + gains.Sigma0)
-        inputs, dts = rng.normal(size=lead + (11, 3)), rng.uniform(1e-3, 0.1, 11).tolist()
-        stacks, want = ([np.full(lead + (12,) + shape, np.nan) for shape in ((3, 3), (3,), (6, 6))] for _ in range(2))
-        ref = {3: (est.X.rot, est.X.vec, est.Sigma)}
-        for t in range(4, 12):
-            est = stage.predict(est, inputs[(*at, t - 1)], gains, dts[t - 1])
-            ref[t] = est.X.rot, est.X.vec, est.Sigma
-        for t in range(4, 10):
-            for stack, value in zip(want, ref[t]):
-                stack[(*at, t)] = value
-        for k, end in ((3, 10), (10, 11)):
-            last = stage.predict_span(*ref[k], inputs, dts, gains, stacks, at, k, end)
-            assert [value.tobytes() for value in last] == [value.tobytes() for value in ref[end]]
-            assert [stack.tobytes() for stack in stacks] == [stack.tobytes() for stack in want]
+    @pytest.mark.parametrize("ends", [14, [14] * 4, [14, 7, 14, 14]], ids=["one", "all", "live"])
+    def test_the_rows_between_measurements_are_the_per_tick_predicts(self, stage, ends):
+        # a pass over 13 ticks with a measurement every 4th: from each
+        # measurement tick's row (the initial estimate at tick 0), the rows up
+        # to the next one, and the estimate that its update is handed, are the
+        # chain of per-tick predict calls on those ticks' inputs and lengths,
+        # bit for bit; each measurement tick's row is its update's result; the
+        # one-tick interval after tick 12 writes row 13 alone; and no row from
+        # a lane's end on is touched, the lane that leaves at tick 7 ("live")
+        # leaving its neighbours to go on without it
+        rng, cfg, n, every, dt = np.random.default_rng(7), ScenarioConfig(seed=2026), 13, 4, 0.01
+        ends = np.array(ends)
+        if stage is stage1:
+            gains, k_dirs = cfg.stage1_gains(), 3
+            params = gains, 1.0 / cfg.star_rate_hz
+        else:
+            gains, k_dirs = cfg.stage2_gains(), 2
+            params = cfg.ref_dirs(), gains, 1.0 / cfg.feature_rate_hz
+        inputs = rng.normal(size=ends.shape + (n, 3))
+        measured = rng.normal(size=ends.shape + (n // every, k_dirs, 3))
+        dts, updates = np.diff(dt * np.arange(n + 1)).tolist(), []
+
+        def recording_update(est, *args):
+            updates.append((est, stage.update(est, *args)))
+            return updates[-1][1]
+
+        stacks, got_ends = harness._lockstep(stage.predict_step, stage.predict_constants, recording_update, dt, inputs, every, measured,
+                                             ends, True, gains, *params)
+        assert got_ends.tolist() == ends.tolist() and len(updates) == n // every
+
+        def lanes(t):  # the lanes that reach tick t, as an index into the stacks
+            return () if ends.ndim == 0 else (np.flatnonzero(ends > t),)
+
+        def same(states, t):  # states equal to the stacks' rows of tick t
+            return [a.tobytes() for a in states] == [stack[(*lanes(t), t)].tobytes() for stack in stacks]
+
+        init = initial_estimate(gains)
+        assert same([np.broadcast_to(a, ends.shape + a.shape) for a in (init.X.rot, init.X.vec, init.Sigma)], 0)
+        for k in range(0, n, every):
+            at = lanes(k)
+            est = FilterEstimate(GroupElement(stacks[0][(*at, k)], stacks[1][(*at, k)]), stacks[2][(*at, k)])
+            for t in range(k + 1, min(k + every, n) + 1):
+                est = stage.predict(est, inputs[(*at, t - 1)], gains, dts[t - 1])
+                still = () if ends.ndim == 0 else (ends[at] > t,)  # those of the chain's lanes that reach tick t
+                states = est.X.rot[still], est.X.vec[still], est.Sigma[still]
+                if t % every:
+                    assert same(states, t)
+                else:
+                    predicted, corrected = updates[t // every - 1]
+                    assert [a.tobytes() for a in states] == [a.tobytes() for a in (predicted.X.rot, predicted.X.vec, predicted.Sigma)]
+                    assert same((corrected.X.rot, corrected.X.vec, corrected.Sigma), t)
+        for stack in stacks:
+            for j in np.ndindex(ends.shape):
+                assert np.isfinite(stack[j][: min(ends[j], n + 1)]).all() and np.isnan(stack[j][ends[j] :]).all()
+
+    @pytest.mark.parametrize(
+        "overrides, n_runs", [({}, 1), ({}, 8), ({"update_iterations": 1, "sigma0": 100.0}, 9)], ids=["one", "group8", "stage2_leaves"]
+    )
+    def test_the_states_handed_to_the_kernel_are_in_c_order(self, monkeypatch, overrides, n_runs):
+        # the kernel's bits depend on the states' memory layout as well as
+        # their values (an order-'K' copy of the initial states, lane axis
+        # innermost, changes 4 of 8 lanes), so every state that a pass hands
+        # to a predict step or an update is C-contiguous, also once lanes
+        # have left (with sigma0 = 100, lane 8 of 9 leaves in stage 2)
+        seen = []
+        for stage in (stage1, stage2):
+            step, update = stage.predict_step, stage.update
+            monkeypatch.setattr(stage, "predict_step", lambda *args, step=step: seen.append(args[:3]) or step(*args))
+            monkeypatch.setattr(stage, "update", lambda est, *args, update=update: seen.append((est.X.rot, est.X.vec, est.Sigma))
+                                or update(est, *args))
+        batch = run_batch(ScenarioConfig(seed=2026, **overrides), n_runs)
+        assert {a.shape[:-2] for a, _, _ in seen} >= ({()} if n_runs == 1 else {(n_runs,)})
+        if n_runs == 9:
+            assert batch.runs[8].diverged and any(a.ndim == 3 and len(a) < n_runs for a, _, _ in seen)
+        assert all(a.flags.c_contiguous for states in seen for a in states)
 
     def test_lanes_that_stop_between_measurements_equal_their_one_lane_passes(self):
         # stage 2's pass with lanes leaving at ticks 37 and 55, inside its
-        # 10-tick feature intervals, beside a lane that runs to the end: a
-        # predict span stops where a lane leaves, each lane equals its
+        # 10-tick feature intervals, beside a lane that runs to the end: the
+        # pass drops each lane where it leaves, each lane equals its
         # one-lane pass bit for bit, and a lane's rows before its end are
         # those of its pass to the end, NaN after
         cfg = ScenarioConfig(seed=2026, duration_s=1.0)
@@ -541,7 +592,8 @@ class TestLanes:
         args = gains, cfg.ref_dirs(), gains, 1.0 / cfg.feature_rate_hz
 
         def stage2_pass(gyro, features, ends):
-            return harness._lockstep(stage2.predict_span, stage2.update, dt, gyro, every, features, ends, True, *args)
+            return harness._lockstep(stage2.predict_step, stage2.predict_constants, stage2.update, dt, gyro, every, features, ends, True,
+                                     *args)
 
         states, got_ends = stage2_pass(streams.gyro, streams.features, ends)
         assert got_ends.tolist() == ends.tolist()

@@ -233,8 +233,9 @@ class TestPredict:
 
     @pytest.mark.parametrize("lanes", [(), (8,)])
     def test_predict_is_the_kernel_on_the_lift_and_rate_bit_for_bit(self, lanes):
-        # predict's step on bare arrays, which predict_span takes too, gives
-        # the kernel's predict on the model's lift and A-matrix rate vector
+        # predict's step on bare arrays, which the stage pass takes every
+        # tick, gives the kernel's predict on the model's lift and A-matrix
+        # rate vector
         rng = np.random.default_rng(len(lanes))
         n, g = lanes[0] if lanes else 1, gains()
         for _ in range(5):
