@@ -18,8 +18,11 @@ batch<POOL_WORKERS>/<variant>/<i>/. It also runs the CLI commands of CLI in-proc
 OUT's sibling directory OUT_cli/ and saves each output file and the captured
 stdout as bytes, under cli/<command>/, and the running BLAS (golden.blas(),
 which names the OpenBLAS kernel) under blas. `compare` prints both files' BLAS,
-lists series whose length changed with the shorter a bit-exact prefix, and
-exits 1 if any other array or CLI output is not bit-equal.
+checks inside each file that every batch_noseries/ metric vector and diverged
+flag equals its batch/ one (a run's metrics do not depend on whether its
+series is kept, though the two paths form different columns), lists series
+whose length changed with the shorter a bit-exact prefix, and exits 1 if a
+file fails its own check or any other array or CLI output is not bit-equal.
 """
 
 import contextlib
@@ -154,10 +157,25 @@ def dump(src: str, out: str) -> None:
     print(f"{n_runs} runs and {len(arrays) - n_run_arrays} CLI outputs from {sys.modules['eqfcascade'].__file__} -> {out}")
 
 
+def _without_series_equals_with(name: str, dumped) -> int:
+    """How many batch_noseries/ arrays of one dump differ from their batch/ twins."""
+    keys = [key for key in dumped.files if key.startswith("batch_noseries/")]
+    bad = 0
+    for key in keys:
+        twin = "batch/" + key.removeprefix("batch_noseries/")
+        if twin not in dumped.files or dumped[key].shape != dumped[twin].shape or dumped[key].tobytes() != dumped[twin].tobytes():
+            bad += 1
+            print(f"{name}: {key}: DIFFERS from {twin}")
+    print(f"{name}: {len(keys) - bad} of {len(keys)} batch_noseries arrays equal their batch arrays")
+    return bad
+
+
 def compare(path_a: str, path_b: str) -> int:
     a, b = np.load(path_a), np.load(path_b)
+    self_bad = 0
     for name, dumped in (("A", a), ("B", b)):  # a dump made before the kernel was recorded has no blas
         print(f"BLAS of {name}: {dumped['blas'].tobytes().decode() if 'blas' in dumped.files else 'not recorded'}")
+        self_bad += _without_series_equals_with(name, dumped)
     files_a, files_b = set(a.files) - {"blas"}, set(b.files) - {"blas"}
     bad = sorted(files_a ^ files_b)
     print("".join(f"{key}: in one file only\n" for key in bad), end="")
@@ -180,7 +198,7 @@ def compare(path_a: str, path_b: str) -> int:
         f"{equal} arrays bit-equal, {cli} CLI outputs byte-equal, {prefix} series length changes, "
         f"{len(bad)} differ; {n_div} runs diverged in A"
     )
-    return 1 if bad else 0
+    return 1 if bad or self_bad else 0
 
 
 if __name__ == "__main__":

@@ -22,14 +22,15 @@ on a worker pool; run_single is a lane group of one, run at shape (). Each
 run's world is drawn once, and truth and measurements are whole-run stacks
 made first: a lane group's stage truths and noiseless streams are each
 built once, lane-major (R, ticks, ...) like the states, and each run's
-noise is added on its lane. The diagnostic series is computed last, a run
-and a stage at a time, from the stored filter states and the run's
-stage-truth lanes. The Riccati stacks, and the V columns they feed, are
-stored and formed only when the series is kept. A run has diverged if and
-only if an update raised NumericalFailure (it left a Riccati state not
-finite and positive definite; the failure names the lanes); its series
-then covers only the ticks before the earlier failing one. V is NaN on a
-singular Riccati row; the diagnostics decide nothing.
+noise is added on its lane. The diagnostics come last, a run and a stage
+at a time, from the stored filter states and the run's stage-truth lanes:
+always the per-axis Euler and vector-state errors the metrics read; the
+Riccati stacks and the geodesic, V and norm columns only for a kept
+series. A run has diverged if and only if an update raised
+NumericalFailure (it left a Riccati state not finite and positive
+definite; the failure names the lanes); its series then covers only the
+ticks before the earlier failing one. V is NaN on a singular Riccati row;
+the diagnostics decide nothing.
 """
 
 from __future__ import annotations
@@ -92,37 +93,39 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v))
 
 
-def _stage_columns(truth: StageState, x: GroupElement, sigma: np.ndarray | None):
-    """One stage's series columns, row by row over the ticks: the errors
-    (geodesic angle, per-axis Euler angles in deg, vector state in deg/s),
-    V (NaN without sigma), and the norms of the group error's two parts."""
+def _stage_columns(truth: StageState, x: GroupElement, sigma: np.ndarray | None) -> tuple:
+    """One stage's columns, row by row over the ticks: the per-axis Euler
+    attitude errors (n, 3) and the vector-state error, in deg and deg/s,
+    which the metrics read; then, only given sigma (the series is kept), the
+    geodesic angle error, V and the norms of the group error's two parts."""
     st = recover_state(x)
+    read = np.abs(euler_errors(truth.rot, st.rot)), _norm(st.vec - truth.vec) * RAD2DEG
+    if sigma is None:
+        return read
     e = cascade.group_error(truth, x)
     # the local rotation error norm equals the estimate-vs-truth geodesic angle
     eps = cascade.local_error_of(e)
-    errors = (
-        _norm(eps.rot) * RAD2DEG,
-        *np.abs(euler_errors(truth.rot, st.rot)).T,
-        _norm(st.vec - truth.vec) * RAD2DEG,
-    )
-    norms = (_norm((e.rot - _EYE3).reshape(-1, 9)), _norm(e.vec))
-    return errors, np.full(len(e.vec), np.nan) if sigma is None else cascade.lyapunov_value(eps, sigma), norms
+    return *read, _norm(eps.rot) * RAD2DEG, cascade.lyapunov_value(eps, sigma), _norm((e.rot - _EYE3).reshape(-1, 9)), _norm(e.vec)
 
 
-def _series(dt: float, n: int, truths: tuple[StageState, StageState], states) -> np.ndarray:
-    """All SERIES_COLUMNS, one row for each of the first n ticks.
+def _columns(dt: float, n: int, truths: tuple[StageState, StageState], states) -> tuple:
+    """t and each stage's columns (_stage_columns) over the first n ticks.
 
     truths holds each stage's true state per tick, states each stage's
     (rot, vec, sigma): its group state and Riccati state over the ticks,
-    shapes (m, 3, 3), (m, 3) and (m, 6, 6) for m >= n. Without sigma that
-    stage's V column is NaN.
+    shapes (m, 3, 3), (m, 3) and (m, 6, 6) for m >= n, sigma None unless
+    the series is kept.
     """
-    (err1, v1, norms1), (err2, v2, norms2) = (
+    return dt * np.arange(n), *(
         _stage_columns(StageState(truth.rot[:n], truth.vec[:n]), GroupElement(rot[:n], vec[:n]), None if sigma is None else sigma[:n])
         for truth, (rot, vec, sigma) in zip(truths, states)
     )
-    t = dt * np.arange(n)
-    return np.column_stack([t, *err1, *err2, v1, v2, *norms1, *norms2])
+
+
+def _series(t: np.ndarray, stage1: tuple, stage2: tuple) -> np.ndarray:
+    """All SERIES_COLUMNS, in their order, from the kept columns of _columns."""
+    (euler1, bias, att1, v1, *norms1), (euler2, omega, att2, v2, *norms2) = stage1, stage2
+    return np.column_stack([t, att1, *euler1.T, bias, att2, *euler2.T, omega, v1, v2, *norms1, *norms2])
 
 
 def _lockstep(step, constants, update, dt: float, inputs: np.ndarray, every: int, measured: np.ndarray, ends, keep_sigma: bool,
@@ -178,25 +181,23 @@ def _lockstep(step, constants, update, dt: float, inputs: np.ndarray, every: int
         (rot, vec, sigma), k = step(rot, vec, sigma, inputs[row], m, dts[k], *consts), k + 1
 
 
-def _window_metrics(run_index: int, series: np.ndarray, gyro_bias: np.ndarray, omega_target: np.ndarray) -> RunMetrics:
-    t = series[:, 0]
+def _window_metrics(run_index: int, gyro_bias: np.ndarray, omega_target: np.ndarray, t: np.ndarray, *stages: tuple) -> RunMetrics:
     lo, hi = metrics.WINDOW
-    win = series[(t >= lo) & (t <= hi)]
-    if win.shape[0] == 0:
-        win = series  # short runs fall back to the full series
-    values, at = {}, metrics.SERIES_COLUMNS.index
-    # each stage's three per-axis attitude error columns, roll first
-    for name, col in (("chaser", at("err_roll_c")), ("rel", at("err_roll"))):
-        values[f"t1deg_{name}"] = np.array([time_to_threshold(t, series[:, col + i], 1.0) for i in range(3)])
-        values[f"mean_{name}_deg"] = win[:, col : col + 3].mean(axis=0)
-        values[f"min_{name}_deg"] = win[:, col : col + 3].min(axis=0)
-    # relative errors are undefined for zero-magnitude truth vectors
-    for name, col, truth in (("bias", at("err_bias_dps"), gyro_bias), ("omega", at("err_omega_dps"), omega_target)):
+    win = (t >= lo) & (t <= hi)
+    if not win.any():
+        win = slice(None)  # short runs fall back to the full series
+    values = {}
+    # each stage's per-axis attitude errors, roll first, and its vector-state error
+    for (euler, err, *_), att, vec, truth in zip(stages, ("chaser", "rel"), ("bias", "omega"), (gyro_bias, omega_target)):
+        values[f"t1deg_{att}"] = np.array([time_to_threshold(t, axis, 1.0) for axis in euler.T])
+        values[f"mean_{att}_deg"] = euler[win].mean(axis=0)
+        values[f"min_{att}_deg"] = euler[win].min(axis=0)
+        # relative errors are undefined for zero-magnitude truth vectors
         truth_norm = float(np.linalg.norm(truth)) * RAD2DEG or math.nan
         for stat, reduce in (("mean", np.mean), ("min", np.min)):
-            value = float(reduce(win[:, col]))
-            values[f"{name}_{stat}_dps"] = value
-            values[f"{name}_{stat}_rel_pct"] = 100.0 * value / truth_norm
+            value = float(reduce(err[win]))
+            values[f"{vec}_{stat}_dps"] = value
+            values[f"{vec}_{stat}_rel_pct"] = 100.0 * value / truth_norm
     return RunMetrics(run_index=run_index, diverged=False, **values)
 
 
@@ -211,19 +212,18 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
     the run's part of its lane group: its lanes of the stage truths'
     attitudes over the ticks (truth_trajectory), its world's gyro bias and
     target rate, each stage's (rot, vec, sigma) from its pass (_lockstep),
-    and the rows both passes reached; only the diagnostics and metrics are
-    left.
+    and the rows both passes reached; what is left is the metrics, the
+    columns they read, and the other columns for a kept series only.
     """
     if lane is None:
         return _run_lanes(cfg, range(run_index, run_index + 1), keep_series)[0]
     chaser, rel, bias, omega_target, states, n_rows = lane
     # the non-finite diagnostics of a diverging filter are expected too
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        truths = stage_truths(chaser, rel, bias, omega_target)
-        series = _series(1.0 / cfg.gyro_rate_hz, int(n_rows), truths, states)
+        columns = _columns(1.0 / cfg.gyro_rate_hz, int(n_rows), stage_truths(chaser, rel, bias, omega_target), states)
         diverged = n_rows <= cfg.steps_per_run()
-        out = metrics.failed_metrics(run_index) if diverged else _window_metrics(run_index, series, bias, omega_target)
-    return replace(out, series=series) if keep_series else out
+        out = metrics.failed_metrics(run_index) if diverged else _window_metrics(run_index, bias, omega_target, *columns)
+    return replace(out, series=_series(*columns)) if keep_series else out
 
 
 def _run_lanes(cfg: ScenarioConfig, indices: range, keep_series: bool) -> list[RunMetrics]:

@@ -8,7 +8,7 @@ from eqfcascade import cascade, harness, stage1, stage2
 from eqfcascade.config import ScenarioConfig
 from eqfcascade.filter_base import FilterEstimate, NumericalFailure, initial_estimate
 from eqfcascade.geom import GroupElement
-from eqfcascade.harness import _series, run_batch, run_rng, run_single, sample_world
+from eqfcascade.harness import _columns, _series, run_batch, run_rng, run_single, sample_world
 from eqfcascade.metrics import SERIES_COLUMNS, _metric_values, metric_names
 from eqfcascade.models import MeasurementBundle, TruthWorld, add_sensor_noise, noiseless_streams, stage_truths, truth_trajectory
 
@@ -250,19 +250,20 @@ class TestRunSingle:
 
     def test_diagnostics_see_only_the_rows_before_the_failing_tick(self, monkeypatch):
         # run 0 fails in its update at tick 400; no diagnostic is computed
-        # for that tick or any later one, with or without the series kept
-        group_error, rows = cascade.group_error, []
+        # for that tick or any later one, with or without the series kept:
+        # both paths form each stage's Euler errors, on the rows they keep
+        real_euler_errors, rows = harness.euler_errors, []
 
-        def recording_group_error(truth, x_hat):
-            rows.append(len(x_hat.rot))
-            return group_error(truth, x_hat)
+        def recording_euler_errors(rot_true, rot_hat):
+            rows.append((len(rot_true), len(rot_hat)))
+            return real_euler_errors(rot_true, rot_hat)
 
-        monkeypatch.setattr(cascade, "group_error", recording_group_error)
+        monkeypatch.setattr(harness, "euler_errors", recording_euler_errors)
         cfg = ScenarioConfig(seed=2026, update_iterations=1)
         for keep_series in (True, False):
             rows.clear()
             m = run_single(cfg, 0, keep_series=keep_series)
-            assert m.diverged and rows == [400, 400]
+            assert m.diverged and rows == [(400, 400), (400, 400)]
         assert m.series is None
 
     @pytest.mark.parametrize("stage", [stage1, stage2], ids=["stage1_tick", "stage2_tick"])
@@ -284,7 +285,7 @@ def _step_loop_series(cfg: ScenarioConfig, run_index: int) -> np.ndarray:
     up to the tick whose step raised NumericalFailure."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         dt, truths, stage_states = _step_loop(cfg, run_index)
-        return _series(dt, len(stage_states[0][0]), truths, stage_states)
+        return _series(*_columns(dt, len(stage_states[0][0]), truths, stage_states))
 
 
 def _step_loop(cfg: ScenarioConfig, run_index: int):
@@ -384,6 +385,39 @@ class TestLanes:
         for i, m in enumerate(batch.runs):
             assert not m.diverged and m.series.shape == (1501, len(SERIES_COLUMNS))
             assert _run_bits(m) == _run_bits(run_single(cfg, i, keep_series=True))
+
+    @pytest.mark.parametrize(
+        "overrides, n_runs, failed",
+        [
+            ({}, 8, []),
+            ({"star_rate_hz": 100.0, "feature_rate_hz": 100.0, "update_iterations": 1}, 8, []),
+            ({"update_iterations": 1}, 8, list(range(8))),  # stage 1 fails, run 0 at tick 400
+            ({"update_iterations": 1, "sigma0": 100.0}, 9, list(range(9))),  # run 8 fails in stage 2, at tick 50
+            # lanes stop in both stages, between feature ticks too, around run 4
+            ({"star_rate_hz": 4.0, "update_iterations": 1, "sigma0": 10.0}, 12, [0, 1, 2, 3, *range(5, 12)]),
+            ({}, 1, []),  # one run, at shape ()
+        ],
+        ids=["default", "fast_it1", "it1", "it1_sigma100", "star4hz_it1_sigma10", "one_run"],
+    )
+    def test_a_batch_without_series_equals_one_with(self, monkeypatch, overrides, n_runs, failed):
+        # without the series only the columns the metrics read are formed:
+        # no group error and no V, and every metric and verdict keeps its bits
+        calls = {"group_error": 0, "lyapunov_value": 0}
+        for name in calls:
+            def counting(*args, real=getattr(cascade, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(cascade, name, counting)
+        cfg = ScenarioConfig(seed=2026, **overrides)
+        bare = run_batch(cfg, n_runs).runs
+        assert calls == {"group_error": 0, "lyapunov_value": 0}
+        kept = run_batch(cfg, n_runs, keep_series=True).runs
+        assert calls == {"group_error": 2 * n_runs, "lyapunov_value": 2 * n_runs}
+        assert [m.run_index for m in bare if m.diverged] == failed
+        for m, ref in zip(bare, kept, strict=True):
+            assert m.series is None and m.diverged == ref.diverged
+            assert np.array(_metric_values(m)).tobytes() == np.array(_metric_values(ref)).tobytes()
 
     def test_worker_counts_and_lane_groups_agree(self, monkeypatch):
         cfg = ScenarioConfig(seed=2026, duration_s=2.0)
