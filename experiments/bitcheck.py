@@ -10,19 +10,22 @@ from there, so that no second checkout is needed.
 
 `dump` runs a fixed corpus at seed 2026 and saves each run's series, metric
 vector and diverged flag: every run of each variant alone by run_single, under
-<variant>/<i>/, then each variant as one run_batch, under batch/<variant>/<i>/,
+<variant>/<i>/, and again without its series (a one-run lane group at shape (),
+a diverged one forming no column), under noseries/<variant>/<i>/ with no
+series; then each variant as one run_batch, under batch/<variant>/<i>/,
 again without its series (no Riccati stacks and no V columns, the path that
-the Monte Carlo workloads time), under batch_noseries/<variant>/<i>/ with no
-series, and the variants of POOLED on POOL_WORKERS worker processes, under
+the Monte Carlo workloads time), under batch_noseries/<variant>/<i>/, and the
+variants of POOLED on POOL_WORKERS worker processes, under
 batch<POOL_WORKERS>/<variant>/<i>/. It also runs the CLI commands of CLI in-process into
 OUT's sibling directory OUT_cli/ and saves each output file and the captured
 stdout as bytes, under cli/<command>/, and the running BLAS (golden.blas(),
 which names the OpenBLAS kernel) under blas. `compare` prints both files' BLAS,
-checks inside each file that every batch_noseries/ metric vector and diverged
-flag equals its batch/ one (a run's metrics do not depend on whether its
-series is kept, though the two paths form different columns), lists series
-whose length changed with the shorter a bit-exact prefix, and exits 1 if a
-file fails its own check or any other array or CLI output is not bit-equal.
+checks inside each file that every noseries/ and batch_noseries/ metric vector
+and diverged flag equals its twin kept with the series, <variant>/ and batch/
+(a run's metrics do not depend on whether its series is kept, though the two
+paths form different columns), lists series whose length changed with the
+shorter a bit-exact prefix, and exits 1 if a file fails its own check or any
+other array or CLI output is not bit-equal.
 """
 
 import contextlib
@@ -146,6 +149,7 @@ def dump(src: str, out: str) -> None:
     for name, (overrides, n_runs) in VARIANTS.items():
         cfg = ScenarioConfig(seed=2026, **overrides)
         arrays.update(_runs(name, (run_single(cfg, i, keep_series=True) for i in range(n_runs))))
+        arrays.update(_runs(f"noseries/{name}", (run_single(cfg, i) for i in range(n_runs))))
         arrays.update(_runs(f"batch/{name}", run_batch(cfg, n_runs, keep_series=True).runs))
         arrays.update(_runs(f"batch_noseries/{name}", run_batch(cfg, n_runs).runs))
         if name in POOLED:
@@ -158,15 +162,19 @@ def dump(src: str, out: str) -> None:
 
 
 def _without_series_equals_with(name: str, dumped) -> int:
-    """How many batch_noseries/ arrays of one dump differ from their batch/ twins."""
-    keys = [key for key in dumped.files if key.startswith("batch_noseries/")]
+    """How many noseries/ and batch_noseries/ arrays of one dump differ from
+    their twins kept with the series, <variant>/ and batch/."""
     bad = 0
-    for key in keys:
-        twin = "batch/" + key.removeprefix("batch_noseries/")
-        if twin not in dumped.files or dumped[key].shape != dumped[twin].shape or dumped[key].tobytes() != dumped[twin].tobytes():
-            bad += 1
-            print(f"{name}: {key}: DIFFERS from {twin}")
-    print(f"{name}: {len(keys) - bad} of {len(keys)} batch_noseries arrays equal their batch arrays")
+    for prefix, twin_prefix in (("noseries/", ""), ("batch_noseries/", "batch/")):
+        keys = [key for key in dumped.files if key.startswith(prefix)]
+        differ = 0
+        for key in keys:
+            twin = twin_prefix + key.removeprefix(prefix)
+            if twin not in dumped.files or dumped[key].shape != dumped[twin].shape or dumped[key].tobytes() != dumped[twin].tobytes():
+                differ += 1
+                print(f"{name}: {key}: DIFFERS from {twin}")
+        print(f"{name}: {len(keys) - differ} of {len(keys)} {prefix.rstrip('/')} arrays equal their {twin_prefix or '<variant>/'} arrays")
+        bad += differ
     return bad
 
 

@@ -24,13 +24,13 @@ made first: a lane group's stage truths and noiseless streams are each
 built once, lane-major (R, ticks, ...) like the states, and each run's
 noise is added on its lane. The diagnostics come last, a run and a stage
 at a time, from the stored filter states and the run's stage-truth lanes:
-always the per-axis Euler and vector-state errors the metrics read; the
-Riccati stacks and the geodesic, V and norm columns only for a kept
-series. A run has diverged if and only if an update raised
-NumericalFailure (it left a Riccati state not finite and positive
-definite; the failure names the lanes); its series then covers only the
-ticks before the earlier failing one. V is NaN on a singular Riccati row;
-the diagnostics decide nothing.
+the per-axis Euler and vector-state errors the metrics read; the Riccati
+stacks and the geodesic, V and norm columns only for a kept series. A run
+has diverged if and only if an update raised NumericalFailure (it left a
+Riccati state not finite and positive definite; the failure names the
+lanes); its series then covers only the ticks before the earlier failing
+one, and without its series it forms no column. V is NaN on a singular
+Riccati row; the diagnostics decide nothing.
 """
 
 from __future__ import annotations
@@ -108,22 +108,8 @@ def _stage_columns(truth: StageState, x: GroupElement, sigma: np.ndarray | None)
     return *read, _norm(eps.rot) * RAD2DEG, cascade.lyapunov_value(eps, sigma), _norm((e.rot - _EYE3).reshape(-1, 9)), _norm(e.vec)
 
 
-def _columns(dt: float, n: int, truths: tuple[StageState, StageState], states) -> tuple:
-    """t and each stage's columns (_stage_columns) over the first n ticks.
-
-    truths holds each stage's true state per tick, states each stage's
-    (rot, vec, sigma): its group state and Riccati state over the ticks,
-    shapes (m, 3, 3), (m, 3) and (m, 6, 6) for m >= n, sigma None unless
-    the series is kept.
-    """
-    return dt * np.arange(n), *(
-        _stage_columns(StageState(truth.rot[:n], truth.vec[:n]), GroupElement(rot[:n], vec[:n]), None if sigma is None else sigma[:n])
-        for truth, (rot, vec, sigma) in zip(truths, states)
-    )
-
-
 def _series(t: np.ndarray, stage1: tuple, stage2: tuple) -> np.ndarray:
-    """All SERIES_COLUMNS, in their order, from the kept columns of _columns."""
+    """All SERIES_COLUMNS, in their order, from t and each stage's kept _stage_columns."""
     (euler1, bias, att1, v1, *norms1), (euler2, omega, att2, v2, *norms2) = stage1, stage2
     return np.column_stack([t, att1, *euler1.T, bias, att2, *euler2.T, omega, v1, v2, *norms1, *norms2])
 
@@ -212,18 +198,23 @@ def run_single(cfg: ScenarioConfig, run_index: int = 0, keep_series: bool = Fals
     the run's part of its lane group: its lanes of the stage truths'
     attitudes over the ticks (truth_trajectory), its world's gyro bias and
     target rate, each stage's (rot, vec, sigma) from its pass (_lockstep),
-    and the rows both passes reached; what is left is the metrics, the
-    columns they read, and the other columns for a kept series only.
+    and the rows both passes reached, read first: a diverged run without
+    its series forms no column. What is left is the metrics, the columns
+    they read over the rows reached, and the others for a kept series only.
     """
     if lane is None:
         return _run_lanes(cfg, range(run_index, run_index + 1), keep_series)[0]
     chaser, rel, bias, omega_target, states, n_rows = lane
+    n, diverged = int(n_rows), n_rows <= cfg.steps_per_run()
+    if diverged and not keep_series:
+        return metrics.failed_metrics(run_index)
+    t = 1.0 / cfg.gyro_rate_hz * np.arange(n)
     # the non-finite diagnostics of a diverging filter are expected too
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        columns = _columns(1.0 / cfg.gyro_rate_hz, int(n_rows), stage_truths(chaser, rel, bias, omega_target), states)
-        diverged = n_rows <= cfg.steps_per_run()
-        out = metrics.failed_metrics(run_index) if diverged else _window_metrics(run_index, bias, omega_target, *columns)
-    return replace(out, series=_series(*columns)) if keep_series else out
+        stages = [_stage_columns(truth, GroupElement(rot[:n], vec[:n]), None if sigma is None else sigma[:n])
+                  for truth, (rot, vec, sigma) in zip(stage_truths(chaser[:n], rel[:n], bias, omega_target), states)]
+        out = metrics.failed_metrics(run_index) if diverged else _window_metrics(run_index, bias, omega_target, t, *stages)
+    return replace(out, series=_series(t, *stages)) if keep_series else out
 
 
 def _run_lanes(cfg: ScenarioConfig, indices: range, keep_series: bool) -> list[RunMetrics]:
@@ -250,10 +241,9 @@ def _run_lanes(cfg: ScenarioConfig, indices: range, keep_series: bool) -> list[R
         states1, ends = _lockstep(stage1.predict_step, stage1.predict_constants, stage1.update, dt, gyro, star_every, star,
                                   np.full(lead, n + 1), keep_series, gains, gains, 1.0 / cfg.star_rate_hz)
         if cfg.input_mode == "unbiased_cascade":
-            # in place, a lane at a time: stage 1 has read the gyro for the last time
+            # in place: stage 1 has read the gyro for the last time
             rot1, vec1, _ = states1
-            for j in np.ndindex(lead):
-                gyro[j] -= recover_state(GroupElement(rot1[j][1:], vec1[j][1:])).vec
+            gyro -= recover_state(GroupElement(rot1[..., 1:, :, :], vec1[..., 1:, :])).vec
         gains = cfg.stage2_gains()
         states2, ends = _lockstep(stage2.predict_step, stage2.predict_constants, stage2.update, dt, gyro, feature_every, features,
                                   ends, keep_series, gains, cfg.ref_dirs(), gains, 1.0 / cfg.feature_rate_hz)

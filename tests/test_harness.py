@@ -8,9 +8,9 @@ from eqfcascade import cascade, harness, stage1, stage2
 from eqfcascade.config import ScenarioConfig
 from eqfcascade.filter_base import FilterEstimate, NumericalFailure, initial_estimate
 from eqfcascade.geom import GroupElement
-from eqfcascade.harness import _columns, _series, run_batch, run_rng, run_single, sample_world
+from eqfcascade.harness import run_batch, run_rng, run_single, sample_world
 from eqfcascade.metrics import SERIES_COLUMNS, _metric_values, metric_names
-from eqfcascade.models import MeasurementBundle, TruthWorld, add_sensor_noise, noiseless_streams, stage_truths, truth_trajectory
+from eqfcascade.models import MeasurementBundle, TruthWorld, add_sensor_noise, noiseless_streams, truth_trajectory
 
 
 class TestScenarioSampling:
@@ -250,8 +250,9 @@ class TestRunSingle:
 
     def test_diagnostics_see_only_the_rows_before_the_failing_tick(self, monkeypatch):
         # run 0 fails in its update at tick 400; no diagnostic is computed
-        # for that tick or any later one, with or without the series kept:
-        # both paths form each stage's Euler errors, on the rows they keep
+        # for that tick or any later one: with the series kept each stage's
+        # Euler errors are formed on the 400 rows before it, and without
+        # the series the diverged run forms none at all
         real_euler_errors, rows = harness.euler_errors, []
 
         def recording_euler_errors(rot_true, rot_hat):
@@ -260,10 +261,10 @@ class TestRunSingle:
 
         monkeypatch.setattr(harness, "euler_errors", recording_euler_errors)
         cfg = ScenarioConfig(seed=2026, update_iterations=1)
-        for keep_series in (True, False):
+        for keep_series, want in ((True, [(400, 400), (400, 400)]), (False, [])):
             rows.clear()
             m = run_single(cfg, 0, keep_series=keep_series)
-            assert m.diverged and rows == [(400, 400), (400, 400)]
+            assert m.diverged and rows == want
         assert m.series is None
 
     @pytest.mark.parametrize("stage", [stage1, stage2], ids=["stage1_tick", "stage2_tick"])
@@ -282,15 +283,15 @@ class TestRunSingle:
 def _step_loop_series(cfg: ScenarioConfig, run_index: int) -> np.ndarray:
     """run_single's series with both stages advanced together, one
     cascade.step per tick on a MeasurementBundle of the run's sensor streams,
-    up to the tick whose step raised NumericalFailure."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        dt, truths, stage_states = _step_loop(cfg, run_index)
-        return _series(*_columns(dt, len(stage_states[0][0]), truths, stage_states))
+    up to the tick whose step raised NumericalFailure; the diagnostics are
+    run_single's own, handed the step loop's states as the run's lane."""
+    return run_single(cfg, run_index, True, lane=_step_loop(cfg, run_index)).series
 
 
 def _step_loop(cfg: ScenarioConfig, run_index: int):
-    """_step_loop_series' tick length, stage truths and each stage's
-    (rot, vec, sigma) stacks over the ticks it reached."""
+    """_step_loop_series' lane for run_single: the truth attitude stacks,
+    the world's gyro bias and target rate, each stage's (rot, vec, sigma)
+    stacks over the ticks it reached, and the number of those rows."""
     rng = run_rng(cfg.seed, run_index)
     world = sample_world(cfg, rng)
     sensors = cfg.sensors()
@@ -318,7 +319,7 @@ def _step_loop(cfg: ScenarioConfig, run_index: int):
         (np.array([est.X.rot for est in stage]), np.array([est.X.vec for est in stage]), np.array([est.Sigma for est in stage]))
         for stage in ([cs.s1 for cs in states], [cs.s2 for cs in states])
     ]
-    return dt, stage_truths(*truth, world.gyro_bias, world.omega_target), stage_states
+    return *truth, world.gyro_bias, world.omega_target, stage_states, len(states)
 
 
 @pytest.mark.parametrize(
@@ -358,7 +359,7 @@ def test_riccati_rows_between_measurements_equal_the_step_loop(monkeypatch, over
     monkeypatch.setattr(harness, "_lockstep", lambda *args: passes.append(real_lockstep(*args)) or passes[-1])
     cfg = ScenarioConfig(seed=2026, **overrides)
     run_single(cfg, run_index, keep_series=True)
-    _, _, ref = _step_loop(cfg, run_index)
+    ref = _step_loop(cfg, run_index)[4]
     assert len(ref[0][0]) == rows
     for ((rot, vec, sigma), _), want in zip(passes, ref):
         for got, ref_stack in zip((rot, vec, sigma), want):
@@ -401,19 +402,22 @@ class TestLanes:
     )
     def test_a_batch_without_series_equals_one_with(self, monkeypatch, overrides, n_runs, failed):
         # without the series only the columns the metrics read are formed:
-        # no group error and no V, and every metric and verdict keeps its bits
-        calls = {"group_error": 0, "lyapunov_value": 0}
-        for name in calls:
-            def counting(*args, real=getattr(cascade, name), name=name):
+        # no group error and no V, the Euler errors of both stages for a
+        # completed run and none for a diverged one, and every metric and
+        # verdict keeps its bits
+        calls = {"group_error": 0, "lyapunov_value": 0, "euler_errors": 0}
+        for module, name in ((cascade, "group_error"), (cascade, "lyapunov_value"), (harness, "euler_errors")):
+            def counting(*args, real=getattr(module, name), name=name):
                 calls[name] += 1
                 return real(*args)
 
-            monkeypatch.setattr(cascade, name, counting)
+            monkeypatch.setattr(module, name, counting)
         cfg = ScenarioConfig(seed=2026, **overrides)
         bare = run_batch(cfg, n_runs).runs
-        assert calls == {"group_error": 0, "lyapunov_value": 0}
+        assert calls == {"group_error": 0, "lyapunov_value": 0, "euler_errors": 2 * (n_runs - len(failed))}
+        calls.update(dict.fromkeys(calls, 0))
         kept = run_batch(cfg, n_runs, keep_series=True).runs
-        assert calls == {"group_error": 2 * n_runs, "lyapunov_value": 2 * n_runs}
+        assert calls == dict.fromkeys(calls, 2 * n_runs)
         assert [m.run_index for m in bare if m.diverged] == failed
         for m, ref in zip(bare, kept, strict=True):
             assert m.series is None and m.diverged == ref.diverged
