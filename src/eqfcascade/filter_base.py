@@ -1,9 +1,9 @@
 """The EqF kernel shared by both filter stages: estimate/gain containers,
 the state action and origin, the output model and A-matrix form, the
-Riccati steps, and one predict (on estimates, or on bare arrays for the
-stages' predict steps, which the stage passes call once a tick) and one
-update that take a stage's lift, A-matrix rate vector and known directions
-as arguments.
+Riccati steps, and one predict and one update that take a stage's lift,
+A-matrix rate vector and known directions as arguments, on estimates or on
+bare arrays (predict_arrays, update_arrays: the stages' steps, which the
+stage passes call once a tick and once a measurement).
 
 Both stages keep a group element (attitude estimate plus a transported
 3-vector) and a 6x6 Riccati matrix, act on their SO(3) x R^3 state
@@ -119,13 +119,13 @@ def require_spd(sigma: np.ndarray, where: str) -> None:
     """_is_spd's verdict, lane by lane, on an exactly symmetric sigma, which
     riccati_correct returns: its symmetry test passes and its symmetrize
     changes no bit, so only the finiteness test and the Cholesky
-    factorization are left. LAPACK writes NaN over the factor of each lane
-    it fails on; the lanes are told apart only when one has failed."""
-    factor = _umath_linalg.cholesky_lo(sigma, signature="d->d")
-    if np.isfinite(sigma).all() and np.isfinite(factor).all():
-        return
-    ok = np.isfinite(sigma).all(axis=(-2, -1)) & np.isfinite(factor).all(axis=(-2, -1))
-    raise NumericalFailure(f"Riccati state not positive definite after {where}", np.flatnonzero(~ok))
+    factorization are left, and both read the factor: a non-finite entry of
+    sigma's lower triangle leaves the factor entry it enters non-finite, and
+    LAPACK writes NaN over the factor of each lane it fails on. The lanes
+    are told apart only when one has failed."""
+    finite = np.isfinite(_umath_linalg.cholesky_lo(sigma, signature="d->d"))
+    if not finite.all():
+        raise NumericalFailure(f"Riccati state not positive definite after {where}", np.flatnonzero(~finite.all(axis=(-2, -1))))
 
 
 def riccati_predict(sigma: np.ndarray, w_hat: np.ndarray, m: np.ndarray, dt: float) -> np.ndarray:
@@ -167,32 +167,32 @@ def riccati_correct(sigma: np.ndarray, info: np.ndarray, tau: float) -> np.ndarr
     return symmetrize(sigma - left @ k @ sigma[..., :3, :])
 
 
-def apply_correction(x: GroupElement, gain: np.ndarray, tau: float) -> GroupElement:
-    """Integrate the left correction (Delta X, Delta x.vec + s) over tau.
+def apply_correction(rot: np.ndarray, vec: np.ndarray, gain: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate the left correction (Delta X, Delta x.vec + s) over tau; returns (rot, vec).
 
     The state-action differential at the origin sends an algebra element
     (w, s) to the tangent vector (w, -s), so the tangent-space gain is the
     algebra element Delta = (w, s) = (gain[:3], -gain[3:]).
 
-    The vector part, x.vec + tau * (cross3(gain[:3], x.vec) - gain[3:]), row
+    The vector part, vec + tau * (cross3(gain[:3], vec) - gain[3:]), row
     by row for (R, 6) gains, is formed from floats lane by lane in that order
     for up to _SHORT_STACK gains; float64 array operations round alike.
     """
     if gain.size > 6 * _SHORT_STACK:
         w = gain[..., :3]
-        return GroupElement(exp_so3(w * tau) @ x.rot, x.vec + tau * (cross3(w, x.vec) - gain[..., 3:]))
+        return exp_so3(w * tau) @ rot, vec + tau * (cross3(w, vec) - gain[..., 3:])
     single = gain.ndim == 1
-    lanes = ((gain.tolist(), x.vec.tolist()),) if single else zip(gain.tolist(), x.vec.tolist())
-    rot, vec = [], []
+    lanes = ((gain.tolist(), vec.tolist()),) if single else zip(gain.tolist(), vec.tolist())
+    turns, out = [], []
     for (w0, w1, w2, s0, s1, s2), (v0, v1, v2) in lanes:
-        rot += _exp_so3_entries(w0 * tau, w1 * tau, w2 * tau)
-        vec += (
+        turns += _exp_so3_entries(w0 * tau, w1 * tau, w2 * tau)
+        out += (
             v0 + tau * ((w1 * v2 - w2 * v1) - s0),
             v1 + tau * ((w2 * v0 - w0 * v2) - s1),
             v2 + tau * ((w0 * v1 - w1 * v0) - s2),
         )
-    vec = np.array(vec)  # a single gain's vector needs no reshape
-    return GroupElement(np.array(rot).reshape(x.rot.shape) @ x.rot, vec if single else vec.reshape(x.vec.shape))
+    out = np.array(out)  # a single gain's vector needs no reshape
+    return np.array(turns).reshape(rot.shape) @ rot, out if single else out.reshape(vec.shape)
 
 
 def state_action(g: GroupElement, xi: StageState) -> StageState:
@@ -261,7 +261,15 @@ def predict_arrays(rot, vec, sigma, lam_rot, lam_vec, w_hat, m, dt):
 
 
 def update(est: FilterEstimate, y, dirs, gains: FilterGains, dt_update: float, where: str) -> FilterEstimate:
-    """Apply one measurement y of the directions dirs ((k, 3) rows), iterated over the update interval.
+    """update_arrays on an estimate; a failed LAPACK call's NaN, and what it reaches, stays in its lane."""
+    with np.errstate(invalid="ignore"):
+        rot, vec, sigma = update_arrays(est.X.rot, est.X.vec, est.Sigma, np.asarray(y), np.asarray(dirs), gains, dt_update, where)
+    return FilterEstimate(GroupElement(rot, vec), sigma)
+
+
+def update_arrays(rot, vec, sigma, y, dirs, gains: FilterGains, dt_update: float, where: str):
+    """Apply one measurement y of the directions dirs ((k, 3) rows) to the bare states (rot, vec, sigma),
+    iterated over the update interval, under the caller's np.errstate (a failed LAPACK call reads NaN).
 
     The correction is integrated in update_iterations equal sub-steps tau
     with the measurement held fixed; the predicted directions, the output
@@ -275,18 +283,14 @@ def update(est: FilterEstimate, y, dirs, gains: FilterGains, dt_update: float, w
     if dt_update <= 0:
         raise ValueError("dt_update must be positive")
     tau = dt_update / gains.update_iterations
-    x, sigma = est.X, est.Sigma
-    y, dirs = np.asarray(y), np.asarray(dirs)
     n_inv, residual = gains.n_inv, y.shape[:-2] + (-1,)  # the residual's shape: one row per lane
-    # a failed LAPACK call's NaN, and what it reaches, stays in its lane
-    with np.errstate(invalid="ignore"):
-        for _ in range(gains.update_iterations):
-            # the state estimate recover_state(x) has the attitude x.rot
-            y_hat = output_map(x, dirs)
-            ca = c_block(y, y_hat, x.rot)
-            ca_t_ninv = ca.mT @ n_inv
-            gain = np.matvec(sigma[..., :3], np.matvec(ca_t_ninv, (y - y_hat).reshape(residual)))
-            x = apply_correction(x, gain, tau)
-            sigma = riccati_correct(sigma, ca_t_ninv @ ca, tau)
-        require_spd(sigma, where)
-    return FilterEstimate(GroupElement(renormalize_rotation(x.rot), x.vec), sigma)
+    for _ in range(gains.update_iterations):
+        # output_map at the state estimate, whose attitude is rot (recover_state)
+        y_hat = dirs @ rot
+        ca = c_block(y, y_hat, rot)
+        ca_t_ninv = ca.mT @ n_inv
+        gain = np.matvec(sigma[..., :3], np.matvec(ca_t_ninv, (y - y_hat).reshape(residual)))
+        rot, vec = apply_correction(rot, vec, gain, tau)
+        sigma = riccati_correct(sigma, ca_t_ninv @ ca, tau)
+    require_spd(sigma, where)
+    return renormalize_rotation(rot), vec, sigma

@@ -25,7 +25,7 @@ MIN_DRAW_NORM = 1e-12  # random_unit_vector redraws a normal triple of at most t
 
 _EYE3 = np.eye(3)
 _EYE3.flags.writeable = False
-_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+_NEXT_AFTER, _AFTER_NEXT = np.array([1, 2, 0, 2, 0, 1]), np.array([2, 0, 1, 1, 2, 0])
 # _exp_so3_rows' columns: a scalar's three copies, the pairs ij = 01, 02, 12
 # with the k of each pair's a x_k term, the diagonal's jk = 12, 02, 01, and
 # the matrix entries, row-major, in the columns (diagonal, pairs - a x_k,
@@ -47,8 +47,9 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     broadcasting (..., 3) stacks (numpy.cross has heavy overhead here)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.ndim > 1 or b.ndim > 1:
-        # component i is a[i + 1] b[i + 2] - a[i + 2] b[i + 1]
-        return a.take(_NEXT, -1) * b.take(_AFTER, -1) - a.take(_AFTER, -1) * b.take(_NEXT, -1)
+        # component i is a[i + 1] b[i + 2] - a[i + 2] b[i + 1]: the six products at once, then their halves' difference
+        products = a.take(_NEXT_AFTER, -1) * b.take(_AFTER_NEXT, -1)
+        return products[..., :3] - products[..., 3:]
     a0, a1, a2 = a.tolist()
     b0, b1, b2 = b.tolist()
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])

@@ -11,12 +11,13 @@ The engine keeps only the filter in its tick loops, one pass per stage
 (_lockstep), each allocating and returning its own states: stage 1 over
 every tick, then stage 2 over the ticks before stage 1's failing one, on
 the gyro less stage 1's bias estimates, which with stage 1's failing ticks
-is all stage 2 sees of stage 1. A pass advances its lanes in lockstep,
-their states bare arrays with a leading lane axis, () for one run and (R,)
-for R runs, and is the only loop over the ticks: at a measurement tick one
-call of the stage's update, then the tick's row written, then one call of
-its predict step to the next tick. _run_lanes runs one lane group: it
-composes the two passes and hands each run its two stages' states.
+is all stage 2 sees of stage 1 (a run that failed in stage 1 leaves stage
+2's pass at tick 0 when no series is kept). A pass advances its lanes in
+lockstep, their states bare arrays with a leading lane axis, () for one run
+and (R,) for R runs, and is the only loop over the ticks: at a measurement
+tick one update step, then the tick's row written, then one predict step to
+the next tick. _run_lanes runs one lane group: it composes the two passes
+and hands each run its two stages' states.
 run_batch alone cuts a batch into contiguous lane groups, run in turn or
 on a worker pool; run_single is a lane group of one, run at shape (). Each
 run's world is drawn once, and truth and measurements are whole-run stacks
@@ -42,7 +43,7 @@ import numpy as np
 
 from . import cascade, metrics, stage1, stage2
 from .config import ScenarioConfig
-from .filter_base import FilterEstimate, NumericalFailure, initial_estimate, recover_state
+from .filter_base import NumericalFailure, initial_estimate, recover_state
 from .geom import GroupElement, StageState, exp_so3, random_rotation, random_unit_vector
 from .metrics import RAD2DEG, BatchSummary, RunMetrics, euler_errors, time_to_threshold
 from .models import SensorStreams, TruthWorld, add_sensor_noise, noiseless_streams, stage_truths, truth_trajectory
@@ -123,8 +124,9 @@ def _lockstep(step, constants, update, dt: float, inputs: np.ndarray, every: int
     + 1 is one call step(rot, vec, sigma, input, M, dt, *constants(vec)) on
     the live lanes' bare states at tick k, constants formed anew only where
     vec changes: after an update and when lanes leave. At a measurement tick
-    update(estimate, measurement, *params) comes first. A lane stops before
-    its tick `ends`, or at a tick whose update raised NumericalFailure.
+    one call update(rot, vec, sigma, measurement, *params), returning the
+    bare states, comes first. A lane stops before its tick `ends`, or at a
+    tick whose update raised NumericalFailure.
     Returns the states (rot, vec, sigma), (..., n + 1, ...) stacks holding
     each lane's at rows 0.. it reached and NaN after, sigma None unless
     kept, and `ends` lowered to each lane's failing tick. A lane's result
@@ -153,11 +155,11 @@ def _lockstep(step, constants, update, dt: float, inputs: np.ndarray, every: int
             at, stop, consts = (live,), int(flat[live].min()), constants(vec)
         if k and not k % every:
             try:
-                est = update(FilterEstimate(GroupElement(rot, vec), sigma), measured[(*at, k // every - 1)], *params)
+                rot, vec, sigma = update(rot, vec, sigma, measured[(*at, k // every - 1)], *params)
             except NumericalFailure as exc:
                 flat[live[exc.lanes]] = stop = k
                 continue
-            rot, vec, sigma, consts = est.X.rot, est.X.vec, est.Sigma, constants(est.X.vec)
+            consts = constants(vec)
         row = (*at, k)
         rots[row], vecs[row] = rot, vec
         if sigmas is not None:
@@ -238,14 +240,16 @@ def _run_lanes(cfg: ScenarioConfig, indices: range, keep_series: bool) -> list[R
     # overflow inside a diverging filter is an expected, handled outcome
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         gains = cfg.stage1_gains()
-        states1, ends = _lockstep(stage1.predict_step, stage1.predict_constants, stage1.update, dt, gyro, star_every, star,
+        states1, ends = _lockstep(stage1.predict_step, stage1.predict_constants, stage1.update_step, dt, gyro, star_every, star,
                                   np.full(lead, n + 1), keep_series, gains, gains, 1.0 / cfg.star_rate_hz)
+        if not keep_series:  # run_single reads no state of a diverged run, so those that failed in stage 1 leave stage 2's pass at tick 0
+            ends = np.where(ends <= n, 0, ends)
         if cfg.input_mode == "unbiased_cascade":
             # in place: stage 1 has read the gyro for the last time
             rot1, vec1, _ = states1
             gyro -= recover_state(GroupElement(rot1[..., 1:, :, :], vec1[..., 1:, :])).vec
         gains = cfg.stage2_gains()
-        states2, ends = _lockstep(stage2.predict_step, stage2.predict_constants, stage2.update, dt, gyro, feature_every, features,
+        states2, ends = _lockstep(stage2.predict_step, stage2.predict_constants, stage2.update_step, dt, gyro, feature_every, features,
                                   ends, keep_series, gains, cfg.ref_dirs(), gains, 1.0 / cfg.feature_rate_hz)
     del streams, gyro, star, features
     return [

@@ -68,3 +68,8 @@ def predict_step(rot, vec, sigma, gyro, m, dt):
 def update(est: FilterEstimate, y: np.ndarray, gains: FilterGains, dt_update: float) -> FilterEstimate:
     """Apply one star-tracker measurement, iterated over the update interval."""
     return filter_base.update(est, y, STAR_DIRS, gains, dt_update, "stage-1 update")
+
+
+def update_step(rot, vec, sigma, y, gains, dt_update):
+    """update on the bare states (rot, vec, sigma) and the measurement array y."""
+    return filter_base.update_arrays(rot, vec, sigma, y, STAR_DIRS, gains, dt_update, "stage-1 update")

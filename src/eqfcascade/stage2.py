@@ -92,3 +92,8 @@ def update(
 ) -> FilterEstimate:
     """Apply one feature measurement, iterated over the update interval."""
     return filter_base.update(est, y, ref_dirs, gains, dt_update, "stage-2 update")
+
+
+def update_step(rot, vec, sigma, y, ref_dirs, gains, dt_update):
+    """update on the bare states (rot, vec, sigma) and the arrays y and ref_dirs."""
+    return filter_base.update_arrays(rot, vec, sigma, y, ref_dirs, gains, dt_update, "stage-2 update")

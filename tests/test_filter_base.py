@@ -48,7 +48,7 @@ from eqfcascade.geom import (
     renormalize_rotation,
     wedge,
 )
-from eqfcascade import filter_base, geom, stage1
+from eqfcascade import filter_base, geom, stage1, stage2
 from eqfcascade.cascade import ErrorVector, lyapunov_value
 from eqfcascade.config import ScenarioConfig
 from eqfcascade.models import STAR_DIRS, TruthWorld, measure_features, measure_star_tracker, observed_directions
@@ -278,7 +278,7 @@ def test_kernel_steps_equal_their_reference_forms_bit_for_bit(seed, log_dt, n):
 
     x = GroupElement(random_rotation(rng), rng.normal(size=3))
     gain = rng.normal(size=6)
-    got = apply_correction(x, gain, dt)
+    got = GroupElement(*apply_correction(x.rot, x.vec, gain, dt))
     ref = GroupElement(exp_so3(gain[:3] * dt) @ x.rot, x.vec + dt * (cross3(gain[:3], x.vec) - gain[3:]))
     np.testing.assert_array_equal(got.rot, ref.rot)
     np.testing.assert_array_equal(got.vec, ref.vec)
@@ -312,7 +312,7 @@ def test_short_correction_stacks_equal_the_array_expressions_bit_for_bit(n, seed
     w = gain[:, :3]
     ref = GroupElement(_exp_so3_rows(w * tau) @ x.rot, x.vec + tau * (cross3(w, x.vec) - gain[:, 3:]))
     with np.errstate(invalid="ignore"):
-        got = apply_correction(x, gain, tau)
+        got = GroupElement(*apply_correction(x.rot, x.vec, gain, tau))
     assert got.rot.shape == (n, 3, 3) and got.vec.shape == (n, 3)
     assert got.rot.tobytes() == ref.rot.tobytes() and got.vec.tobytes() == ref.vec.tobytes()
     if n > 2:
@@ -335,7 +335,7 @@ def test_corrections_read_as_floats_up_to_the_short_stack(n, monkeypatch):
     monkeypatch.setattr(filter_base, "_exp_so3_entries", counting)
     monkeypatch.setattr(geom, "_exp_so3_entries", counting)
     with np.errstate(invalid="ignore"):
-        apply_correction(x, gain, 0.05)
+        apply_correction(x.rot, x.vec, gain, 0.05)
     assert len(calls) == (1 if n is None else n if n <= filter_base._SHORT_STACK else 0)
 
 
@@ -413,8 +413,8 @@ def test_kernel_on_lane_stacks_equals_the_per_lane_calls(kinds, seed, k, log_tau
     est = FilterEstimate(x, sigma)
 
     # unit-time corrections, so that each lane turns by its own angle
-    out = apply_correction(x, gain, 1.0)
-    assert all(_same(_lane(out, i), apply_correction(_lane(x, i), gain[i], 1.0)) for i in lanes)
+    out = GroupElement(*apply_correction(x.rot, x.vec, gain, 1.0))
+    assert all(_same(_lane(out, i), GroupElement(*apply_correction(x.rot[i], x.vec[i], gain[i], 1.0))) for i in lanes)
 
     out = renormalize_rotation(x.rot)
     assert all(_same(out[i], renormalize_rotation(x.rot[i])) for i in lanes)
@@ -470,18 +470,25 @@ def test_one_failing_lane_fails_the_stack_and_only_itself(n_lanes, seed):
     assert failure.value.lanes.tolist() == alone == [bad]
 
 
-def test_an_update_names_every_failing_lane_at_once(monkeypatch):
-    # zero residuals leave every lane at the identity, so with N = I/8 and
-    # tau = 1 the information is 16 I at each sub-step. Lane a's attitude
-    # block goes -I/32 -> -I/16, exactly, and its system is singular at
-    # sub-step 2 of 3; lane b's vector block is not positive definite and
-    # its systems are regular. One failure after the last sub-step names both.
+def _failing_lanes_update():
+    """Eight identity lanes, two of which (a, b) fail in one stage-1 update
+    of three sub-steps: the estimate, the measurements, the gains and (a, b)."""
     rng = np.random.default_rng(5)
     a, b = 2, 6
     sigma = np.stack([random_spd(rng, 6, 1e-2, 10.0) for _ in range(8)])
     sigma[a], sigma[b] = np.diag([-1 / 32] * 3 + [1.0] * 3), np.diag([1.0] * 5 + [-1.0])
     est = FilterEstimate(GroupElement(np.tile(np.eye(3), (8, 1, 1)), np.zeros((8, 3))), sigma)
     gains = FilterGains.identity_scaled(9, output_gain=0.125, update_iterations=3)
+    return est, np.tile(STAR_DIRS, (8, 1, 1)), gains, [a, b]
+
+
+def test_an_update_names_every_failing_lane_at_once(monkeypatch):
+    # zero residuals leave every lane at the identity, so with N = I/8 and
+    # tau = 1 the information is 16 I at each sub-step. Lane a's attitude
+    # block goes -I/32 -> -I/16, exactly, and its system is singular at
+    # sub-step 2 of 3; lane b's vector block is not positive definite and
+    # its systems are regular. One failure after the last sub-step names both.
+    est, y, gains, (a, b) = _failing_lanes_update()
     nan_lanes, correct = [], filter_base.riccati_correct
 
     def recording(*args):
@@ -491,9 +498,41 @@ def test_an_update_names_every_failing_lane_at_once(monkeypatch):
 
     monkeypatch.setattr(filter_base, "riccati_correct", recording)
     with pytest.raises(NumericalFailure, match="^Riccati state not positive definite after stage-1 update$") as failure:
-        stage1.update(est, np.tile(STAR_DIRS, (8, 1, 1)), gains, 3.0)
+        stage1.update(est, y, gains, 3.0)
     assert nan_lanes == [[], [a], [a]]
     assert failure.value.lanes.tolist() == [a, b]
+
+
+def test_an_update_step_names_the_same_failing_lanes():
+    # the bare-array update step leaves the error state to its caller, as a
+    # stage pass does
+    est, y, gains, lanes = _failing_lanes_update()
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure, match="^Riccati state not positive definite after stage-1 update$") as failure:
+        stage1.update_step(est.X.rot, est.X.vec, est.Sigma, y, gains, 3.0)
+    assert failure.value.lanes.tolist() == lanes
+
+
+@pytest.mark.parametrize("stage", [stage1, stage2], ids=["stage1", "stage2"])
+@pytest.mark.parametrize("lanes", [(), (1,), (8,), (20,)], ids=["one", "lanes1", "lanes8", "lanes20"])
+def test_update_step_equals_update_bit_for_bit(stage, lanes):
+    # the bare-array update step that a stage pass calls, on one run's states
+    # and on stacks whose corrections take the float path (up to
+    # _SHORT_STACK lanes) or the array path (20 lanes), drifted lanes among
+    # them, returns the estimate update's arrays
+    n, k = lanes[0] if lanes else 1, 3 if stage is stage1 else 2
+    rng = np.random.default_rng(n)
+    x, sigma, _, dirs, y = _lane_stack([LANE_KINDS[i % len(LANE_KINDS)] for i in range(n)], rng, k)
+    states = (x.rot, x.vec, sigma) if lanes else (x.rot[0], x.vec[0], sigma[0])
+    y = y if lanes else y[0]
+    cfg = ScenarioConfig(seed=2026)
+    if stage is stage1:
+        params = cfg.stage1_gains(), 1.0 / cfg.star_rate_hz
+    else:
+        params = dirs, cfg.stage2_gains(), 1.0 / cfg.feature_rate_hz
+    want = stage.update(FilterEstimate(GroupElement(*states[:2]), states[2]), y, *params)
+    got = stage.update_step(*states, y, *params)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in (want.X.rot, want.X.vec, want.Sigma)]
+    assert want.X.rot.shape == lanes + (3, 3)
 
 
 def test_renormalize_projects_drifted_lanes_beside_a_non_finite_one():
@@ -569,6 +608,23 @@ def test_a_failing_lane_is_named(lanes):
             require_spd(failing, "test")
         assert failure.value.lanes.tolist() == [n - 1]
     require_spd(sigma, "test")
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("entry", [(4, 1), (3, 3)], ids=["off_diagonal", "diagonal"])
+def test_require_spd_names_the_lanes_that_the_full_check_rejects(value, entry):
+    # the factor's finiteness alone decides: a non-finite entry of a
+    # symmetric Sigma (one lane), a negative eigenvalue (another) and SPD
+    # lanes around them, each lane judged as _is_spd judges it alone
+    rng = np.random.default_rng(8)
+    sigma = np.stack([random_spd(rng, 6, 1e-2, 10.0) for _ in range(8)])
+    sigma[2][entry], sigma[2][entry[::-1]] = value, value
+    # lane 5: a rank-one downdate past zero along Sigma's first column leaves it indefinite
+    sigma[5] = symmetrize(sigma[5] - 20.0 * np.outer(sigma[5][0], sigma[5][0]) / sigma[5][0, 0])
+    assert sigma.tobytes() == sigma.mT.copy().tobytes()
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure) as failure:
+        require_spd(sigma, "test")
+    assert failure.value.lanes.tolist() == [j for j in range(8) if not _is_spd(sigma[j])] == [2, 5]
 
 
 @pytest.mark.parametrize("lanes", [(), (3,)])

@@ -65,6 +65,21 @@ class TestWedgeVee:
         x, y = rng.normal(size=(2,) + shape + (3,))
         np.testing.assert_allclose(np.matvec(wedge(x), y), geom.cross3(x, y), rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("shape", [(1,), (8,), (4, 5)])
+    def test_stacked_cross3_equals_the_per_row_float_path_bit_for_bit(self, shape):
+        # the six products at once and their halves' difference round as the
+        # float path's, and a signed zero, an inf or a NaN comes out alike
+        rng = np.random.default_rng(len(shape))
+        values = np.array([0.0, -0.0, 1.5, -2.25, 3.0, 1e308, -1e-310, np.inf, -np.inf, np.nan])
+        a, b = rng.choice(values, size=(2,) + shape + (3,))
+        a.reshape(-1, 3)[0], b.reshape(-1, 3)[0] = rng.normal(size=3), rng.normal(size=3)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for x, y in ((a, b), (a.reshape(-1, 3)[0], b), (a, b.reshape(-1, 3)[0])):
+                got = geom.cross3(x, y)
+                rows = np.broadcast_arrays(x, y)
+                want = np.array([geom.cross3(xi, yi) for xi, yi in zip(rows[0].reshape(-1, 3), rows[1].reshape(-1, 3))])
+                assert got.shape == shape + (3,) and got.tobytes() == want.tobytes()
+
     def test_wedge_map_is_built_from_the_single_calls(self):
         assert geom._WEDGE.tobytes() == np.stack([wedge(e).ravel() for e in np.eye(3)]).tobytes()
         assert wedge(np.zeros((0, 3))).shape == (0, 3, 3)

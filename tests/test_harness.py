@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -177,12 +176,12 @@ class TestRunSingle:
         # NumericalFailure: runs 0-3 in a stage-1 update, and run 8 with
         # sigma0 = 100 in a stage-2 update; the rows before it keep their
         # values, and only V can be non-finite there. A pass calls its
-        # stage's update at its measurement ticks only, so a stage's c-th
-        # call is at tick c * every
+        # stage's update step at its measurement ticks only, so a stage's
+        # c-th call is at tick c * every
         calls, failures, every = {}, [], {}
 
         def recording(stage):
-            update = stage.update
+            update = stage.update_step
 
             def recording_update(*args):
                 calls[stage] = calls.get(stage, 0) + 1
@@ -192,7 +191,7 @@ class TestRunSingle:
                     failures.append((calls[stage] * every[stage], str(exc)))
                     raise
 
-            monkeypatch.setattr(stage, "update", recording_update)
+            monkeypatch.setattr(stage, "update_step", recording_update)
 
         recording(stage1)
         recording(stage2)
@@ -221,23 +220,22 @@ class TestRunSingle:
         # at tick 100, and the predict step after it starts from the true state
         cfg = ScenarioConfig(seed=5, duration_s=2.0)
         ref = run_single(cfg, keep_series=True)
-        tick, update, predict_step, calls, true_state = 100, stage1.update, stage1.predict_step, [], {}
+        tick, update, predict_step, calls, true_state = 100, stage1.update_step, stage1.predict_step, [], {}
 
         def update_with_singular_row(*args):
             calls.append(None)
-            out = update(*args)
+            rot, vec, sigma = update(*args)
             if len(calls) * cfg.star_every() != tick:
-                return out
-            true_state["s1"] = out
-            return replace(out, Sigma=np.zeros((6, 6)))
+                return rot, vec, sigma
+            true_state["s1"] = rot, vec, sigma
+            return rot, vec, np.zeros((6, 6))
 
         def step_from_true_state(rot, vec, sigma, *args):
             if "s1" in true_state:
-                s1 = true_state.pop("s1")
-                rot, vec, sigma = s1.X.rot, s1.X.vec, s1.Sigma
+                rot, vec, sigma = true_state.pop("s1")
             return predict_step(rot, vec, sigma, *args)
 
-        monkeypatch.setattr(stage1, "update", update_with_singular_row)
+        monkeypatch.setattr(stage1, "update_step", update_with_singular_row)
         monkeypatch.setattr(stage1, "predict_step", step_from_true_state)
         m = run_single(cfg, keep_series=True)
         v1 = SERIES_COLUMNS.index("V1")
@@ -271,11 +269,11 @@ class TestRunSingle:
     @pytest.mark.parametrize("error", [ValueError, np.linalg.LinAlgError])
     def test_value_error_inside_step_is_raised_not_diverged(self, monkeypatch, error, stage):
         # only numerical failure counts as divergence; a programming error
-        # in either stage's update must surface
+        # in either stage's update step must surface
         def broken_update(*args, **kwargs):
             raise error("not a numerical failure")
 
-        monkeypatch.setattr(stage, "update", broken_update)
+        monkeypatch.setattr(stage, "update_step", broken_update)
         with pytest.raises(error, match="not a numerical failure"):
             run_single(ScenarioConfig(seed=0, duration_s=1.0))
 
@@ -423,6 +421,19 @@ class TestLanes:
             assert m.series is None and m.diverged == ref.diverged
             assert np.array(_metric_values(m)).tobytes() == np.array(_metric_values(ref)).tobytes()
 
+    def test_runs_that_fail_in_stage_1_make_no_stage_2_step_without_series(self, monkeypatch):
+        # every run fails in a stage-1 update; without the series nothing
+        # reads a diverged run's stage-2 states, so stage 2's pass leaves
+        # each lane at tick 0 and calls neither its update step nor its
+        # predict step, and every run is still flagged diverged
+        calls = []
+        for stage in (stage1, stage2):
+            for name in ("predict_step", "update_step"):
+                monkeypatch.setattr(stage, name, lambda *args, real=getattr(stage, name), tag=(stage, name): calls.append(tag) or real(*args))
+        batch = run_batch(ScenarioConfig(seed=2026, update_iterations=1), 8)
+        assert all(m.diverged for m in batch.runs)
+        assert set(calls) == {(stage1, "predict_step"), (stage1, "update_step")}
+
     def test_worker_counts_and_lane_groups_agree(self, monkeypatch):
         cfg = ScenarioConfig(seed=2026, duration_s=2.0)
         ref = [_run_bits(m) for m in run_batch(cfg, 8, keep_series=True).runs]
@@ -543,7 +554,7 @@ class TestLanes:
     def test_the_rows_between_measurements_are_the_per_tick_predicts(self, stage, ends):
         # a pass over 13 ticks with a measurement every 4th: from each
         # measurement tick's row (the initial estimate at tick 0), the rows up
-        # to the next one, and the estimate that its update is handed, are the
+        # to the next one, and the states that its update step is handed, are the
         # chain of per-tick predict calls on those ticks' inputs and lengths,
         # bit for bit; each measurement tick's row is its update's result; the
         # one-tick interval after tick 12 writes row 13 alone; and no row from
@@ -561,8 +572,8 @@ class TestLanes:
         measured = rng.normal(size=ends.shape + (n // every, k_dirs, 3))
         dts, updates = np.diff(dt * np.arange(n + 1)).tolist(), []
 
-        def recording_update(est, *args):
-            updates.append((est, stage.update(est, *args)))
+        def recording_update(*args):
+            updates.append((args[:3], stage.update_step(*args)))
             return updates[-1][1]
 
         stacks, got_ends = harness._lockstep(stage.predict_step, stage.predict_constants, recording_update, dt, inputs, every, measured,
@@ -588,32 +599,41 @@ class TestLanes:
                     assert same(states, t)
                 else:
                     predicted, corrected = updates[t // every - 1]
-                    assert [a.tobytes() for a in states] == [a.tobytes() for a in (predicted.X.rot, predicted.X.vec, predicted.Sigma)]
-                    assert same((corrected.X.rot, corrected.X.vec, corrected.Sigma), t)
+                    assert [a.tobytes() for a in states] == [a.tobytes() for a in predicted]
+                    assert same(corrected, t)
         for stack in stacks:
             for j in np.ndindex(ends.shape):
                 assert np.isfinite(stack[j][: min(ends[j], n + 1)]).all() and np.isnan(stack[j][ends[j] :]).all()
 
     @pytest.mark.parametrize(
-        "overrides, n_runs", [({}, 1), ({}, 8), ({"update_iterations": 1, "sigma0": 100.0}, 9)], ids=["one", "group8", "stage2_leaves"]
+        "overrides, n_runs, keep_series",
+        [
+            ({}, 1, False),
+            ({}, 8, False),
+            ({"update_iterations": 1, "sigma0": 100.0}, 9, True),
+            ({"star_rate_hz": 4.0, "update_iterations": 1, "sigma0": 10.0}, 12, False),
+        ],
+        ids=["one", "group8", "stage2_leaves", "stage1_failed_leave_stage2"],
     )
-    def test_the_states_handed_to_the_kernel_are_in_c_order(self, monkeypatch, overrides, n_runs):
+    def test_the_states_handed_to_the_kernel_are_in_c_order(self, monkeypatch, overrides, n_runs, keep_series):
         # the kernel's bits depend on the states' memory layout as well as
         # their values (an order-'K' copy of the initial states, lane axis
         # innermost, changes 4 of 8 lanes), so every state that a pass hands
-        # to a predict step or an update is C-contiguous, also once lanes
-        # have left (with sigma0 = 100, lane 8 of 9 leaves in stage 2)
+        # to a predict step or an update step is C-contiguous, also once
+        # lanes have left: with sigma0 = 100 and the series kept, lane 8 of 9
+        # leaves in stage 2; without the series, the 11 runs of 12 that fail
+        # in stage 1 leave stage 2's pass at tick 0
         seen = []
         for stage in (stage1, stage2):
-            step, update = stage.predict_step, stage.update
-            monkeypatch.setattr(stage, "predict_step", lambda *args, step=step: seen.append(args[:3]) or step(*args))
-            monkeypatch.setattr(stage, "update", lambda est, *args, update=update: seen.append((est.X.rot, est.X.vec, est.Sigma))
-                                or update(est, *args))
-        batch = run_batch(ScenarioConfig(seed=2026, **overrides), n_runs)
-        assert {a.shape[:-2] for a, _, _ in seen} >= ({()} if n_runs == 1 else {(n_runs,)})
-        if n_runs == 9:
-            assert batch.runs[8].diverged and any(a.ndim == 3 and len(a) < n_runs for a, _, _ in seen)
-        assert all(a.flags.c_contiguous for states in seen for a in states)
+            for name in ("predict_step", "update_step"):
+                monkeypatch.setattr(stage, name, lambda *args, real=getattr(stage, name), name=name: seen.append((name, args[:3]))
+                                    or real(*args))
+        batch = run_batch(ScenarioConfig(seed=2026, **overrides), n_runs, keep_series=keep_series)
+        assert {name for name, _ in seen} == {"predict_step", "update_step"}
+        assert {a.shape[:-2] for _, (a, _, _) in seen} >= ({()} if n_runs == 1 else {(n_runs,)})
+        if n_runs > 8:
+            assert batch.runs[8].diverged and any(a.ndim == 3 and len(a) < n_runs for _, (a, _, _) in seen)
+        assert all(a.flags.c_contiguous for _, states in seen for a in states)
 
     def test_lanes_that_stop_between_measurements_equal_their_one_lane_passes(self):
         # stage 2's pass with lanes leaving at ticks 37 and 55, inside its
@@ -630,8 +650,8 @@ class TestLanes:
         args = gains, cfg.ref_dirs(), gains, 1.0 / cfg.feature_rate_hz
 
         def stage2_pass(gyro, features, ends):
-            return harness._lockstep(stage2.predict_step, stage2.predict_constants, stage2.update, dt, gyro, every, features, ends, True,
-                                     *args)
+            return harness._lockstep(stage2.predict_step, stage2.predict_constants, stage2.update_step, dt, gyro, every, features, ends,
+                                     True, *args)
 
         states, got_ends = stage2_pass(streams.gyro, streams.features, ends)
         assert got_ends.tolist() == ends.tolist()
@@ -644,30 +664,31 @@ class TestLanes:
                 assert one[:end].tobytes() == whole[:end].tobytes() and np.isnan(one[end:]).all()
 
     def test_value_error_inside_a_lane_tick_propagates(self, monkeypatch):
-        # a programming error in the update over all lanes is raised from run_batch
-        def broken_update(est, *args):
+        # a programming error in the update step over all lanes is raised from run_batch
+        def broken_update(*args):
             raise ValueError("not a numerical failure")
 
-        monkeypatch.setattr(stage2, "update", broken_update)
+        monkeypatch.setattr(stage2, "update_step", broken_update)
         with pytest.raises(ValueError, match="not a numerical failure"):
             run_batch(ScenarioConfig(seed=0, duration_s=1.0), 3)
 
     @pytest.mark.parametrize("sigma0, n_runs", [(1.0, 8), (100.0, 9)], ids=["stage1_fails", "stage2_fails_too"])
     def test_a_failing_tick_is_called_once_more_and_never_per_lane(self, monkeypatch, sigma0, n_runs):
-        # the failure names its lanes: each pass calls its update once per
+        # the failure names its lanes: each pass calls its update step once per
         # measurement tick it advances, and once more per tick that fails,
-        # always on the stack
-        # (with sigma0 = 100, lane 8 fails in its stage-2 update at tick 50)
+        # always on the stack (with the series kept, stage 2's pass runs each
+        # lane up to its stage-1 end, and with sigma0 = 100 lane 8 fails in its
+        # stage-2 update at tick 50)
         passes, real_lockstep, ndims = [], harness._lockstep, []
         monkeypatch.setattr(harness, "_lockstep", lambda *args: passes.append(real_lockstep(*args)) or passes[-1])
         for stage in (stage1, stage2):
-            monkeypatch.setattr(stage, "update", lambda est, *args, update=stage.update: ndims.append(est.Sigma.ndim) or update(est, *args))
+            monkeypatch.setattr(stage, "update_step", lambda *args, update=stage.update_step: ndims.append(args[2].ndim) or update(*args))
         cfg = ScenarioConfig(seed=2026, update_iterations=1, sigma0=sigma0)
-        run_batch(cfg, n_runs)
+        run_batch(cfg, n_runs, keep_series=True)
         (_, ends1), (_, ends2) = passes
         failing = len(set(ends1[ends1 <= cfg.steps_per_run()])) + len(set(ends2[ends2 < ends1]))
         assert failing > 2 and set(ndims) == {3}
-        # the update is called at the measurement ticks only
+        # the update step is called at the measurement ticks only
         advanced = (ends1.max() - 1) // cfg.star_every() + (ends2.max() - 1) // cfg.feature_every()
         assert len(ndims) == advanced + failing
 
