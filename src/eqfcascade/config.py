@@ -8,6 +8,7 @@ field has a default, so an empty file is a valid configuration.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import get_args, get_origin, get_type_hints
 
@@ -66,6 +67,8 @@ class ScenarioConfig:
     def __post_init__(self):
         for name, hint in _FIELD_TYPES.items():
             value = getattr(self, name)
+            if not _holds(hint, value):
+                raise ConfigError(f"{name} must be {_KIND_WORDS.get(hint, 'a number')}")
             if hint not in (int, str) and value is not None and not np.all(np.isfinite(value)):
                 raise ConfigError(f"{name} must be finite")
         for name in _POSITIVE:
@@ -179,6 +182,25 @@ class ScenarioConfig:
 
 _FIELD_TYPES = get_type_hints(ScenarioConfig)
 _COUNT_WORDS = {2: "two numbers", 3: "three numbers"}
+_KIND_WORDS = {int: "an integer", str: "a string"} | {
+    hint: f"a tuple of {_COUNT_WORDS[len(get_args(hint))]}" for hint in _FIELD_TYPES.values() if get_origin(hint) is tuple
+}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _holds(hint, value) -> bool:
+    """Whether value is of the field type hint, as write_config can write it and read_config read it
+    back: a bool is no number, an int field takes integers (numpy's too) and a tuple field tuples."""
+    if hint is int:
+        return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if hint is str:
+        return isinstance(value, str)
+    if get_origin(hint) is tuple:
+        return isinstance(value, tuple) and len(value) == len(get_args(hint)) and all(map(_is_number, value))
+    return _is_number(value) or (value is None and hint == float | None)
 
 
 def _parse_value(key: str, raw: str, line_no: int):
@@ -228,9 +250,9 @@ def _format_value(value) -> str:
         return "none"
     if isinstance(value, tuple):
         return " ".join(repr(float(v)) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    if isinstance(value, (str, numbers.Integral)):
+        return str(value)
+    return repr(float(value))  # numpy's floats too, whose repr names their type
 
 
 def write_config(cfg: ScenarioConfig, path) -> None:

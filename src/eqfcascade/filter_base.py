@@ -1,9 +1,9 @@
 """The EqF kernel shared by both filter stages: estimate/gain containers,
 the state action and origin, the output model and A-matrix form, the
-Riccati steps, and one predict and one update that take a stage's lift,
-A-matrix rate vector and known directions as arguments, on estimates or on
-bare arrays (predict_arrays, update_arrays: the stages' steps, which the
-stage passes call once a tick and once a measurement).
+Riccati steps, and one predict and one update (predict_step, update_step)
+on the bare states (rot, vec, sigma), given a stage's lift, A-matrix rate
+block and known directions; they return the bare states. on_estimate runs
+a stage's step on a FilterEstimate.
 
 Both stages keep a group element (attitude estimate plus a transported
 3-vector) and a 6x6 Riccati matrix, act on their SO(3) x R^3 state
@@ -19,12 +19,13 @@ axis ((R, 3, 3), (R, 3), (R, 6, 6); inputs and measurements likewise), and
 gives each lane the one-run result bit for bit. A single gain or vector,
 and up to geom._SHORT_STACK gains, take a float path inside the same
 functions, as exp_so3 does. LAPACK writes NaN over each lane whose solve or
-Cholesky factorization fails, and update's NumericalFailure names those
-lanes. Only update re-projects the attitude onto SO(3), once a measurement.
+Cholesky factorization fails, and update_step's NumericalFailure names them.
+Only update_step re-projects the attitude onto SO(3), once a measurement.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,7 +33,7 @@ import numpy as np
 # np.linalg.solve's and np.linalg.cholesky's LAPACK gufuncs, private: a numpy that moves them fails this import
 from numpy.linalg import _umath_linalg
 
-from .geom import _SHORT_STACK, _WEDGE, AlgebraElement, GroupElement, StageState, _exp_so3_entries, cross3, exp_so3, identity_element, renormalize_rotation, wedge
+from .geom import _SHORT_STACK, _WEDGE, GroupElement, StageState, _exp_so3_entries, cross3, exp_so3, identity_element, renormalize_rotation, wedge
 
 ORIGIN = StageState(np.eye(3), np.zeros(3))
 _EYE3 = np.eye(3)
@@ -61,8 +62,9 @@ class FilterGains:
     update_iterations: int = 20
 
     def __post_init__(self):
-        if self.update_iterations < 1:
-            raise ValueError("update_iterations must be >= 1")
+        n = self.update_iterations
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"update_iterations must be an integer >= 1, got {n!r}")
         for name, mat in (("M", self.M), ("N", self.N), ("Sigma0", self.Sigma0)):
             if not _is_spd(np.asarray(mat)):
                 raise ValueError(f"gain matrix {name} must be symmetric positive definite")
@@ -243,31 +245,26 @@ def c_matrix(y, y_hat, rot_hat: np.ndarray) -> np.ndarray:
     return c
 
 
-def predict(est: FilterEstimate, lam: AlgebraElement, w: np.ndarray, gains: FilterGains, dt: float) -> FilterEstimate:
-    """Propagate the group state along the lift lam and the Riccati state
-    with the error-flow matrix a_matrix(w), both by Euler; a lift whose vector
-    part is None leaves the group's vector part unchanged. Attitude drift past
-    ORTHO_TOL is projected at the next update, not here (renormalize_rotation)."""
-    rot, vec, sigma = predict_arrays(est.X.rot, est.X.vec, est.Sigma, lam.rot, lam.vec, wedge(w), gains.M, dt)
+def on_estimate(step, est: FilterEstimate, *args) -> FilterEstimate:
+    """A stage's predict_step or update_step on an estimate's states, re-wrapped as an
+    estimate; a failed LAPACK call's NaN, and what it reaches, stays in its lane."""
+    with np.errstate(invalid="ignore"):
+        rot, vec, sigma = step(est.X.rot, est.X.vec, est.Sigma, *args)
     return FilterEstimate(GroupElement(rot, vec), sigma)
 
 
-def predict_arrays(rot, vec, sigma, lam_rot, lam_vec, w_hat, m, dt):
-    """predict on the bare states (rot, vec, sigma), given w_hat = wedge(w) and M; vec stays for a lam_vec of None."""
+def predict_step(rot, vec, sigma, lam_rot, lam_vec, w_hat, m, dt):
+    """Propagate the group state (rot, vec) along the lift (lam_rot, lam_vec) and the Riccati
+    state sigma with the error-flow matrix a_matrix(w), given its block w_hat = wedge(w) and M,
+    both by Euler; a lam_vec of None leaves vec as it is. Attitude drift past ORTHO_TOL is
+    projected at the next update, not here (renormalize_rotation)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     vec = vec if lam_vec is None else vec + dt * np.matvec(rot, lam_vec)
     return rot @ exp_so3(dt * lam_rot), vec, riccati_predict(sigma, w_hat, m, dt)
 
 
-def update(est: FilterEstimate, y, dirs, gains: FilterGains, dt_update: float, where: str) -> FilterEstimate:
-    """update_arrays on an estimate; a failed LAPACK call's NaN, and what it reaches, stays in its lane."""
-    with np.errstate(invalid="ignore"):
-        rot, vec, sigma = update_arrays(est.X.rot, est.X.vec, est.Sigma, np.asarray(y), np.asarray(dirs), gains, dt_update, where)
-    return FilterEstimate(GroupElement(rot, vec), sigma)
-
-
-def update_arrays(rot, vec, sigma, y, dirs, gains: FilterGains, dt_update: float, where: str):
+def update_step(rot, vec, sigma, y, dirs, gains: FilterGains, dt_update: float, where: str):
     """Apply one measurement y of the directions dirs ((k, 3) rows) to the bare states (rot, vec, sigma),
     iterated over the update interval, under the caller's np.errstate (a failed LAPACK call reads NaN).
 

@@ -225,7 +225,7 @@ def project_so3(m: np.ndarray) -> np.ndarray:
 def renormalize_rotation(r: np.ndarray) -> np.ndarray:
     """Re-project onto SO(3) once orthonormality drift exceeds ORTHO_TOL; row by row for a stack.
 
-    filter_base.update is the one caller, once per measurement: drift grows
+    filter_base.update_step is the one caller, once per measurement: drift grows
     1e-16 to 1.3e-15 a rotation product, and 15 s runs at seed 2026 read at
     most 2.1e-14. Drift that predicts push past ORTHO_TOL is projected at the next update.
     """

@@ -48,9 +48,8 @@ def a_matrix(x: GroupElement, gyro: np.ndarray) -> np.ndarray:
 
 
 def predict(est: FilterEstimate, gyro: np.ndarray, gains: FilterGains, dt: float) -> FilterEstimate:
-    """Propagate the group state along the lift and the Riccati state by Euler (predict_step)."""
-    rot, vec, sigma = predict_step(est.X.rot, est.X.vec, est.Sigma, gyro, gains.M, dt)
-    return FilterEstimate(GroupElement(rot, vec), sigma)
+    """Propagate the group state along the lift and the Riccati state by Euler: predict_step on the estimate."""
+    return filter_base.on_estimate(predict_step, est, gyro, gains.M, dt)
 
 
 def predict_constants(vec) -> tuple:
@@ -59,17 +58,18 @@ def predict_constants(vec) -> tuple:
 
 
 def predict_step(rot, vec, sigma, gyro, m, dt):
-    """predict on the bare states (rot, vec, sigma), given the state gain M; the lift is
-    lift(recover_state(X), gyro), recover_state's bias being X.rot^T (ORIGIN.vec - X.vec)."""
+    """The kernel's predict_step on the bare states (rot, vec, sigma), given the state gain M; the lift
+    is lift(recover_state(X), gyro), recover_state's bias being X.rot^T (ORIGIN.vec - X.vec)."""
     bias = np.matvec(rot.mT, ORIGIN.vec - vec)
-    return filter_base.predict_arrays(rot, vec, sigma, gyro - bias, cross3(bias, gyro), wedge(a_rate(rot, vec, gyro)), m, dt)
+    return filter_base.predict_step(rot, vec, sigma, gyro - bias, cross3(bias, gyro), wedge(a_rate(rot, vec, gyro)), m, dt)
 
 
-def update(est: FilterEstimate, y: np.ndarray, gains: FilterGains, dt_update: float) -> FilterEstimate:
-    """Apply one star-tracker measurement, iterated over the update interval."""
-    return filter_base.update(est, y, STAR_DIRS, gains, dt_update, "stage-1 update")
+def update(est: FilterEstimate, y, gains: FilterGains, dt_update: float) -> FilterEstimate:
+    """Apply one star-tracker measurement (rows, or a tuple of them), iterated over the
+    update interval: update_step on the estimate."""
+    return filter_base.on_estimate(update_step, est, np.asarray(y), gains, dt_update)
 
 
 def update_step(rot, vec, sigma, y, gains, dt_update):
-    """update on the bare states (rot, vec, sigma) and the measurement array y."""
-    return filter_base.update_arrays(rot, vec, sigma, y, STAR_DIRS, gains, dt_update, "stage-1 update")
+    """The kernel's update_step on the bare states (rot, vec, sigma) and the measurement array y."""
+    return filter_base.update_step(rot, vec, sigma, y, STAR_DIRS, gains, dt_update, "stage-1 update")

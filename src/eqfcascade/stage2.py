@@ -65,10 +65,8 @@ def predict(est: FilterEstimate, rate: np.ndarray, gains: FilterGains, dt: float
     """Propagate with the physical input: the lift at v = w = 0 is
     (u - omega, 0), handed to the kernel as (u - omega, None), which leaves
     X.vec as it is. The error-flow matrix is a_matrix(est.X), passed as its
-    block wedge(X.vec). One predict_step."""
-    vec = est.X.vec
-    rot, _, sigma = predict_step(est.X.rot, vec, est.Sigma, rate, gains.M, dt, *predict_constants(vec))
-    return FilterEstimate(GroupElement(rot, vec), sigma)
+    block wedge(X.vec). predict_step on the estimate."""
+    return filter_base.on_estimate(predict_step, est, rate, gains.M, dt, *predict_constants(est.X.vec))
 
 
 def predict_constants(vec) -> tuple:
@@ -78,22 +76,17 @@ def predict_constants(vec) -> tuple:
 
 
 def predict_step(rot, vec, sigma, rate, m, dt, neg_vec, w_hat):
-    """predict on the bare states (rot, vec, sigma), given the state gain M and
+    """The kernel's predict_step on the bare states (rot, vec, sigma), given the state gain M and
     predict_constants(vec); the returned vec is vec."""
-    return filter_base.predict_arrays(rot, vec, sigma, rate - np.matvec(rot.mT, neg_vec), None, w_hat, m, dt)
+    return filter_base.predict_step(rot, vec, sigma, rate - np.matvec(rot.mT, neg_vec), None, w_hat, m, dt)
 
 
-def update(
-    est: FilterEstimate,
-    y: np.ndarray,
-    ref_dirs: np.ndarray,
-    gains: FilterGains,
-    dt_update: float,
-) -> FilterEstimate:
-    """Apply one feature measurement, iterated over the update interval."""
-    return filter_base.update(est, y, ref_dirs, gains, dt_update, "stage-2 update")
+def update(est: FilterEstimate, y, ref_dirs, gains: FilterGains, dt_update: float) -> FilterEstimate:
+    """Apply one feature measurement of the reference directions (rows, or tuples of them),
+    iterated over the update interval: update_step on the estimate."""
+    return filter_base.on_estimate(update_step, est, np.asarray(y), np.asarray(ref_dirs), gains, dt_update)
 
 
 def update_step(rot, vec, sigma, y, ref_dirs, gains, dt_update):
-    """update on the bare states (rot, vec, sigma) and the arrays y and ref_dirs."""
-    return filter_base.update_arrays(rot, vec, sigma, y, ref_dirs, gains, dt_update, "stage-2 update")
+    """The kernel's update_step on the bare states (rot, vec, sigma) and the arrays y and ref_dirs."""
+    return filter_base.update_step(rot, vec, sigma, y, ref_dirs, gains, dt_update, "stage-2 update")

@@ -172,6 +172,33 @@ class TestConfigFile:
             with pytest.raises(ConfigError, match=field):
                 ScenarioConfig(**{field: (0.0, 0.0, 0.0)})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("update_iterations", 2.5),  # range() would raise at the first update
+            ("seed", 1.5),  # and SeedSequence at the first run
+            ("update_iterations", 2.0),
+            ("update_iterations", True),  # written as True, which read_config rejects
+            ("seed", "3"),
+            ("duration_s", True),
+            ("attitude_init_max_deg", False),
+            ("omega_target_range_dps", [0.5, 3.0]),  # written as [0.5, 3.0]
+            ("gyro_bias_range_dps", (0.5, True)),
+            ("ref_dir_1", np.array([1.0, 0.0, 0.0])),
+            ("ref_dir_2", (0.0, 1.0)),
+            ("input_mode", None),
+        ],
+    )
+    def test_values_of_another_type_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be"):
+            ScenarioConfig(**{field: value})
+
+    def test_numpy_numbers_round_trip(self, tmp_path):
+        cfg = ScenarioConfig(seed=np.int64(5), update_iterations=np.int64(3), duration_s=np.float64(2.0), sigma0=np.float32(0.1))
+        path = tmp_path / "scenario.cfg"
+        write_config(cfg, path)
+        assert read_config(path) == cfg
+
     def test_mode_validated(self):
         with pytest.raises(ConfigError, match="input_mode"):
             ScenarioConfig(input_mode="other")

@@ -25,19 +25,18 @@ from eqfcascade.filter_base import (
     c_matrix,
     output_action,
     output_map,
-    predict,
+    predict_step,
     recover_state,
     require_spd,
     riccati_correct,
     riccati_predict,
     state_action,
     symmetrize,
-    update,
+    update_step,
 )
 from eqfcascade.geom import (
     ORTHO_TOL,
     SMALL_ANGLE,
-    AlgebraElement,
     GroupElement,
     _exp_so3_rows,
     cross3,
@@ -182,12 +181,12 @@ def test_a_lift_without_vector_part_leaves_the_vector_part_as_it_is(lanes):
     vec[..., 0] = -0.0  # a sum with a zero vector part would make it +0
     x = GroupElement(np.stack([random_rotation(rng) for _ in range(n)]).reshape(lanes + (3, 3)), vec)
     sigma = np.stack([random_spd(rng, 6, 1e-3, 10.0) for _ in range(n)]).reshape(lanes + (6, 6))
-    est, rot_rate, w = FilterEstimate(x, sigma), rng.normal(size=lanes + (3,)), rng.normal(size=lanes + (3,))
-    gains = FilterGains.identity_scaled(6)
-    got = predict(est, AlgebraElement(rot_rate, None), w, gains, 0.01)
-    zero = predict(est, AlgebraElement(rot_rate, np.zeros(lanes + (3,))), w, gains, 0.01)
-    assert got.X.vec.tobytes() == vec.tobytes()
-    assert got.X.rot.tobytes() == zero.X.rot.tobytes() and got.Sigma.tobytes() == zero.Sigma.tobytes()
+    rot_rate, w_hat = rng.normal(size=lanes + (3,)), wedge(rng.normal(size=lanes + (3,)))
+    m = FilterGains.identity_scaled(6).M
+    got = predict_step(x.rot, vec, sigma, rot_rate, None, w_hat, m, 0.01)
+    zero = predict_step(x.rot, vec, sigma, rot_rate, np.zeros(lanes + (3,)), w_hat, m, 0.01)
+    assert got[1].tobytes() == vec.tobytes()
+    assert got[0].tobytes() == zero[0].tobytes() and got[2].tobytes() == zero[2].tobytes()
 
 
 def test_directions_are_k_by_3_arrays_and_update_accepts_tuples():
@@ -205,13 +204,14 @@ def test_directions_are_k_by_3_arrays_and_update_accepts_tuples():
     ):
         assert isinstance(y, np.ndarray) and y.dtype == np.float64 and y.shape == (k, 3)
 
-    # the update reads tuples of 3-vectors as the same rows, bit for bit
+    # the stages' updates read tuples of 3-vectors as the same rows, bit for bit
     est = FilterEstimate(x, np.eye(6))
-    for stage_dirs in (STAR_DIRS, ref_dirs):
+    for stage, stage_dirs in ((stage1, STAR_DIRS), (stage2, ref_dirs)):
         gains = FilterGains.identity_scaled(3 * len(stage_dirs))
         y = observed_directions(random_rotation(rng), stage_dirs, 0.01, rng)
-        rows = update(est, y, stage_dirs, gains, 0.1, "test")
-        tuples = update(est, tuple(y), tuple(stage_dirs), gains, 0.1, "test")
+        dirs_arg, dirs_tuple = ((), ()) if stage is stage1 else ((stage_dirs,), (tuple(stage_dirs),))
+        rows = stage.update(est, y, *dirs_arg, gains, 0.1)
+        tuples = stage.update(est, tuple(y), *dirs_tuple, gains, 0.1)
         np.testing.assert_array_equal(rows.X.rot, tuples.X.rot)
         np.testing.assert_array_equal(rows.X.vec, tuples.X.vec)
         np.testing.assert_array_equal(rows.Sigma, tuples.Sigma)
@@ -350,15 +350,15 @@ LANE_KINDS = ("generic", "small", "near_pi", "drifted")
 
 
 def _lane(a, i):
-    """Lane i of a stacked estimate or group element."""
-    if isinstance(a, FilterEstimate):
-        return FilterEstimate(_lane(a.X, i), a.Sigma[i])
+    """Lane i of stacked bare states (rot, vec, sigma) or of a stacked group element."""
+    if isinstance(a, tuple):
+        return tuple(part[i] for part in a)
     return GroupElement(a.rot[i], a.vec[i])
 
 
 def _same(a, b) -> bool:
-    if isinstance(a, FilterEstimate):
-        return _same(a.X, b.X) and a.Sigma.tobytes() == b.Sigma.tobytes()
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
     if isinstance(a, GroupElement):
         return a.rot.tobytes() == b.rot.tobytes() and a.vec.tobytes() == b.vec.tobytes()
     return a.tobytes() == b.tobytes()
@@ -410,7 +410,7 @@ def test_kernel_on_lane_stacks_equals_the_per_lane_calls(kinds, seed, k, log_tau
     x, sigma, gain, dirs, y = _lane_stack(kinds, rng, k)
     lanes = range(len(kinds))
     gains = FilterGains(random_spd(rng, 6, 1e-3, 1.0), random_spd(rng, 3 * k, 1e-2, 1.0), np.eye(6), int(rng.integers(1, 5)))
-    est = FilterEstimate(x, sigma)
+    state = (x.rot, x.vec, sigma)
 
     # unit-time corrections, so that each lane turns by its own angle
     out = GroupElement(*apply_correction(x.rot, x.vec, gain, 1.0))
@@ -428,18 +428,20 @@ def test_kernel_on_lane_stacks_equals_the_per_lane_calls(kinds, seed, k, log_tau
 
     lam = GroupElement(rng.normal(size=(len(kinds), 3)), rng.normal(size=(len(kinds), 3)))
     w = rng.normal(size=(len(kinds), 3))
-    out = predict(est, lam, w, gains, tau)
-    assert all(_same(_lane(out, i), predict(_lane(est, i), _lane(lam, i), w[i], gains, tau)) for i in lanes)
+    out = predict_step(*state, lam.rot, lam.vec, wedge(w), gains.M, tau)
+    assert all(_same(_lane(out, i), predict_step(*_lane(state, i), lam.rot[i], lam.vec[i], wedge(w[i]), gains.M, tau)) for i in lanes)
 
-    # shared known directions, as stage 1's, and one set per lane
-    for lane_dirs in (dirs, np.broadcast_to(dirs, y.shape)):
-        try:
-            out = update(est, y, lane_dirs, gains, tau, "test")
-        except NumericalFailure as exc:
-            # then the lanes it names are the ones that fail alone
-            assert exc.lanes.tolist() == _failing_alone(lambda i: update(_lane(est, i), y[i], dirs, gains, tau, "test"), lanes)
-            continue
-        assert all(_same(_lane(out, i), update(_lane(est, i), y[i], dirs, gains, tau, "test")) for i in lanes)
+    # shared known directions, as stage 1's, and one set per lane; a failed
+    # LAPACK call reads NaN in its lane
+    with np.errstate(invalid="ignore"):
+        for lane_dirs in (dirs, np.broadcast_to(dirs, y.shape)):
+            try:
+                out = update_step(*state, y, lane_dirs, gains, tau, "test")
+            except NumericalFailure as exc:
+                # then the lanes it names are the ones that fail alone
+                assert exc.lanes.tolist() == _failing_alone(lambda i: update_step(*_lane(state, i), y[i], dirs, gains, tau, "test"), lanes)
+                continue
+            assert all(_same(_lane(out, i), update_step(*_lane(state, i), y[i], dirs, gains, tau, "test")) for i in lanes)
 
 
 @settings(max_examples=20, deadline=None)
@@ -463,10 +465,11 @@ def test_one_failing_lane_fails_the_stack_and_only_itself(n_lanes, seed):
 
     sigma_nan = sigma.copy()
     sigma_nan[bad, 4, 4] = np.nan
-    est, gains = FilterEstimate(x, sigma_nan), FilterGains.identity_scaled(9, update_iterations=3)
-    with pytest.raises(NumericalFailure, match="not positive definite after test") as failure:
-        update(est, y, dirs, gains, 0.1, "test")
-    alone = _failing_alone(lambda i: update(_lane(est, i), y[i], dirs, gains, 0.1, "test"), range(n_lanes))
+    state, gains = (x.rot, x.vec, sigma_nan), FilterGains.identity_scaled(9, update_iterations=3)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure, match="not positive definite after test") as failure:
+        update_step(*state, y, dirs, gains, 0.1, "test")
+    with np.errstate(invalid="ignore"):
+        alone = _failing_alone(lambda i: update_step(*_lane(state, i), y[i], dirs, gains, 0.1, "test"), range(n_lanes))
     assert failure.value.lanes.tolist() == alone == [bad]
 
 
@@ -515,10 +518,10 @@ def test_an_update_step_names_the_same_failing_lanes():
 @pytest.mark.parametrize("stage", [stage1, stage2], ids=["stage1", "stage2"])
 @pytest.mark.parametrize("lanes", [(), (1,), (8,), (20,)], ids=["one", "lanes1", "lanes8", "lanes20"])
 def test_update_step_equals_update_bit_for_bit(stage, lanes):
-    # the bare-array update step that a stage pass calls, on one run's states
-    # and on stacks whose corrections take the float path (up to
+    # the bare-array update and predict steps that a stage pass calls, on one
+    # run's states and on stacks whose corrections take the float path (up to
     # _SHORT_STACK lanes) or the array path (20 lanes), drifted lanes among
-    # them, returns the estimate update's arrays
+    # them, return the arrays of the stage's update and predict on estimates
     n, k = lanes[0] if lanes else 1, 3 if stage is stage1 else 2
     rng = np.random.default_rng(n)
     x, sigma, _, dirs, y = _lane_stack([LANE_KINDS[i % len(LANE_KINDS)] for i in range(n)], rng, k)
@@ -529,8 +532,15 @@ def test_update_step_equals_update_bit_for_bit(stage, lanes):
         params = cfg.stage1_gains(), 1.0 / cfg.star_rate_hz
     else:
         params = dirs, cfg.stage2_gains(), 1.0 / cfg.feature_rate_hz
-    want = stage.update(FilterEstimate(GroupElement(*states[:2]), states[2]), y, *params)
+    est = FilterEstimate(GroupElement(*states[:2]), states[2])
+    want = stage.update(est, y, *params)
     got = stage.update_step(*states, y, *params)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in (want.X.rot, want.X.vec, want.Sigma)]
+    assert want.X.rot.shape == lanes + (3, 3)
+
+    rate, gains, dt = rng.normal(size=lanes + (3,)), params[-2], 1.0 / cfg.gyro_rate_hz
+    want = stage.predict(est, rate, gains, dt)
+    got = stage.predict_step(*states, rate, gains.M, dt, *stage.predict_constants(states[1]))
     assert [a.tobytes() for a in got] == [a.tobytes() for a in (want.X.rot, want.X.vec, want.Sigma)]
     assert want.X.rot.shape == lanes + (3, 3)
 
@@ -633,13 +643,12 @@ def test_predict_leaves_a_drifted_attitude_to_the_next_update(lanes):
     x, sigma, _, dirs, y = _lane_stack(["drifted", "generic", "drifted"], rng, 3)
     if not lanes:
         x, sigma, y = _lane(x, 0), sigma[0], y[0]
-    est, dt = FilterEstimate(x, sigma), 0.01
-    omega = rng.normal(size=lanes + (3,))
-    out = predict(est, AlgebraElement(omega, None), np.zeros(lanes + (3,)), FilterGains.identity_scaled(9), dt)
-    assert out.X.rot.tobytes() == (x.rot @ exp_so3(dt * omega)).tobytes()
-    assert np.abs(out.X.rot.mT @ out.X.rot - np.eye(3)).max() > 1e-8
-    corrected = update(out, y, dirs, FilterGains.identity_scaled(9, update_iterations=2), 0.1, "test")
-    assert is_rotation(corrected.X.rot, 1e-14)
+    dt, omega = 0.01, rng.normal(size=lanes + (3,))
+    out = predict_step(x.rot, x.vec, sigma, omega, None, wedge(np.zeros(lanes + (3,))), FilterGains.identity_scaled(9).M, dt)
+    assert out[0].tobytes() == (x.rot @ exp_so3(dt * omega)).tobytes()
+    assert np.abs(out[0].mT @ out[0] - np.eye(3)).max() > 1e-8
+    corrected = update_step(*out, y, dirs, FilterGains.identity_scaled(9, update_iterations=2), 0.1, "test")
+    assert is_rotation(corrected[0], 1e-14)
 
 
 @pytest.mark.parametrize("lanes", [(), (8,)])
@@ -653,9 +662,9 @@ def test_ten_thousand_predicts_stay_orthonormal_at_the_half_turn_limit(lanes):
     angle = np.radians(180.0 * cfg.gyro_rate_hz) * dt * np.concatenate([[1.0], rng.uniform(0.0, 1.0, n - 1)])
     omega = (angle[:, None] * np.stack([random_unit_vector(rng) for _ in range(n)]) / dt).reshape(lanes + (3,))
     x = GroupElement(np.stack([random_rotation(rng) for _ in range(n)]).reshape(lanes + (3, 3)), np.zeros(lanes + (3,)))
-    est, lam, w = FilterEstimate(x, np.broadcast_to(np.eye(6), lanes + (6, 6))), AlgebraElement(omega, None), np.zeros(lanes + (3,))
-    gains = FilterGains.identity_scaled(9)
+    rot, vec, sigma = x.rot, x.vec, np.broadcast_to(np.eye(6), lanes + (6, 6))
+    w_hat, m = wedge(np.zeros(lanes + (3,))), FilterGains.identity_scaled(9).M
     for _ in range(10_000):
-        est = predict(est, lam, w, gains, dt)
-    assert np.abs(est.X.rot.mT @ est.X.rot - np.eye(3)).max() < 2e-10
-    assert is_rotation(est.X.rot, ORTHO_TOL)
+        rot, vec, sigma = predict_step(rot, vec, sigma, omega, None, w_hat, m, dt)
+    assert np.abs(rot.mT @ rot - np.eye(3)).max() < 2e-10
+    assert is_rotation(rot, ORTHO_TOL)

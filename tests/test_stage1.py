@@ -14,6 +14,7 @@ from eqfcascade.geom import (
     random_rotation,
     random_unit_vector,
     rotation_angle,
+    wedge,
 )
 from oracles import (
     fd_jacobian,
@@ -244,8 +245,9 @@ class TestPredict:
             est = FilterEstimate(GroupElement(rot, rng.normal(size=lanes + (3,))), m @ m.mT + np.eye(6))
             gyro, dt = rng.normal(size=lanes + (3,)), rng.uniform(1e-3, 0.1)
             got = stage1.predict(est, gyro, g, dt)
-            want = filter_base.predict(est, stage1.lift(stage1.recover_state(est.X), gyro), stage1.a_rate(est.X.rot, est.X.vec, gyro), g, dt)
-            for a, b in ((got.X.rot, want.X.rot), (got.X.vec, want.X.vec), (got.Sigma, want.Sigma)):
+            lam, w = stage1.lift(stage1.recover_state(est.X), gyro), stage1.a_rate(est.X.rot, est.X.vec, gyro)
+            want = filter_base.predict_step(est.X.rot, est.X.vec, est.Sigma, lam.rot, lam.vec, wedge(w), g.M, dt)
+            for a, b in zip((got.X.rot, got.X.vec, got.Sigma), want):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_sigma_growth_rate(self):
@@ -307,3 +309,14 @@ def test_gains_reject_non_spd():
         FilterGains(M=-np.eye(6), N=np.eye(9), Sigma0=np.eye(6))
     with pytest.raises(ValueError, match="update_iterations"):
         FilterGains(M=np.eye(6), N=np.eye(9), Sigma0=np.eye(6), update_iterations=0)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "2", None])
+def test_gains_reject_update_iterations_that_are_not_integers(n):
+    # range() in the update would raise a TypeError at the first measurement
+    with pytest.raises(ValueError, match="update_iterations must be an integer"):
+        FilterGains.identity_scaled(9, update_iterations=n)
+
+
+def test_gains_take_numpy_integer_update_iterations():
+    assert FilterGains.identity_scaled(9, update_iterations=np.int64(3)).update_iterations == 3

@@ -14,6 +14,7 @@ from eqfcascade.geom import (
     random_rotation,
     random_unit_vector,
     rotation_angle,
+    wedge,
 )
 from eqfcascade.models import TruthWorld, propagate_truth, relative_state
 from oracles import (
@@ -266,8 +267,9 @@ class TestPredict:
             rate, dt = rng.normal(size=lanes + (3,)), rng.uniform(1e-3, 0.1)
             got = stage2.predict(est, rate, g, dt)
             for inp in (stage2.ExtendedInput(rate), stage2.ExtendedInput(rate, zeros, zeros)):
-                want = filter_base.predict(est, stage2.lift(stage2.recover_state(est.X), inp), est.X.vec, g, dt)
-                for a, b in ((got.X.rot, want.X.rot), (got.X.vec, want.X.vec), (got.Sigma, want.Sigma)):
+                lam = stage2.lift(stage2.recover_state(est.X), inp)
+                want = filter_base.predict_step(est.X.rot, est.X.vec, est.Sigma, lam.rot, lam.vec, wedge(est.X.vec), g.M, dt)
+                for a, b in zip((got.X.rot, got.X.vec, got.Sigma), want):
                     assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_dt_must_be_positive(self):
